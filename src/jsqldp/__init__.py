@@ -1,6 +1,8 @@
 """Weighted join-the-shortest-queue networks: simulation, fluid limits and
 large-deviation rate computations."""
 
+__version__ = "0.1.0"
+
 from .cost import CostModel, PoissonCost, PoissonTerm, pi, pi_vec, psi_poisson
 from .fluid import FluidSolution, fluid_route_step, fluid_solve, lyapunov_check, water_fill
 from .ldp import (
@@ -25,8 +27,6 @@ from .rate import (
 )
 from .sim import SamplePath, TieRule, audit, scale_counters, scale_path, simulate, terminal_statistics
 from .topology import Topology, TopologyError, dump, load, validate
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ActionReport",

@@ -49,6 +49,13 @@ def _vector(text: str, length: int, what: str) -> np.ndarray:
     return v
 
 
+def _event(text: str) -> RareEventSpec:
+    try:
+        return RareEventSpec.parse(text)
+    except ValueError as exc:
+        raise CliError(str(exc), 2) from exc
+
+
 def _print_json(obj) -> None:
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -146,7 +153,7 @@ def cmd_action(args) -> int:
 
 def cmd_optimize(args) -> int:
     topo = _load_topology(args.topology)
-    event = RareEventSpec.parse(args.event)
+    event = _event(args.event)
     q0 = _vector(args.q0, topo.K, "--q0") if args.q0 else None
     path, value = minimize_action(
         event, topo, PoissonCost(topo), segments=args.segments,
@@ -162,7 +169,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_verify(args) -> int:
     topo = _load_topology(args.topology)
-    event = RareEventSpec.parse(args.event)
+    event = _event(args.event)
     scales = [int(s) for s in args.scales.split(",")]
     reps = [int(float(r)) for r in args.reps.split(",")]
     if len(reps) == 1:
@@ -208,9 +215,6 @@ def cmd_acceptance(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="jsqldp")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("JSQLDP_JOBS", "1")),
-                   help="parallel worker bound (advisory)")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("simulate", help="discrete-event simulation at scale n")

@@ -154,13 +154,18 @@ class RareEventSpec:
     def parse(text: str) -> "RareEventSpec":
         """Parse 'terminal:k=1,c=1,T=1' style event descriptions."""
         kind, _, rest = text.partition(":")
-        fields = dict(part.split("=") for part in rest.split(",") if part)
-        return RareEventSpec(
-            kind=kind.strip(),
-            queue=int(fields.get("k", 1)) - 1,
-            threshold=float(fields["c"]),
-            T=float(fields.get("T", 1)),
-        )
+        try:
+            fields = dict(part.split("=") for part in rest.split(",") if part)
+            return RareEventSpec(
+                kind=kind.strip(),
+                queue=int(fields.get("k", 1)) - 1,
+                threshold=float(fields["c"]),
+                T=float(fields.get("T", 1)),
+            )
+        except KeyError as exc:
+            raise ValueError(f"event {text!r} lacks the field {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"invalid event {text!r}: {exc}") from exc
 
 
 def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:

@@ -6,7 +6,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-VERSION = "0.1.0"
+from . import __version__
 
 
 def _digest(path: str) -> str:
@@ -22,7 +22,7 @@ class RunManifest:
     subcommand: str
     config: dict
     seeds: list[int] = field(default_factory=list)
-    version: str = VERSION
+    version: str = __version__
     outputs: dict[str, str] = field(default_factory=dict)
 
     def record_output(self, path: str) -> None:

@@ -3,19 +3,21 @@
 The instantaneous cost L(x, y) of moving at velocity y from state x is the
 value of a convex program over arrival rates a, service rates b, routed-rate
 matrices e and departure rates d subject to the conservation constraints of
-the network.  ``local_rate`` solves it with a projected-gradient method after
-eliminating a, b and d; ``local_rate_bruteforce`` is the independent grid
-oracle; ``classify_domain`` and ``psi_ij`` expose the piecewise-constant
-structure of L over the domains of constant dynamics.
+the network.  Feasibility depends only on the domain: the program is
+infeasible exactly when a growing queue lies in no stream's argmin set.
+``local_rate`` solves it with a projected-gradient method after eliminating
+a, b and d; ``local_rate_bruteforce`` is the independent grid oracle;
+``classify_domain`` and ``psi_ij`` expose the piecewise-constant structure of
+L over the domains of constant dynamics.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import minimize
 
 from .cost import INF, CostModel
 from .topology import Topology
@@ -129,71 +131,6 @@ def label_matches(label: DomainLabel, x: np.ndarray, topology: Topology) -> bool
             if inside != (k in label.argmin_sets[m]):
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Feasibility of the constraint polyhedron (phase-1 linear program)
-# ---------------------------------------------------------------------------
-
-def _support_from_x(x: np.ndarray, topology: Topology) -> tuple[frozenset[int], ...]:
-    """Per-stream sets of queues allowed to receive routed mass at state x."""
-    label = classify_domain(x, topology)
-    return label.argmin_sets
-
-
-def feasibility_certificate(
-    support: tuple[frozenset[int], ...],
-    busy: np.ndarray,
-    y: np.ndarray,
-    topology: Topology,
-) -> str | None:
-    """Phase-1 LP over (a, b, e, d); returns None if feasible, else a message."""
-    K, M = topology.K, topology.M
-    entries = [(k, m) for m in range(M) for k in sorted(support[m])]
-    S = len(entries)
-    nvar = M + K + K + S  # a, b, d, e
-    A_eq, b_eq = [], []
-    for k in range(K):
-        row = np.zeros(nvar)
-        row[M + K + k] = -1.0  # -d_k
-        for j, (kk, _) in enumerate(entries):
-            if kk == k:
-                row[M + K + K + j] = 1.0
-        A_eq.append(row)
-        b_eq.append(y[k])
-        if busy[k]:
-            row = np.zeros(nvar)
-            row[M + K + k] = 1.0
-            row[M + k] = -1.0
-            A_eq.append(row)
-            b_eq.append(0.0)
-    A_ub, b_ub = [], []
-    for m in range(M):
-        row = np.zeros(nvar)
-        row[m] = -1.0
-        for j, (_, mm) in enumerate(entries):
-            if mm == m:
-                row[M + K + K + j] = 1.0
-        A_ub.append(row)
-        b_ub.append(0.0)
-    for k in range(K):
-        row = np.zeros(nvar)
-        row[M + K + k] = 1.0
-        row[M + k] = -1.0
-        A_ub.append(row)
-        b_ub.append(0.0)
-    res = linprog(
-        c=np.zeros(nvar),
-        A_eq=np.array(A_eq),
-        b_eq=np.array(b_eq),
-        A_ub=np.array(A_ub),
-        b_ub=np.array(b_ub),
-        bounds=[(0, None)] * nvar,
-        method="highs",
-    )
-    if res.status == 0:
-        return None
-    return f"phase-1 linear program infeasible: {res.message}"
 
 
 # ---------------------------------------------------------------------------
@@ -446,26 +383,32 @@ def _solve_full(support, busy, y, cost: CostModel, topology: Topology, tol: floa
 # Public entry points
 # ---------------------------------------------------------------------------
 
-def local_rate(
-    x,
-    y,
+def _rate_on_domain(
+    label: DomainLabel,
+    y: np.ndarray,
     topology: Topology,
     cost: CostModel,
-    tol: float = 1e-8,
+    tol: float,
 ) -> RateWitness:
-    """Minimal deviation cost for the state to move at velocity y from x."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("state must be componentwise nonnegative")
-    label = classify_domain(x, topology)
+    """Rate program on the domain ``label``: the body of local_rate and psi_ij.
+
+    The constraint polyhedron is empty exactly when some queue must grow
+    (y_k > 0) but lies in no stream's argmin set.  Arrival and service rates
+    are unbounded above, so otherwise e_km = y_k on a supporting stream and
+    d_k = -y_k on a shrinking queue give a feasible point.
+    """
     support = label.argmin_sets
-    busy = x > 0
-    cert = feasibility_certificate(support, busy, y, topology)
-    if cert is not None:
-        return RateWitness(value=INF, feasible=False, certificate=cert, label=label)
+    reachable = frozenset().union(*support)
+    for k in range(topology.K):
+        if y[k] > 0 and k not in reachable:
+            return RateWitness(
+                value=INF,
+                feasible=False,
+                certificate=f"queue {k + 1} cannot grow: it is in no stream's argmin set",
+                label=label,
+            )
+    busy = np.array([k not in label.zero_set for k in range(topology.K)])
+    stat = float("nan")
     if cost.separable:
         red = _Reduced(support, busy, y, cost, topology)
         if not red.solvable():
@@ -477,18 +420,32 @@ def local_rate(
             )
         value, e, it, stat = _solve_reduced(red, tol)
         a, b, e_full, d = red.witness(e)
-        return RateWitness(
-            value=value,
-            a=a,
-            b=b,
-            e=e_full,
-            d=d,
-            iterations=it,
-            stationarity=stat,
-            label=label,
-        )
-    value, a, b, e_full, d, it = _solve_full(support, busy, y, cost, topology, tol)
-    return RateWitness(value=value, a=a, b=b, e=e_full, d=d, iterations=it, label=label)
+    else:
+        value, a, b, e_full, d, it = _solve_full(support, busy, y, cost, topology, tol)
+    return RateWitness(
+        value=value,
+        a=a,
+        b=b,
+        e=e_full,
+        d=d,
+        iterations=it,
+        stationarity=stat,
+        label=label,
+    )
+
+
+def local_rate(
+    x,
+    y,
+    topology: Topology,
+    cost: CostModel,
+    tol: float = 1e-8,
+) -> RateWitness:
+    """Minimal deviation cost for the state to move at velocity y from x."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    label = classify_domain(x, topology)
+    return _rate_on_domain(label, np.asarray(y, dtype=float), topology, cost, tol)
 
 
 def psi_ij(
@@ -502,18 +459,7 @@ def psi_ij(
     check_label(label, topology)
     if not cost.separable:
         raise ValueError("domain-wise evaluation requires a separable cost")
-    y = np.asarray(y, dtype=float)
-    busy = np.array([k not in label.zero_set for k in range(topology.K)])
-    red = _Reduced(label.argmin_sets, busy, y, cost, topology)
-    feasible = all(
-        y[k] <= 0
-        or any(k in label.argmin_sets[m] for m in range(topology.M))
-        for k in range(topology.K)
-    )
-    if not feasible or not red.solvable():
-        return INF
-    value, _, _, _ = _solve_reduced(red, tol)
-    return value
+    return _rate_on_domain(label, np.asarray(y, dtype=float), topology, cost, tol).value
 
 
 def local_rate_bruteforce(
@@ -618,7 +564,7 @@ def _value_vec(term, grid: np.ndarray) -> np.ndarray:
 
 def _bruteforce_nonseparable(x, y, topology, cost, grid_step, box_radius):
     K, M = topology.K, topology.M
-    support = [sorted(s) for s in _support_from_x(x, topology)]
+    support = [sorted(s) for s in classify_domain(x, topology).argmin_sets]
     busy = x > 0
     entries = [(k, m) for m in range(M) for k in support[m]]
     grid = np.arange(0.0, box_radius + grid_step / 2, grid_step)

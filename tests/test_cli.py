@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import jsqldp
 from jsqldp.cli import run
+from jsqldp.manifest import RunManifest
 
 MM1 = {"K": 1, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [1]}
 MM1_STABLE = {"K": 1, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [2]}
@@ -36,6 +38,16 @@ class TestErrors:
     def test_wrong_vector_length_is_exit_2(self, topo_file, capsys):
         assert run(["rate", "--topology", topo_file(MM1),
                     "--x", "1 2", "--y", "1"]) == 2
+
+    @pytest.mark.parametrize("event", ["terminal:k=1,T=1", "terminal:k=1,c=abc,T=1"])
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    def test_malformed_event_is_exit_2(self, topo_file, tmp_path, capsys, event, command):
+        argv = [command, "--topology", topo_file(MM1), "--event", event]
+        if command == "verify":
+            argv += ["--out", str(tmp_path / "v.csv")]
+        assert run(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "event" in err["error"]
 
     def test_too_few_hits_is_exit_3(self, topo_file, tmp_path, capsys):
         code = run(["verify", "--topology", topo_file(MM1_STABLE),
@@ -71,6 +83,10 @@ class TestRate:
 
 def math_inf_json():
     return float("inf")
+
+
+def test_manifest_carries_package_version():
+    assert RunManifest("rate", {}).version == jsqldp.__version__
 
 
 class TestSimulate:
