@@ -56,6 +56,32 @@ def _event(text: str) -> RareEventSpec:
         raise CliError(str(exc), 2) from exc
 
 
+def _read_paths(path: str, what: str, widths: dict[str, int]):
+    """(raw JSON, paths) from a file holding breakpoints "t" and, for each
+    key of ``widths``, a value array with that many columns."""
+    if not os.path.exists(path):
+        raise CliError(f"{what} file not found: {path}", 2)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except ValueError as exc:
+        raise CliError(f"{what} file {path} is not valid JSON: {exc}", 2) from exc
+    missing = [k for k in ["t", *widths] if not isinstance(raw, dict) or k not in raw]
+    if missing:
+        raise CliError(f"{what} file {path} lacks {', '.join(map(repr, missing))}", 2)
+    paths = []
+    for key, width in widths.items():
+        try:
+            p = PiecewisePath(np.asarray(raw["t"], dtype=float),
+                              np.asarray(raw[key], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{what} file {path}: {key!r}: {exc}", 2) from exc
+        if p.dim != width:
+            raise CliError(f"{what} file {path}: {key!r} must have {width} columns", 2)
+        paths.append(p)
+    return raw, paths
+
+
 def _print_json(obj) -> None:
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -114,13 +140,7 @@ def cmd_rate(args) -> int:
 def cmd_fluid(args) -> int:
     topo = _load_topology(args.topology)
     q0 = _vector(args.q0, topo.K, "--q0")
-    if not os.path.exists(args.inputs):
-        raise CliError(f"inputs file not found: {args.inputs}", 2)
-    with open(args.inputs) as fh:
-        raw = json.load(fh)
-    ts = np.asarray(raw["t"], dtype=float)
-    a = PiecewisePath(ts, np.asarray(raw["a"], dtype=float))
-    b = PiecewisePath(ts, np.asarray(raw["b"], dtype=float))
+    raw, (a, b) = _read_paths(args.inputs, "inputs", {"a": topo.M, "b": topo.K})
     sol = fluid_solve(topo, q0, a, b, args.T, args.h)
     header = (["t"] + [f"q_{k+1}" for k in range(topo.K)]
               + [f"d_{k+1}" for k in range(topo.K)]
@@ -141,11 +161,7 @@ def cmd_fluid(args) -> int:
 
 def cmd_action(args) -> int:
     topo = _load_topology(args.topology)
-    if not os.path.exists(args.path):
-        raise CliError(f"path file not found: {args.path}", 2)
-    with open(args.path) as fh:
-        raw = json.load(fh)
-    q = PiecewisePath(np.asarray(raw["t"], float), np.asarray(raw["q"], float))
+    _, (q,) = _read_paths(args.path, "path", {"q": topo.K})
     report = path_action(q, topo, PoissonCost(topo), tol=args.tol)
     _print_json(report.to_dict())
     return 0

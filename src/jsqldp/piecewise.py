@@ -20,6 +20,8 @@ class PiecewisePath:
     def __post_init__(self):
         t = np.asarray(self.breakpoints, dtype=float)
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
+        if t.ndim != 1 or v.ndim != 2:
+            raise ValueError("breakpoints must be a vector and values a matrix")
         if v.shape[0] != t.shape[0]:
             raise ValueError("breakpoints and values length mismatch")
         if t.shape[0] < 2:

@@ -49,6 +49,36 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert "event" in err["error"]
 
+    FLUID_INPUTS = {"t": [0.0, 1.0], "a": [[0.0], [3.0]], "b": [[0.0, 0.0], [1.0, 1.0]]}
+    PATH = {"t": [0.0, 1.0], "q": [[0.0, 0.0], [1.0, 1.0]]}
+
+    @pytest.mark.parametrize("command,text,message", [
+        ("fluid", json.dumps({k: v for k, v in FLUID_INPUTS.items() if k != "a"}), "lacks 'a'"),
+        ("fluid", json.dumps({k: v for k, v in FLUID_INPUTS.items() if k != "b"}), "lacks 'b'"),
+        ("fluid", json.dumps({k: v for k, v in FLUID_INPUTS.items() if k != "t"}), "lacks 't'"),
+        ("fluid", json.dumps(FLUID_INPUTS | {"b": [[0.0], [1.0]]}), "'b' must have 2 columns"),
+        ("fluid", '{"t": [0, 1], "a": ', "not valid JSON"),
+        ("action", json.dumps({"t": [0.0, 1.0]}), "lacks 'q'"),
+        ("action", json.dumps({"q": PATH["q"]}), "lacks 't'"),
+        ("action", json.dumps(PATH | {"t": 1.0}), "'q'"),
+        ("action", json.dumps([PATH]), "lacks 't', 'q'"),
+        ("action", "not json", "not valid JSON"),
+    ], ids=["fluid-no-a", "fluid-no-b", "fluid-no-t", "fluid-b-width", "fluid-bad-json",
+            "action-no-q", "action-no-t", "action-scalar-t", "action-not-object",
+            "action-bad-json"])
+    def test_malformed_input_file_is_exit_2(self, topo_file, tmp_path, capsys,
+                                           command, text, message):
+        f = tmp_path / "input.json"
+        f.write_text(text)
+        if command == "fluid":
+            argv = ["fluid", "--q0", "1 0", "--inputs", str(f), "--T", "1",
+                    "--out", str(tmp_path / "fluid.csv")]
+        else:
+            argv = ["action", "--path", str(f)]
+        assert run(argv + ["--topology", topo_file(TWO_QUEUE)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert message in err["error"]
+
     def test_too_few_hits_is_exit_3(self, topo_file, tmp_path, capsys):
         code = run(["verify", "--topology", topo_file(MM1_STABLE),
                     "--event", "terminal:k=1,c=1,T=1",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import diags
+from scipy.sparse.linalg import expm_multiply
 
 from jsqldp import (
     PiecewisePath,
@@ -12,8 +14,28 @@ from jsqldp import (
     path_action,
     wilson_interval,
 )
+from jsqldp.ldp import _reflected_queue
 
 LOG2 = math.log(2.0)
+
+
+def exact_mm1_probability(topology, event, n: int) -> float:
+    """P(event) for the M/M/1 queue started empty, from the matrix exponential
+    of the birth-death generator over [0, nT].  For 'running_max' the
+    threshold level absorbs; for 'terminal' the chain is cut 60 levels above
+    it, far beyond any reachable mass at the sizes used here."""
+    lam, mu = float(topology.lam[0]), float(topology.mu[0])
+    level = math.ceil(n * event.threshold - 1e-9)
+    top = level if event.kind == "running_max" else level + 60
+    up = np.full(top, lam)
+    down = np.full(top, mu)
+    if event.kind == "running_max":
+        down[-1] = 0.0
+    gen = diags([up, down], [1, -1], shape=(top + 1, top + 1)).tocsr()
+    gen = gen - diags(np.asarray(gen.sum(axis=1)).ravel())
+    p0 = np.zeros(top + 1)
+    p0[0] = 1.0
+    return float(expm_multiply(gen.T * (n * event.T), p0)[level:].sum())
 
 
 class TestPathAction:
@@ -122,6 +144,58 @@ class TestEstimate:
         event = RareEventSpec("terminal", 0, 1.0, 1.0)
         with pytest.raises(ValueError):
             estimate_rare_event(event, mm1_stable, [5, 10], [100], seed=0)
+
+
+class TestMM1Counter:
+    """The flat-layout M/M/1 hit counter behind ``estimate_rare_event``."""
+
+    def test_reflection_matches_lindley_loop(self, rng):
+        for _ in range(200):
+            counts = rng.poisson(rng.uniform(0.0, 6.0), int(rng.integers(1, 30)))
+            jumps = rng.choice(np.array([-1, 1], dtype=np.int8), int(counts.sum()))
+            q_end = _reflected_queue(counts, jumps, "terminal")
+            q_max = _reflected_queue(counts, jumps, "running_max")
+            start = 0
+            for r, c in enumerate(counts):
+                q = top = 0
+                for j in jumps[start:start + c]:
+                    q = max(q + int(j), 0)
+                    top = max(top, q)
+                start += c
+                assert (q_end[r], q_max[r]) == (q, top)
+
+    # 200k replicates span three batches at n=5, T=1, the last one partial;
+    # at T=0.01 most replicates have no jump at all.
+    @pytest.mark.parametrize("kind,c,T", [
+        ("terminal", 1.0, 1.0),
+        ("running_max", 0.6, 1.0),
+        ("terminal", 0.2, 0.01),
+        ("running_max", 0.2, 0.01),
+    ])
+    def test_matches_exact_law(self, mm1_stable, kind, c, T):
+        event = RareEventSpec(kind, 0, c, T)
+        reps = 200_000
+        row = estimate_rare_event(event, mm1_stable, [5], [reps], seed=11)["scales"][0]
+        lo, hi = wilson_interval(row["hits"], reps, z=4.5)
+        assert lo <= exact_mm1_probability(mm1_stable, event, 5) <= hi
+
+    @pytest.mark.parametrize("kind", ["terminal", "running_max"])
+    @pytest.mark.parametrize("T,reps", [(1e-3, 50_001), (1.0, 150_001)])
+    def test_level_zero_counts_every_replicate(self, mm1_stable, kind, T, reps):
+        event = RareEventSpec(kind, 0, 0.0, T)
+        row = estimate_rare_event(event, mm1_stable, [5], [reps], seed=2)["scales"][0]
+        assert row["hits"] == reps
+
+    def test_seed_fixes_the_stream(self, mm1_stable):
+        event = RareEventSpec("running_max", 0, 0.6, 1.0)
+
+        def hits(seed):
+            report = estimate_rare_event(event, mm1_stable, [5, 10], [30_000, 30_000],
+                                         seed=seed)
+            return [row["hits"] for row in report["scales"]]
+
+        assert hits(4) == hits(4)
+        assert hits(4) != hits(5)
 
 
 class TestMinimizeAction:
