@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -39,21 +40,41 @@ def _load_topology(path: str):
         raise CliError(f"invalid topology: {exc}", 2) from exc
 
 
-def _vector(text: str, length: int, what: str) -> np.ndarray:
+def _require(ok: bool, message: str) -> None:
+    """Reject a bad argument value with exit code 2."""
+    if not ok:
+        raise CliError(message, 2)
+
+
+def _vector(text: str, length: int, what: str, state: bool = False) -> np.ndarray:
+    """``length`` numbers; a ``state`` must be finite and nonnegative."""
     try:
         v = np.array([float(p) for p in text.replace(",", " ").split()])
     except ValueError as exc:
         raise CliError(f"cannot parse {what}: {text!r}", 2) from exc
-    if len(v) != length:
-        raise CliError(f"{what} must have {length} entries", 2)
+    _require(len(v) == length, f"{what} must have {length} entries")
+    _require(not state or bool(np.all(np.isfinite(v) & (v >= 0))),
+             f"{what} must be finite and nonnegative, got {text!r}")
     return v
 
 
-def _event(text: str) -> RareEventSpec:
+def _counts(text: str, what: str, parse) -> list[int]:
+    """Comma-separated positive integers, each read by ``parse``."""
     try:
-        return RareEventSpec.parse(text)
+        values = [parse(part) for part in text.split(",")]
+    except (ValueError, OverflowError) as exc:
+        raise CliError(f"cannot parse {what}: {text!r}", 2) from exc
+    _require(all(v >= 1 for v in values), f"{what} must be positive integers, got {text!r}")
+    return values
+
+
+def _event(text: str, K: int) -> RareEventSpec:
+    try:
+        event = RareEventSpec.parse(text)
     except ValueError as exc:
         raise CliError(str(exc), 2) from exc
+    _require(0 <= event.queue < K, f"event {text!r} names no queue of the {K}")
+    return event
 
 
 def _read_paths(path: str, what: str, widths: dict[str, int]):
@@ -98,7 +119,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def cmd_simulate(args) -> int:
     topo = _load_topology(args.topology)
-    q0 = _vector(args.q0, topo.K, "--q0") if args.q0 else np.zeros(topo.K)
+    _require(args.n >= 1, f"--n must be >= 1, got {args.n}")
+    _require(math.isfinite(args.T) and args.T >= 0,
+             f"--T must be finite and nonnegative, got {args.T}")
+    _require(math.isfinite(args.grid) and args.grid > 0, f"--grid must be positive, got {args.grid}")
+    q0 = _vector(args.q0, topo.K, "--q0", state=True) if args.q0 else np.zeros(topo.K)
     tie = TieRule.LOWEST_INDEX if args.tie == "lowest" else TieRule.UNIFORM_RANDOM
     path = simulate(topo, args.n, args.T, args.seed, tie, q0)
     sc = scale_counters(path, args.grid)
@@ -124,7 +149,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_rate(args) -> int:
     topo = _load_topology(args.topology)
-    x = _vector(args.x, topo.K, "--x")
+    x = _vector(args.x, topo.K, "--x", state=True)
     y = _vector(args.y, topo.K, "--y")
     cost = PoissonCost(topo)
     wit = local_rate(x, y, topo, cost, tol=args.tol)
@@ -139,7 +164,9 @@ def cmd_rate(args) -> int:
 
 def cmd_fluid(args) -> int:
     topo = _load_topology(args.topology)
-    q0 = _vector(args.q0, topo.K, "--q0")
+    _require(math.isfinite(args.T) and args.T > 0, f"--T must be positive, got {args.T}")
+    _require(math.isfinite(args.h) and args.h > 0, f"--h must be positive, got {args.h}")
+    q0 = _vector(args.q0, topo.K, "--q0", state=True)
     raw, (a, b) = _read_paths(args.inputs, "inputs", {"a": topo.M, "b": topo.K})
     sol = fluid_solve(topo, q0, a, b, args.T, args.h)
     header = (["t"] + [f"q_{k+1}" for k in range(topo.K)]
@@ -169,8 +196,9 @@ def cmd_action(args) -> int:
 
 def cmd_optimize(args) -> int:
     topo = _load_topology(args.topology)
-    event = _event(args.event)
-    q0 = _vector(args.q0, topo.K, "--q0") if args.q0 else None
+    event = _event(args.event, topo.K)
+    _require(args.segments >= 1, f"--segments must be >= 1, got {args.segments}")
+    q0 = _vector(args.q0, topo.K, "--q0", state=True) if args.q0 else None
     path, value = minimize_action(
         event, topo, PoissonCost(topo), segments=args.segments,
         q0=q0, starts=args.starts, seed=args.seed,
@@ -185,11 +213,13 @@ def cmd_optimize(args) -> int:
 
 def cmd_verify(args) -> int:
     topo = _load_topology(args.topology)
-    event = _event(args.event)
-    scales = [int(s) for s in args.scales.split(",")]
-    reps = [int(float(r)) for r in args.reps.split(",")]
+    event = _event(args.event, topo.K)
+    _require(args.segments >= 1, f"--segments must be >= 1, got {args.segments}")
+    scales = _counts(args.scales, "--scales", int)
+    reps = _counts(args.reps, "--reps", lambda r: int(float(r)))
     if len(reps) == 1:
         reps = reps * len(scales)
+    _require(len(reps) == len(scales), "--reps needs one count, or one per scale")
     try:
         report = estimate_rare_event(event, topo, scales, reps, seed=args.seed)
     except ValueError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 from .cost import CostModel, INF
 from .piecewise import PiecewisePath
 from .rate import DomainLabel, classify_domain, local_rate
-from .sim import TieRule, terminal_statistics
+from .sim import _replicate_statistics
 from .topology import Topology
 
 
@@ -241,15 +241,19 @@ def _count_hits_mm1(event: RareEventSpec, lam: float, mu: float, n: int,
 
 def _count_hits_generic(event: RareEventSpec, topology: Topology, n: int,
                         reps: int, seed: int) -> int:
+    """Replication counting through the simulator's batched observer.
+
+    Batches hold about 2**20 expected events, as in ``_count_hits_mm1``, and
+    batch ``b`` is batch ``b`` of the simulator's stream at ``seed``.
+    """
+    rate = float(topology.lam.sum() + topology.mu.sum())
+    batch = max(1, int(2**20 // max(1.0, rate * n * event.T)))
     hits = 0
-    for r in range(reps):
-        q_end, q_max = terminal_statistics(
-            topology, n, event.T, seed=seed * 1_000_003 + r,
-            tie_rule=TieRule.LOWEST_INDEX,
-        )
-        value = q_end[event.queue] if event.kind == "terminal" else q_max[event.queue]
-        if value >= n * event.threshold - 1e-9:
-            hits += 1
+    for batch_id, done in enumerate(range(0, reps, batch)):
+        q_end, q_max = _replicate_statistics(topology, n, event.T, seed, batch_id,
+                                             min(batch, reps - done))
+        value = (q_end if event.kind == "terminal" else q_max)[:, event.queue]
+        hits += int((value >= n * event.threshold - 1e-9).sum())
     return hits
 
 
@@ -268,6 +272,8 @@ def estimate_rare_event(
     """
     if len(reps) != len(scales):
         raise ValueError("one replication count per scale required")
+    if not 0 <= event.queue < topology.K:
+        raise ValueError(f"event queue {event.queue + 1} is not one of the {topology.K} queues")
     fast = (
         topology.K == 1
         and topology.M == 1

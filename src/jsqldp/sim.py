@@ -2,15 +2,23 @@
 
 Arrival streams and autonomous per-server service clocks are independent
 Poisson processes; a service tick removes a customer only when one is
-present, but is always counted.  Each clock draws from its own Philox
-counter-based stream keyed by (seed, clock id), so runs are reproducible
-bit-for-bit across platforms.
+present, but is always counted.  By superposition the clocks are sampled as
+one uniformized stream, in place of one stream per clock: a run has
+Poisson(Λ n T) events with Λ = Σλ + Σμ, and each event belongs to clock c
+with probability rate_c / Λ.  The draws come from PCG64 streams seeded with
+``SeedSequence([seed, batch])``, batch 0 for ``simulate`` and
+``terminal_statistics``, so runs are reproducible bit-for-bit.  One scalar
+loop routes the events of any number of replicates laid end to end; numpy
+observers turn its output into full paths (``simulate``) or per-replicate
+terminal values and running maxima (``terminal_statistics`` and the
+rare-event estimator).
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -52,27 +60,97 @@ class SamplePath:
         return self.arrivals.shape[1]
 
 
-def _clock_rng(seed: int, clock_id: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, clock_id], dtype=np.uint64)))
+def _initial_queues(topology: Topology, n: int, T: float, q0_scaled) -> np.ndarray:
+    """floor(n * q0_scaled), after checking the arguments of a run."""
+    if n < 1:
+        raise ValueError("scale must be >= 1")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {T!r}")
+    if q0_scaled is None:
+        return np.zeros(topology.K, dtype=np.int64)
+    q0 = np.asarray(q0_scaled, dtype=float)
+    if q0.shape != (topology.K,):
+        raise ValueError(f"initial state must have {topology.K} entries, got shape {q0.shape}")
+    if not (np.all(np.isfinite(q0)) and np.all(q0 >= 0)):
+        raise ValueError(f"initial state must be finite and nonnegative, got {q0}")
+    return np.floor(n * q0).astype(np.int64)
 
 
-def _weighted_argmin(q: np.ndarray, mults: list[tuple[int, int]]) -> list[int]:
-    """Servers attaining the minimal weighted queue length, exactly.
+def _draw(topology: Topology, n: int, T: float, seed: int, batch: int, reps: int,
+          tie_rule: TieRule):
+    """Event counts, clocks and tie uniforms of ``reps`` replicates on [0, nT].
 
-    ``mults`` holds (server, integer multiplier) pairs with Q_k / w_km
-    proportional to Q_k * multiplier, so ties are decided in integer
-    arithmetic.
+    Clocks 0..M-1 are the arrival streams and M..M+K-1 the servers; an event
+    takes the clock whose share of the cumulative rates its uniform falls in,
+    so a clock of rate 0 is never chosen.  Tie uniforms (``UNIFORM_RANDOM``
+    only) are interleaved with the clock uniforms.  Counts and events come
+    from two streams spawned from ``SeedSequence([seed, batch])``, so a
+    replicate's events do not depend on how many replicates follow it.  The
+    event stream is returned for callers that draw more from it.
     """
-    best = None
-    out: list[int] = []
-    for k, c in mults:
-        v = int(q[k]) * c
-        if best is None or v < best:
-            best = v
-            out = [k]
-        elif v == best:
-            out.append(k)
-    return out
+    rates = np.concatenate([topology.lam, topology.mu])
+    count_rng, event_rng = map(np.random.default_rng,
+                               np.random.SeedSequence([seed, batch]).spawn(2))
+    counts = count_rng.poisson(rates.sum() * n * T, reps)
+    width = 2 if tie_rule is TieRule.UNIFORM_RANDOM else 1
+    u = event_rng.random((int(counts.sum()), width))
+    shares = np.cumsum(rates)
+    clocks = np.searchsorted(shares / shares[-1], u[:, 0], side="right")
+    return counts, clocks, (u[:, 1] if width == 2 else None), event_rng
+
+
+def _route(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks: np.ndarray,
+           ties: np.ndarray | None) -> np.ndarray:
+    """The queue each event joins or leaves; -1 for a tick at an empty server.
+
+    Replicate r owns the next ``counts[r]`` events and starts from ``q0``.
+    An arrival of stream m joins a queue of least weighted level in S_m,
+    compared exactly as Q_k * level_multiplier; among the tied queues, in
+    index order, it takes position floor(u * #tied) for the event's tie
+    uniform u, which is 0 (the lowest index) when ``ties`` is None.
+    """
+    M = topology.M
+    choices = [sorted(topology.level_multipliers(m).items()) for m in range(M)]
+    moves: list[int] = []
+    emit = moves.append
+    events = iter(clocks.tolist())
+    draws = repeat(0.0) if ties is None else iter(ties.tolist())
+    start = q0.tolist()
+    for count in counts.tolist():
+        q = start.copy()
+        for c, u in zip(islice(events, count), islice(draws, count)):
+            if c >= M:
+                k = c - M
+                if q[k]:
+                    q[k] -= 1
+                    emit(k)
+                else:
+                    emit(-1)
+                continue
+            k = -1
+            for j, mult in choices[c]:
+                v = q[j] * mult
+                if k < 0 or v < best:
+                    k, best = j, v
+            if u:  # position 0 is the lowest index, found above
+                tied = [j for j, mult in choices[c] if q[j] * mult == best]
+                k = tied[int(u * len(tied))]
+            q[k] += 1
+            emit(k)
+    return np.array(moves, dtype=np.intp)
+
+
+def _walk(topology: Topology, clocks: np.ndarray, moves: np.ndarray) -> np.ndarray:
+    """Running sum of the events' queue changes, with a leading zero row.
+
+    Row j is the change of the queue vector over the first j events: an
+    arrival adds one customer to the queue it joined and a departure removes
+    one.
+    """
+    changed = np.flatnonzero(moves >= 0)
+    step = np.zeros((len(moves) + 1, topology.K), dtype=np.int32)
+    step[changed + 1, moves[changed]] = np.where(clocks[changed] < topology.M, 1, -1)
+    return np.cumsum(step, axis=0, out=step)
 
 
 def simulate(
@@ -86,70 +164,38 @@ def simulate(
     """Run the n-th system on unscaled time [0, n*T].
 
     The initial queue vector is floor(n * q0_scaled).  Identical arguments
-    reproduce identical paths.
+    reproduce identical paths.  Given its event count, a Poisson process's
+    event times are sorted uniforms, so the times are drawn last, after the
+    events that ``terminal_statistics`` shares.  Raises ``ValueError`` for
+    n < 1, a negative or non-finite T, or a q0 that is negative, non-finite
+    or not one entry per queue.
     """
-    if n < 1:
-        raise ValueError("scale must be >= 1")
     K, M = topology.K, topology.M
-    q0_scaled = np.zeros(K) if q0_scaled is None else np.asarray(q0_scaled, dtype=float)
-    horizon = n * T
-    q = np.floor(n * q0_scaled).astype(np.int64)
-    mults = [sorted(topology.level_multipliers(m).items()) for m in range(M)]
-    # clocks 0..M-1: arrivals, M..M+K-1: services, M+K: tie breaking
-    gens = [_clock_rng(seed, c) for c in range(M + K)]
-    tie_gen = _clock_rng(seed, M + K)
-    rates = np.concatenate([topology.lam, topology.mu])
-    next_time = np.array(
-        [
-            gens[c].exponential(1.0 / rates[c]) if rates[c] > 0 else math.inf
-            for c in range(M + K)
-        ]
-    )
-    times = [0.0]
-    q_hist = [q.copy()]
-    A = np.zeros(M, dtype=np.int64)
-    B = np.zeros(K, dtype=np.int64)
-    D = np.zeros(K, dtype=np.int64)
-    E = np.zeros((K, M), dtype=np.int64)
-    A_hist, B_hist, D_hist, E_hist = [A.copy()], [B.copy()], [D.copy()], [E.copy()]
-    while True:
-        c = int(np.argmin(next_time))
-        t = next_time[c]
-        if t > horizon:
-            break
-        next_time[c] = t + gens[c].exponential(1.0 / rates[c])
-        if c < M:
-            m = c
-            A[m] += 1
-            cands = _weighted_argmin(q, mults[m])
-            if len(cands) == 1 or tie_rule is TieRule.LOWEST_INDEX:
-                k = cands[0]
-            else:
-                k = cands[int(tie_gen.integers(len(cands)))]
-            E[k, m] += 1
-            q[k] += 1
-        else:
-            k = c - M
-            B[k] += 1
-            if q[k] > 0:
-                q[k] -= 1
-                D[k] += 1
-        times.append(t)
-        q_hist.append(q.copy())
-        A_hist.append(A.copy())
-        B_hist.append(B.copy())
-        D_hist.append(D.copy())
-        E_hist.append(E.copy())
+    q0 = _initial_queues(topology, n, T, q0_scaled)
+    counts, clocks, ties, rng = _draw(topology, n, T, seed, 0, 1, tie_rule)
+    moves = _route(topology, q0, counts, clocks, ties)
+    # one column per clock, per (server, stream) pair and per server: the
+    # cumulative sums of one-hot event rows are A and B, E and D
+    rows = np.arange(1, len(moves) + 1)
+    arrival = clocks < M
+    departure = ~arrival & (moves >= 0)
+    ticks = np.zeros((len(rows) + 1, M + K + K * M + K), dtype=np.int64)
+    ticks[rows, clocks] = 1
+    ticks[rows[arrival], M + K + moves[arrival] * M + clocks[arrival]] = 1
+    ticks[rows[departure], M + K + K * M + moves[departure]] = 1
+    totals = np.cumsum(ticks, axis=0)
+    routed = totals[:, M + K:M + K + K * M].reshape(-1, K, M)
+    departures = totals[:, M + K + K * M:]
     return SamplePath(
         n=n,
         seed=seed,
-        times=np.array(times),
-        queues=np.array(q_hist),
-        arrivals=np.array(A_hist),
-        services=np.array(B_hist),
-        departures=np.array(D_hist),
-        routed=np.array(E_hist),
-        horizon=horizon,
+        times=np.concatenate([[0.0], np.sort(rng.random(len(moves))) * (n * T)]),
+        queues=q0 + _walk(topology, clocks, moves),
+        arrivals=totals[:, :M],
+        services=totals[:, M:M + K],
+        departures=departures,
+        routed=routed,
+        horizon=n * T,
     )
 
 
@@ -222,41 +268,39 @@ def terminal_statistics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(terminal queue vector, running max per queue), without recording.
 
-    Same dynamics as ``simulate`` but O(1) memory; used by the rare-event
-    estimator's generic path.
+    The run is the one ``simulate`` makes with the same arguments, and also
+    replicate 0 of the first batch the rare-event estimator draws at
+    ``seed``.  Raises ``ValueError`` on the arguments ``simulate`` rejects.
     """
-    K, M = topology.K, topology.M
-    q0_scaled = np.zeros(K) if q0_scaled is None else np.asarray(q0_scaled, dtype=float)
-    horizon = n * T
-    q = np.floor(n * q0_scaled).astype(np.int64)
-    qmax = q.copy()
-    mults = [sorted(topology.level_multipliers(m).items()) for m in range(M)]
-    gens = [_clock_rng(seed, c) for c in range(M + K)]
-    tie_gen = _clock_rng(seed, M + K)
-    rates = np.concatenate([topology.lam, topology.mu])
-    next_time = np.array(
-        [
-            gens[c].exponential(1.0 / rates[c]) if rates[c] > 0 else math.inf
-            for c in range(M + K)
-        ]
-    )
-    while True:
-        c = int(np.argmin(next_time))
-        t = next_time[c]
-        if t > horizon:
-            break
-        next_time[c] = t + gens[c].exponential(1.0 / rates[c])
-        if c < M:
-            cands = _weighted_argmin(q, mults[c])
-            if len(cands) == 1 or tie_rule is TieRule.LOWEST_INDEX:
-                k = cands[0]
-            else:
-                k = cands[int(tie_gen.integers(len(cands)))]
-            q[k] += 1
-            if q[k] > qmax[k]:
-                qmax[k] = q[k]
-        else:
-            k = c - M
-            if q[k] > 0:
-                q[k] -= 1
-    return q, qmax
+    q_end, q_max = _replicate_statistics(topology, n, T, seed, 0, 1, tie_rule, q0_scaled)
+    return q_end[0], q_max[0]
+
+
+def _replicate_statistics(
+    topology: Topology,
+    n: int,
+    T: float,
+    seed: int,
+    batch: int,
+    reps: int,
+    tie_rule: TieRule = TieRule.LOWEST_INDEX,
+    q0_scaled=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal queue vectors and running maxima of ``reps`` independent runs.
+
+    Both arrays have shape (reps, K).  The runs are batch ``batch`` of the
+    stream seeded by ``seed``.  Replicate r's queue path is ``q0`` plus the
+    slice ``walk[start:end+1]`` of the batch's ``_walk`` minus the slice's
+    first entry.
+    """
+    q0 = _initial_queues(topology, n, T, q0_scaled)
+    counts, clocks, ties, _ = _draw(topology, n, T, seed, batch, reps, tie_rule)
+    moves = _route(topology, q0, counts, clocks, ties)
+    walk = _walk(topology, clocks, moves)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    first, last = walk[starts], walk[ends]
+    # reduceat over [start, next start) omits the end entry a replicate shares
+    # with the next one, and gives walk[start] for an empty replicate
+    top = np.maximum(np.maximum.reduceat(walk, starts, axis=0), last)
+    return q0 + (last - first), q0 + (top - first)

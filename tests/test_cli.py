@@ -79,6 +79,32 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert message in err["error"]
 
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--n", "0", "--T", "1"], "--n"),
+        (["simulate", "--n", "5", "--T", "-1"], "--T"),
+        (["simulate", "--n", "5", "--T", "1", "--q0", "-1 0"], "--q0"),
+        (["simulate", "--n", "5", "--T", "1", "--grid", "0"], "--grid"),
+        (["verify", "--event", "terminal:k=1,c=1,T=1", "--scales", "5,x"], "--scales"),
+        (["verify", "--event", "terminal:k=1,c=1,T=1", "--scales", "5,10", "--reps", "1,2,3"],
+         "--reps"),
+        (["fluid", "--q0", "1 0", "--T", "0"], "--T"),
+        (["rate", "--x", "-1 0", "--y", "0 0"], "--x"),
+        (["optimize", "--event", "terminal:k=3,c=1,T=1"], "names no queue"),
+        (["optimize", "--event", "terminal:k=1,c=1,T=1", "--segments", "0"], "--segments"),
+    ], ids=["simulate-n0", "simulate-T-negative", "simulate-q0-negative", "simulate-grid0",
+            "verify-scales-unparsable", "verify-reps-count", "fluid-T0", "rate-x-negative",
+            "optimize-queue-out-of-range", "optimize-segments0"])
+    def test_bad_argument_value_is_exit_2(self, topo_file, tmp_path, capsys, argv, message):
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps(self.FLUID_INPUTS))
+        extra = ["--inputs", str(inputs)] if argv[0] == "fluid" else []
+        out = ["--out", str(tmp_path / "out.csv")] if argv[0] in ("simulate", "verify",
+                                                                  "fluid") else []
+        code = run(argv + extra + out + ["--topology", topo_file(TWO_QUEUE)])
+        assert code == 2
+        assert message in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "out.csv").exists()
+
     def test_too_few_hits_is_exit_3(self, topo_file, tmp_path, capsys):
         code = run(["verify", "--topology", topo_file(MM1_STABLE),
                     "--event", "terminal:k=1,c=1,T=1",

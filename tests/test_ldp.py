@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.sparse import diags
+from scipy.sparse import coo_matrix, diags
 from scipy.sparse.linalg import expm_multiply
 
 from jsqldp import (
@@ -36,6 +37,42 @@ def exact_mm1_probability(topology, event, n: int) -> float:
     p0 = np.zeros(top + 1)
     p0[0] = 1.0
     return float(expm_multiply(gen.T * (n * event.T), p0)[level:].sum())
+
+
+def exact_two_queue_probability(topology, event, n: int, cap: int = 60) -> float:
+    """P(event) for a K=2 network started empty, from the matrix exponential
+    of its generator truncated at ``cap`` customers per queue (arrivals into
+    a full queue are dropped).  An arrival of stream m joins the lowest-index
+    queue of least weighted level; for 'running_max' the states at or above
+    the threshold level absorb.  At n=4 the mass near the cap is negligible."""
+    level = math.ceil(n * event.threshold - 1e-9)
+    shape = (cap + 1, cap + 1)
+    streams = [(float(topology.lam[m]), sorted(topology.level_multipliers(m).items()))
+               for m in range(topology.M)]
+    rows, cols, vals = [], [], []
+    for state in itertools.product(range(cap + 1), repeat=2):
+        if event.kind == "running_max" and state[event.queue] >= level:
+            continue
+        moves = []
+        for lam, mults in streams:
+            best = min(state[k] * c for k, c in mults)
+            k = next(k for k, c in mults if state[k] * c == best)
+            if state[k] < cap:
+                moves.append((k, 1, lam))
+        moves += [(k, -1, float(topology.mu[k])) for k in range(2) if state[k] > 0]
+        s = np.ravel_multi_index(state, shape)
+        for k, step, rate in moves:
+            nxt = list(state)
+            nxt[k] += step
+            rows += [s, s]
+            cols += [np.ravel_multi_index(nxt, shape), s]
+            vals += [rate, -rate]
+    size = (cap + 1) ** 2
+    gen = coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    p0 = np.zeros(size)
+    p0[0] = 1.0
+    pt = expm_multiply(gen.T * (n * event.T), p0)
+    return float(pt[np.indices(shape).reshape(2, -1)[event.queue] >= level].sum())
 
 
 class TestPathAction:
@@ -140,6 +177,13 @@ class TestEstimate:
         p_runm = estimate_rare_event(runm, mm1_stable, [5], [50_000], seed=3)
         assert p_runm["scales"][0]["p_hat"] >= p_term["scales"][0]["p_hat"]
 
+    @pytest.mark.parametrize("queue", [1, -1])
+    def test_event_queue_must_exist(self, mm1_stable, queue):
+        # the one-queue counter would otherwise count queue 1 for any index
+        event = RareEventSpec("terminal", queue, 0.2, 1.0)
+        with pytest.raises(ValueError, match="not one of the 1 queues"):
+            estimate_rare_event(event, mm1_stable, [5], [1000], seed=0)
+
     def test_reps_must_match_scales(self, mm1_stable):
         event = RareEventSpec("terminal", 0, 1.0, 1.0)
         with pytest.raises(ValueError):
@@ -232,3 +276,34 @@ class TestMinimizeAction:
         event = RareEventSpec("running_max", 0, 1.0, 1.0)
         with pytest.raises(ValueError):
             minimize_action(event, mm1_stable, PoissonCost(mm1_stable))
+
+
+class TestGenericCounter:
+    """Batched hit counting on networks with more than one queue."""
+
+    # 60k replicates make two batches at n=4, the second partial; the cases
+    # cover both queues, so an arrival routed to a queue outside its
+    # stream's admissible set or past its weighted argmin shows
+    @pytest.mark.parametrize("net,kind,queue,c", [
+        ("weighted_net", "terminal", 0, 1.0),
+        ("weighted_net", "running_max", 1, 0.75),
+        ("two_queue", "terminal", 1, 1.0),
+        ("two_queue", "running_max", 0, 1.5),
+    ])
+    def test_matches_exact_law(self, request, net, kind, queue, c):
+        topo = request.getfixturevalue(net)
+        event = RareEventSpec(kind, queue, c, 1.0)
+        reps = 60_000
+        row = estimate_rare_event(event, topo, [4], [reps], seed=5)["scales"][0]
+        lo, hi = wilson_interval(row["hits"], reps, z=4.5)
+        assert lo <= exact_two_queue_probability(topo, event, 4) <= hi
+
+    def test_seed_fixes_the_stream(self, weighted_net):
+        event = RareEventSpec("running_max", 1, 0.75, 1.0)
+
+        def hits(seed):
+            report = estimate_rare_event(event, weighted_net, [4, 5], [500, 500], seed=seed)
+            return [row["hits"] for row in report["scales"]]
+
+        assert hits(4) == hits(4)
+        assert hits(4) != hits(5)
