@@ -8,6 +8,7 @@ from .fluid import FluidSolution, fluid_route_step, fluid_solve, lyapunov_check,
 from .ldp import (
     ActionReport,
     ActionSegment,
+    NoFiniteStartError,
     RareEventSpec,
     estimate_rare_event,
     minimize_action,
@@ -34,6 +35,7 @@ __all__ = [
     "CostModel",
     "DomainLabel",
     "FluidSolution",
+    "NoFiniteStartError",
     "PiecewisePath",
     "PoissonCost",
     "PoissonTerm",

@@ -2,7 +2,9 @@
 
 Every subcommand takes ``--topology`` (JSON network description) and writes a
 run manifest beside each output file.  Exit codes: 0 success, 2 bad input or
-missing file, 3 violated precondition, 1 internal failure.
+missing file, 3 violated precondition, 4 the rate solver did not converge,
+1 internal failure.  Failures past argument parsing print a JSON error to
+stderr.
 """
 from __future__ import annotations
 
@@ -18,10 +20,11 @@ import numpy as np
 from . import topology as topo_mod
 from .cost import PoissonCost
 from .fluid import fluid_solve
-from .ldp import RareEventSpec, estimate_rare_event, minimize_action, path_action
+from .ldp import (NoFiniteStartError, RareEventSpec, estimate_rare_event, minimize_action,
+                  path_action)
 from .manifest import RunManifest
 from .piecewise import PiecewisePath
-from .rate import local_rate, local_rate_bruteforce
+from .rate import SolverError, local_rate, local_rate_bruteforce
 from .sim import TieRule, scale_counters, simulate
 
 
@@ -47,15 +50,19 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _vector(text: str, length: int, what: str, state: bool = False) -> np.ndarray:
-    """``length`` numbers; a ``state`` must be finite and nonnegative."""
+    """``length`` finite numbers, nonnegative for a ``state``."""
     try:
         v = np.array([float(p) for p in text.replace(",", " ").split()])
     except ValueError as exc:
         raise CliError(f"cannot parse {what}: {text!r}", 2) from exc
     _require(len(v) == length, f"{what} must have {length} entries")
-    _require(not state or bool(np.all(np.isfinite(v) & (v >= 0))),
-             f"{what} must be finite and nonnegative, got {text!r}")
+    _require(bool(np.all(np.isfinite(v) & (v >= 0 if state else True))),
+             f"{what} must be finite{' and nonnegative' if state else ''}, got {text!r}")
     return v
+
+
+def _positive(value: float, what: str) -> None:
+    _require(math.isfinite(value) and value > 0, f"{what} must be positive, got {value}")
 
 
 def _counts(text: str, what: str, parse) -> list[int]:
@@ -74,7 +81,18 @@ def _event(text: str, K: int) -> RareEventSpec:
     except ValueError as exc:
         raise CliError(str(exc), 2) from exc
     _require(0 <= event.queue < K, f"event {text!r} names no queue of the {K}")
+    _require(event.kind == "terminal",
+             f"event {text!r}: the path search supports only terminal events")
     return event
+
+
+def _minimize(event: RareEventSpec, topo, args, **kwargs):
+    """minimize_action; no start at finite action is a violated precondition."""
+    try:
+        return minimize_action(event, topo, PoissonCost(topo), segments=args.segments,
+                               seed=args.seed, **kwargs)
+    except NoFiniteStartError as exc:
+        raise CliError(str(exc), 3) from exc
 
 
 def _read_paths(path: str, what: str, widths: dict[str, int]):
@@ -122,7 +140,7 @@ def cmd_simulate(args) -> int:
     _require(args.n >= 1, f"--n must be >= 1, got {args.n}")
     _require(math.isfinite(args.T) and args.T >= 0,
              f"--T must be finite and nonnegative, got {args.T}")
-    _require(math.isfinite(args.grid) and args.grid > 0, f"--grid must be positive, got {args.grid}")
+    _positive(args.grid, "--grid")
     q0 = _vector(args.q0, topo.K, "--q0", state=True) if args.q0 else np.zeros(topo.K)
     tie = TieRule.LOWEST_INDEX if args.tie == "lowest" else TieRule.UNIFORM_RANDOM
     path = simulate(topo, args.n, args.T, args.seed, tie, q0)
@@ -151,21 +169,27 @@ def cmd_rate(args) -> int:
     topo = _load_topology(args.topology)
     x = _vector(args.x, topo.K, "--x", state=True)
     y = _vector(args.y, topo.K, "--y")
+    _positive(args.tol, "--tol")
+    _positive(args.oracle_step, "--oracle-step")
+    _positive(args.oracle_radius, "--oracle-radius")
     cost = PoissonCost(topo)
     wit = local_rate(x, y, topo, cost, tol=args.tol)
     out = wit.to_dict()
     if args.oracle:
-        out["oracle"] = local_rate_bruteforce(
-            x, y, topo, cost, grid_step=args.oracle_step, box_radius=args.oracle_radius
-        )
+        try:
+            out["oracle"] = local_rate_bruteforce(
+                x, y, topo, cost, grid_step=args.oracle_step, box_radius=args.oracle_radius
+            )
+        except ValueError as exc:
+            raise CliError(f"--oracle: {exc}", 2) from exc
     _print_json(out)
     return 0
 
 
 def cmd_fluid(args) -> int:
     topo = _load_topology(args.topology)
-    _require(math.isfinite(args.T) and args.T > 0, f"--T must be positive, got {args.T}")
-    _require(math.isfinite(args.h) and args.h > 0, f"--h must be positive, got {args.h}")
+    _positive(args.T, "--T")
+    _positive(args.h, "--h")
     q0 = _vector(args.q0, topo.K, "--q0", state=True)
     raw, (a, b) = _read_paths(args.inputs, "inputs", {"a": topo.M, "b": topo.K})
     sol = fluid_solve(topo, q0, a, b, args.T, args.h)
@@ -199,10 +223,7 @@ def cmd_optimize(args) -> int:
     event = _event(args.event, topo.K)
     _require(args.segments >= 1, f"--segments must be >= 1, got {args.segments}")
     q0 = _vector(args.q0, topo.K, "--q0", state=True) if args.q0 else None
-    path, value = minimize_action(
-        event, topo, PoissonCost(topo), segments=args.segments,
-        q0=q0, starts=args.starts, seed=args.seed,
-    )
+    path, value = _minimize(event, topo, args, q0=q0, starts=args.starts)
     _print_json({
         "value": value,
         "path": {"t": list(map(float, path.breakpoints)),
@@ -220,12 +241,12 @@ def cmd_verify(args) -> int:
     if len(reps) == 1:
         reps = reps * len(scales)
     _require(len(reps) == len(scales), "--reps needs one count, or one per scale")
+    # the path search is the cheap half, so its failures come first
+    _, value = _minimize(event, topo, args)
     try:
         report = estimate_rare_event(event, topo, scales, reps, seed=args.seed)
     except ValueError as exc:
         raise CliError(str(exc), 3) from exc
-    _, value = minimize_action(event, topo, PoissonCost(topo),
-                               segments=args.segments, seed=args.seed)
     report["variational_value"] = value
     out = args.out
     _write_csv(out, ["inv_n", "n", "reps", "hits", "p_hat", "rate"],
@@ -332,12 +353,11 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, SolverError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return exc.code
-    except (ValueError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
+        if isinstance(exc, CliError):
+            return exc.code
+        return 4 if isinstance(exc, SolverError) else 1
 
 
 def main() -> None:

@@ -2,12 +2,12 @@
 
 The built-in model charges the relative-entropy cost of tilting independent
 Poisson clocks: pi(alpha) = alpha*log(alpha) - alpha + 1 per unit of nominal
-rate.  Other convex densities can be plugged in through ``CostModel``.
+rate.  Other convex densities that split into per-stream and per-queue
+scalar terms can be plugged in through ``CostModel``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,8 @@ def pi_vec(alpha: np.ndarray) -> np.ndarray:
 class ScalarCost:
     """One-dimensional convex cost term with partial-minimization helpers.
 
-    ``reduced_value(c)`` is inf over v >= c, used when a rate variable only
-    enters the program through a lower bound.
+    ``reduced_value(c)`` is inf over v >= c, used for the service rate of an
+    idle queue, which enters the program only through a lower bound.
     """
 
     def value(self, v: float) -> float:
@@ -98,35 +98,21 @@ class PoissonTerm(ScalarCost):
 class CostModel:
     """Convex, lower-semicontinuous density over (arrival, service) rates.
 
-    Subclasses must provide ``eval`` and ``subgradient``.  When the density
-    splits into per-stream and per-queue scalar terms, ``arrival_terms`` and
-    ``service_terms`` expose them and enable the reduced solver and the
-    domain-wise rate evaluation; non-separable models fall back to a generic
-    solver.
+    Subclasses provide ``eval`` and ``subgradient`` and split the density
+    into per-stream and per-queue scalar terms, ``arrival_terms`` and
+    ``service_terms``; the rate program is solved through those terms.
     """
 
     M: int
     K: int
+    arrival_terms: list[ScalarCost]
+    service_terms: list[ScalarCost]
 
     def eval(self, a: np.ndarray, b: np.ndarray) -> float:
         raise NotImplementedError
 
     def subgradient(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    @property
-    def separable(self) -> bool:
-        return self.arrival_terms is not None
-
-    arrival_terms: list[ScalarCost] | None = None
-    service_terms: list[ScalarCost] | None = None
-
-    @property
-    def zero_levels(self) -> np.ndarray:
-        """sup{b_k : per-queue service cost vanishes}, for separable models."""
-        if self.service_terms is None:
-            raise ValueError("zero levels require a separable cost")
-        return np.array([t.zero_level() for t in self.service_terms])
 
 
 class PoissonCost(CostModel):

@@ -21,6 +21,10 @@ from .sim import _replicate_statistics
 from .topology import Topology
 
 
+class NoFiniteStartError(RuntimeError):
+    """Raised when no start of the path search reaches the event at finite action."""
+
+
 @dataclass
 class ActionSegment:
     t0: float
@@ -363,6 +367,8 @@ def minimize_action(
     Searches interior breakpoint values (and non-threshold terminal
     coordinates) by seeded multistart pattern search; the returned action is
     an upper bound on the infimum over the event, not a global certificate.
+    Raises NoFiniteStartError when every start ends at infinite action, as
+    when the only finite paths run along a weighted tie.
     """
     if event.kind != "terminal":
         raise ValueError("only terminal-threshold events are supported")
@@ -419,4 +425,9 @@ def minimize_action(
         z, fz = _pattern_search(objective, z0, step0=0.25 * max(event.threshold, 1.0))
         if fz < best_f:
             best_z, best_f = z, fz
+    if best_z is None:
+        raise NoFiniteStartError(
+            f"no start of the path search reaches queue {event.queue + 1} >= "
+            f"{event.threshold} at finite action"
+        )
     return build_path(best_z), float(best_f)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cost import INF, CostModel
 from .topology import Topology
@@ -89,8 +88,8 @@ def classify_domain(x: np.ndarray, topology: Topology) -> DomainLabel:
     x = np.asarray(x, dtype=float)
     if x.shape != (topology.K,):
         raise ValueError("state dimension does not match topology")
-    if np.any(x < 0):
-        raise ValueError("state must be componentwise nonnegative")
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise ValueError("state must be finite and componentwise nonnegative")
     zero = frozenset(int(k) for k in np.flatnonzero(x == 0.0))
     argmins = []
     for m in range(topology.M):
@@ -134,7 +133,7 @@ def label_matches(label: DomainLabel, x: np.ndarray, topology: Topology) -> bool
 
 
 # ---------------------------------------------------------------------------
-# Reduced projected-gradient solver (separable costs)
+# Reduced projected-gradient solver
 # ---------------------------------------------------------------------------
 
 def _project_row(v: np.ndarray, c: float) -> np.ndarray:
@@ -154,9 +153,10 @@ def _project_row(v: np.ndarray, c: float) -> np.ndarray:
 class _Reduced:
     """Objective/gradient in the routed-rate variables after elimination.
 
-    d_k = (row sum of e over stream entries at k) - y_k; service rates on
-    busy coordinates equal d_k, idle ones and arrival rates are minimized
-    out through the scalar terms' reduced values.
+    d_k = (row sum of e over stream entries at k) - y_k; every arrival is
+    routed, so a_m is the column sum of e over stream m's entries; service
+    rates on busy coordinates equal d_k, and idle ones are minimized out
+    through the service terms' reduced values.
     """
 
     def __init__(self, support, busy, y, cost: CostModel, topology: Topology):
@@ -167,7 +167,7 @@ class _Reduced:
         # drop streams whose arrival term is +inf for any positive rate
         self.entries = []
         for m in range(topology.M):
-            if math.isinf(cost.arrival_terms[m].reduced_value(1e-300)):
+            if math.isinf(cost.arrival_terms[m].value(1e-300)):
                 continue
             self.entries.extend((k, m) for k in sorted(support[m]))
         self.nvar = len(self.entries)
@@ -199,7 +199,7 @@ class _Reduced:
         d = np.maximum(d, 0.0)
         total = 0.0
         for m, c in enumerate(self.colsums(e)):
-            total += self.cost.arrival_terms[m].reduced_value(float(c))
+            total += self.cost.arrival_terms[m].value(float(c))
         for k in range(self.topo.K):
             term = self.cost.service_terms[k]
             if self.busy[k]:
@@ -210,12 +210,11 @@ class _Reduced:
 
     def grad(self, e: np.ndarray) -> np.ndarray:
         d = np.maximum(self.rowsums(e) - self.y, 1e-300)
-        ga = np.array(
-            [
-                self.cost.arrival_terms[m].reduced_deriv(float(c))
-                for m, c in enumerate(self.colsums(e))
-            ]
-        )
+        # streams without entries (zero rate) never enter g
+        ga = [
+            term.deriv(max(float(c), 1e-12)) if idx else 0.0
+            for term, c, idx in zip(self.cost.arrival_terms, self.colsums(e), self.col_idx)
+        ]
         gd = np.empty(self.topo.K)
         for k in range(self.topo.K):
             term = self.cost.service_terms[k]
@@ -247,9 +246,7 @@ class _Reduced:
 
     def witness(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         d = np.maximum(self.rowsums(e) - self.y, 0.0)
-        a = np.zeros(self.topo.M)
-        for m, c in enumerate(self.colsums(e)):
-            a[m] = self.cost.arrival_terms[m].argmin_at_least(float(c))
+        a = self.colsums(e)
         b = np.empty(self.topo.K)
         for k in range(self.topo.K):
             if self.busy[k]:
@@ -288,7 +285,7 @@ def _solve_reduced(red: _Reduced, tol: float) -> tuple[float, np.ndarray, int, f
         step = float(np.clip((de @ de) / denom, 1e-10, 1e10)) if denom > 0 else trial * 2
         improve = f - f_new
         e, f, g = e_new, f_new, g_new
-        stat = float(np.max(np.abs(e - red.project(e - g)))) if red.nvar else 0.0
+        stat = float(np.max(np.abs(e - red.project(e - g))))
         if improve < tol / 10 and stat < math.sqrt(tol) * 1e-2:
             break
     stat = float(np.max(np.abs(e - red.project(e - g))))
@@ -296,92 +293,22 @@ def _solve_reduced(red: _Reduced, tol: float) -> tuple[float, np.ndarray, int, f
 
 
 # ---------------------------------------------------------------------------
-# Generic solver (non-separable convex costs)
-# ---------------------------------------------------------------------------
-
-def _solve_full(support, busy, y, cost: CostModel, topology: Topology, tol: float):
-    """SLSQP over (a, b, e) with d eliminated; for non-separable costs."""
-    K, M = topology.K, topology.M
-    entries = [(k, m) for m in range(M) for k in sorted(support[m])]
-    S = len(entries)
-    row_idx = [[j for j, (k, _) in enumerate(entries) if k == kk] for kk in range(K)]
-    col_idx = [[j for j, (_, m) in enumerate(entries) if m == mm] for mm in range(M)]
-
-    def unpack(z):
-        return z[:M], z[M : M + K], z[M + K :]
-
-    def d_of(e):
-        return np.array([e[idx].sum() for idx in row_idx]) - y
-
-    def obj(z):
-        a, b, _ = unpack(z)
-        v = cost.eval(np.maximum(a, 0), np.maximum(b, 0))
-        return v if math.isfinite(v) else 1e12
-
-    def jac(z):
-        a, b, _ = unpack(z)
-        g = cost.subgradient(np.maximum(a, 1e-9), np.maximum(b, 1e-9))
-        return np.concatenate([g, np.zeros(S)])
-
-    cons = []
-    for k in range(K):
-        idx = row_idx[k]
-
-        def d_nonneg(z, idx=idx, k=k):
-            _, _, e = unpack(z)
-            return e[idx].sum() - y[k]
-
-        cons.append({"type": "ineq", "fun": d_nonneg})
-        if busy[k]:
-            cons.append(
-                {
-                    "type": "eq",
-                    "fun": lambda z, idx=idx, k=k: z[M + k] - (unpack(z)[2][idx].sum() - y[k]),
-                }
-            )
-        else:
-            cons.append(
-                {
-                    "type": "ineq",
-                    "fun": lambda z, idx=idx, k=k: z[M + k] - (unpack(z)[2][idx].sum() - y[k]),
-                }
-            )
-    for m in range(M):
-        cons.append(
-            {
-                "type": "ineq",
-                "fun": lambda z, idx=col_idx[m], m=m: z[m] - unpack(z)[2][idx].sum(),
-            }
-        )
-    z0 = np.concatenate(
-        [np.maximum(topology.lam, 0.1), topology.mu, np.full(S, 0.1)]
-    )
-    best = None
-    for scale in (1.0, 2.0, 0.5):
-        res = minimize(
-            obj,
-            z0 * scale,
-            jac=jac,
-            constraints=cons,
-            bounds=[(0, None)] * (M + K + S),
-            method="SLSQP",
-            options={"maxiter": 500, "ftol": tol / 10},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None or not math.isfinite(best.fun):
-        raise SolverError("generic solver failed to converge")
-    a, b, e = unpack(best.x)
-    d = np.maximum(d_of(e), 0.0)
-    e_full = np.zeros((K, M))
-    for j, (k, m) in enumerate(entries):
-        e_full[k, m] = e[j]
-    return float(cost.eval(a, b)), a, b, e_full, d, best.nit
-
-
-# ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
+
+def _velocity(y, topology: Topology) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.shape != (topology.K,) or not np.all(np.isfinite(y)):
+        raise ValueError(f"velocity must be {topology.K} finite numbers")
+    return y
+
+
+def _require_scalar_terms(cost: CostModel) -> None:
+    if not (hasattr(cost, "arrival_terms") and hasattr(cost, "service_terms")):
+        raise ValueError(
+            "the rate program needs a cost with per-stream and per-queue scalar terms"
+        )
+
 
 def _rate_on_domain(
     label: DomainLabel,
@@ -392,11 +319,16 @@ def _rate_on_domain(
 ) -> RateWitness:
     """Rate program on the domain ``label``: the body of local_rate and psi_ij.
 
+    Checks ``tol``, the velocity and the cost, then decides feasibility.
     The constraint polyhedron is empty exactly when some queue must grow
     (y_k > 0) but lies in no stream's argmin set.  Arrival and service rates
     are unbounded above, so otherwise e_km = y_k on a supporting stream and
     d_k = -y_k on a shrinking queue give a feasible point.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    y = _velocity(y, topology)
+    _require_scalar_terms(cost)
     support = label.argmin_sets
     reachable = frozenset().union(*support)
     for k in range(topology.K):
@@ -408,20 +340,16 @@ def _rate_on_domain(
                 label=label,
             )
     busy = np.array([k not in label.zero_set for k in range(topology.K)])
-    stat = float("nan")
-    if cost.separable:
-        red = _Reduced(support, busy, y, cost, topology)
-        if not red.solvable():
-            return RateWitness(
-                value=INF,
-                feasible=True,
-                certificate="finite cost requires routed mass on a zero-rate stream",
-                label=label,
-            )
-        value, e, it, stat = _solve_reduced(red, tol)
-        a, b, e_full, d = red.witness(e)
-    else:
-        value, a, b, e_full, d, it = _solve_full(support, busy, y, cost, topology, tol)
+    red = _Reduced(support, busy, y, cost, topology)
+    if not red.solvable():
+        return RateWitness(
+            value=INF,
+            feasible=True,
+            certificate="finite cost requires routed mass on a zero-rate stream",
+            label=label,
+        )
+    value, e, it, stat = _solve_reduced(red, tol)
+    a, b, e_full, d = red.witness(e)
     return RateWitness(
         value=value,
         a=a,
@@ -441,11 +369,13 @@ def local_rate(
     cost: CostModel,
     tol: float = 1e-8,
 ) -> RateWitness:
-    """Minimal deviation cost for the state to move at velocity y from x."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    """Minimal deviation cost for the state to move at velocity y from x.
+
+    Raises ValueError for a bad state, a velocity that is not K finite
+    numbers, a nonpositive ``tol`` or a cost without scalar terms.
+    """
     label = classify_domain(x, topology)
-    return _rate_on_domain(label, np.asarray(y, dtype=float), topology, cost, tol)
+    return _rate_on_domain(label, y, topology, cost, tol)
 
 
 def psi_ij(
@@ -457,9 +387,7 @@ def psi_ij(
 ) -> float:
     """Domain-wise rate value; equals local_rate at any state in the domain."""
     check_label(label, topology)
-    if not cost.separable:
-        raise ValueError("domain-wise evaluation requires a separable cost")
-    return _rate_on_domain(label, np.asarray(y, dtype=float), topology, cost, tol).value
+    return _rate_on_domain(label, y, topology, cost, tol).value
 
 
 def local_rate_bruteforce(
@@ -473,17 +401,21 @@ def local_rate_bruteforce(
     """Exhaustive grid upper bound on the local rate; verification oracle.
 
     Enumerates the routed-rate entries on a uniform grid, recovers departure
-    rates from the balance constraint exactly, and scans the arrival/service
-    grids through precomputed suffix minima.  Intended for tiny topologies
-    only (dimension budget K*M + M + 2K <= 8).
+    rates from the balance constraint and arrival rates from the routed
+    totals exactly, and scans the idle service grids through precomputed
+    suffix minima.  Intended for tiny topologies only (dimension budget
+    K*M + M + 2K <= 8).
     """
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    y = _velocity(y, topology)
     K, M = topology.K, topology.M
+    if x.shape != (K,) or not np.all(np.isfinite(x) & (x >= 0)):
+        raise ValueError(f"state must be {K} finite nonnegative numbers")
+    if not (0 < grid_step < math.inf and 0 < box_radius < math.inf):
+        raise ValueError("grid step and box radius must be positive and finite")
     if K * M + M + 2 * K > 8:
         raise ValueError("dimension budget exceeded for brute-force oracle")
-    if not cost.separable:
-        return _bruteforce_nonseparable(x, y, topology, cost, grid_step, box_radius)
+    _require_scalar_terms(cost)
     # support and busy sets straight from the constraint definitions
     support = []
     for m in range(M):
@@ -499,7 +431,6 @@ def local_rate_bruteforce(
     def suffix_min(vals):
         return np.minimum.accumulate(vals[::-1])[::-1]
 
-    arr_sm = [suffix_min(_value_vec(cost.arrival_terms[m], grid)) for m in range(M)]
     srv_sm = [suffix_min(_value_vec(cost.service_terms[k], grid)) for k in range(K)]
 
     def lookup(sm, c):
@@ -511,19 +442,6 @@ def local_rate_bruteforce(
         return out
 
     best = INF
-    if S == 0:
-        d = -y
-        if np.all(d >= -1e-12):
-            d = np.maximum(d, 0.0)
-            total = sum(arr_sm[m][0] for m in range(M))
-            for k in range(K):
-                if busy[k]:
-                    total += cost.service_terms[k].value(float(d[k]))
-                else:
-                    total += float(lookup(srv_sm[k], np.array([d[k]]))[0])
-            best = total
-        return best
-
     outer_dims = S - 1
     for combo in itertools.product(range(n_g), repeat=outer_dims):
         e = np.empty((S, n_g))
@@ -542,7 +460,7 @@ def local_rate_bruteforce(
         d = np.maximum(d, 0.0)
         total = np.zeros(n_g)
         for m in range(M):
-            total += lookup(arr_sm[m], cols[m])
+            total += _value_vec(cost.arrival_terms[m], cols[m])
         for k in range(K):
             if busy[k]:
                 total += _value_vec(cost.service_terms[k], d[k])
@@ -560,42 +478,3 @@ def _value_vec(term, grid: np.ndarray) -> np.ndarray:
     if vec is not None:
         return vec(grid)
     return np.array([term.value(float(v)) for v in np.atleast_1d(grid)])
-
-
-def _bruteforce_nonseparable(x, y, topology, cost, grid_step, box_radius):
-    K, M = topology.K, topology.M
-    support = [sorted(s) for s in classify_domain(x, topology).argmin_sets]
-    busy = x > 0
-    entries = [(k, m) for m in range(M) for k in support[m]]
-    grid = np.arange(0.0, box_radius + grid_step / 2, grid_step)
-    best = INF
-    for vals in itertools.product(grid, repeat=len(entries) + M + int((~busy).sum())):
-        e_vals = vals[: len(entries)]
-        a = np.array(vals[len(entries) : len(entries) + M])
-        b_free = list(vals[len(entries) + M :])
-        rows = np.zeros(K)
-        cols = np.zeros(M)
-        for (k, m), v in zip(entries, e_vals):
-            rows[k] += v
-            cols[m] += v
-        if np.any(cols > a + 1e-12):
-            continue
-        d = rows - y
-        if np.any(d < -1e-12):
-            continue
-        d = np.maximum(d, 0.0)
-        b = np.empty(K)
-        j = 0
-        for k in range(K):
-            if busy[k]:
-                b[k] = d[k]
-            else:
-                b[k] = b_free[j]
-                j += 1
-                if b[k] < d[k] - 1e-12:
-                    break
-        else:
-            v = cost.eval(a, b)
-            if v < best:
-                best = float(v)
-    return best

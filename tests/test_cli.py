@@ -9,6 +9,8 @@ from jsqldp.manifest import RunManifest
 MM1 = {"K": 1, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [1]}
 MM1_STABLE = {"K": 1, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [2]}
 TWO_QUEUE = {"K": 2, "M": 1, "admissible": [[1, 2]], "lambda": [3], "mu": [1, 1]}
+WEIGHTED = {"K": 2, "M": 2, "admissible": [[1], [1, 2]],
+            "weights": [{"1": 1}, {"1": "1/2", "2": "1/3"}], "lambda": [1, 2], "mu": [2, 1]}
 
 
 @pytest.fixture
@@ -91,9 +93,18 @@ class TestErrors:
         (["rate", "--x", "-1 0", "--y", "0 0"], "--x"),
         (["optimize", "--event", "terminal:k=3,c=1,T=1"], "names no queue"),
         (["optimize", "--event", "terminal:k=1,c=1,T=1", "--segments", "0"], "--segments"),
+        (["rate", "--x", "1 1", "--y", "0 0", "--tol", "0"], "--tol"),
+        (["rate", "--x", "1 1", "--y", "0 0", "--oracle", "--oracle-step", "0"], "--oracle-step"),
+        (["rate", "--x", "1 1", "--y", "0 0", "--oracle", "--oracle-radius", "-1"],
+         "--oracle-radius"),
+        (["rate", "--x", "1 1", "--y", "nan 0"], "--y"),
+        (["optimize", "--event", "running_max:k=1,c=1,T=1"], "only terminal events"),
+        (["verify", "--event", "running_max:k=1,c=1,T=1"], "only terminal events"),
     ], ids=["simulate-n0", "simulate-T-negative", "simulate-q0-negative", "simulate-grid0",
             "verify-scales-unparsable", "verify-reps-count", "fluid-T0", "rate-x-negative",
-            "optimize-queue-out-of-range", "optimize-segments0"])
+            "optimize-queue-out-of-range", "optimize-segments0", "rate-tol0",
+            "rate-oracle-step0", "rate-oracle-radius-negative", "rate-y-nan",
+            "optimize-running-max", "verify-running-max"])
     def test_bad_argument_value_is_exit_2(self, topo_file, tmp_path, capsys, argv, message):
         inputs = tmp_path / "inputs.json"
         inputs.write_text(json.dumps(self.FLUID_INPUTS))
@@ -104,6 +115,30 @@ class TestErrors:
         assert code == 2
         assert message in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "out.csv").exists()
+
+    def test_oracle_beyond_budget_is_exit_2(self, topo_file, capsys):
+        code = run(["rate", "--topology", topo_file(WEIGHTED), "--x", "1 1", "--y", "0 0",
+                    "--oracle"])
+        assert code == 2
+        assert "dimension budget" in json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("command", ["optimize", "verify"])
+    def test_no_finite_start_is_exit_3(self, topo_file, tmp_path, capsys, command):
+        # on the pair net every path the search tries ends off the tie
+        argv = [command, "--topology", topo_file(TWO_QUEUE), "--event", "terminal:k=1,c=1,T=1"]
+        if command == "verify":
+            argv += ["--scales", "5", "--reps", "100", "--out", str(tmp_path / "v.csv")]
+        assert run(argv) == 3
+        assert "finite action" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "v.csv").exists()
+
+    def test_solver_failure_is_exit_4(self, topo_file, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise jsqldp.SolverError("line search failed")
+
+        monkeypatch.setattr("jsqldp.cli.local_rate", fail)
+        assert run(["rate", "--topology", topo_file(MM1), "--x", "1", "--y", "1"]) == 4
+        assert json.loads(capsys.readouterr().err) == {"error": "line search failed"}
 
     def test_too_few_hits_is_exit_3(self, topo_file, tmp_path, capsys):
         code = run(["verify", "--topology", topo_file(MM1_STABLE),

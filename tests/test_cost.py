@@ -84,9 +84,3 @@ def test_subgradient_matches_finite_differences(weighted_net, rng):
                 - cost.eval(lo[: weighted_net.M], lo[weighted_net.M :])
             ) / (2 * eps)
             assert abs(g[i] - fd) / max(abs(fd), 1.0) <= 1e-6
-
-
-def test_zero_levels(weighted_net):
-    cost = PoissonCost(weighted_net)
-    assert np.array_equal(cost.zero_levels, weighted_net.mu)
-    assert cost.separable

@@ -39,14 +39,15 @@ def phase1_feasible(support, busy, y, topology) -> bool:
             row[M + k] = -1.0
             A_eq.append(row)
             b_eq.append(0.0)
-    A_ub = []
-    for m in range(M):  # sum_k e_km <= a_m
+    for m in range(M):  # sum_k e_km = a_m: every arrival joins a queue
         row = np.zeros(nvar)
         row[m] = -1.0
         for j, (_, mm) in enumerate(entries):
             if mm == m:
                 row[e_col(j)] = 1.0
-        A_ub.append(row)
+        A_eq.append(row)
+        b_eq.append(0.0)
+    A_ub = []
     for k in range(K):  # d_k <= b_k
         row = np.zeros(nvar)
         row[M + K + k] = 1.0

@@ -7,6 +7,7 @@ from scipy.sparse import coo_matrix, diags
 from scipy.sparse.linalg import expm_multiply
 
 from jsqldp import (
+    NoFiniteStartError,
     PiecewisePath,
     PoissonCost,
     RareEventSpec,
@@ -276,6 +277,13 @@ class TestMinimizeAction:
         event = RareEventSpec("running_max", 0, 1.0, 1.0)
         with pytest.raises(ValueError):
             minimize_action(event, mm1_stable, PoissonCost(mm1_stable))
+
+    def test_no_finite_start_is_a_typed_error(self, two_queue):
+        # every straight path off the tie grows a queue that is not the
+        # shorter one, and the queue-space search never lands on the tie
+        event = RareEventSpec("terminal", 0, 1.0, 1.0)
+        with pytest.raises(NoFiniteStartError, match="finite action"):
+            minimize_action(event, two_queue, PoissonCost(two_queue), starts=2, seed=0)
 
 
 class TestGenericCounter:

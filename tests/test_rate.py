@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from jsqldp import (
+    CostModel,
     DomainLabel,
     PoissonCost,
     classify_domain,
@@ -15,6 +19,8 @@ from jsqldp import (
 from jsqldp.rate import check_label
 
 GOLDEN_L11 = 0.24514384755981367  # frozen solver value, oracle-confirmed
+# drain net (lambda = 1, mu = 2) at y = -2: a = sqrt(3) - 1, b = a + 2, ab = 2
+DRAIN_L_MINUS_2 = 3 - 2 * math.sqrt(3) - 2 * math.log(math.sqrt(3) - 1)
 
 
 def _check_witness(wit, x, topo, tol=1e-9):
@@ -30,8 +36,8 @@ def _check_witness(wit, x, topo, tol=1e-9):
         for m in range(topo.M):
             if k not in label.argmin_sets[m]:
                 assert wit.e[k, m] == 0.0
-    # per-stream routed total bounded by the arrival rate
-    assert np.all(wit.e.sum(axis=0) <= wit.a + tol)
+    # every arrival joins a queue: the per-stream routed total is the arrival rate
+    assert np.allclose(wit.e.sum(axis=0), wit.a, rtol=0.0, atol=tol)
     # departures bounded by service, equal on busy queues
     assert np.all(wit.d <= wit.b + tol)
     busy = np.asarray(x) > 0
@@ -210,3 +216,176 @@ class TestValidation:
     def test_negative_state(self, mm1):
         with pytest.raises(ValueError):
             local_rate([-1.0], [1.0], mm1, PoissonCost(mm1))
+
+    def test_bad_velocity(self, two_queue):
+        cost = PoissonCost(two_queue)
+        for y in ([1.0], [[1.0, 0.0]], [math.nan, 0.0], [0.0, math.inf]):
+            with pytest.raises(ValueError, match="velocity"):
+                local_rate([1.0, 1.0], y, two_queue, cost)
+            with pytest.raises(ValueError, match="velocity"):
+                local_rate_bruteforce([1.0, 1.0], y, two_queue, cost)
+
+    def test_bad_oracle_grid(self, mm1):
+        cost = PoissonCost(mm1)
+        for step, radius in [(0.0, 5.0), (-1e-3, 5.0), (1e-3, -1.0), (math.nan, 5.0)]:
+            with pytest.raises(ValueError, match="grid step"):
+                local_rate_bruteforce([1.0], [1.0], mm1, cost, grid_step=step, box_radius=radius)
+
+    def test_cost_without_scalar_terms(self, mm1):
+        class Opaque(CostModel):
+            M = K = 1
+
+            def eval(self, a, b):
+                return 0.0
+
+        label = classify_domain(np.array([1.0]), mm1)
+        for call in (
+            lambda: local_rate([1.0], [1.0], mm1, Opaque()),
+            lambda: psi_ij(label, [1.0], mm1, Opaque()),
+            lambda: local_rate_bruteforce([1.0], [1.0], mm1, Opaque()),
+        ):
+            with pytest.raises(ValueError, match="scalar terms"):
+                call()
+
+
+# ---------------------------------------------------------------------------
+# Legendre-transform oracle
+# ---------------------------------------------------------------------------
+
+def _set_partitions(items):
+    """Every partition of the list ``items`` into blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in _set_partitions(rest):
+        yield [[first], *blocks]
+        for b in range(len(blocks)):
+            yield blocks[:b] + [[first, *blocks[b]]] + blocks[b + 1:]
+
+
+def legendre_rate(x, y, topo) -> float:
+    """L(x, y) as the Legendre transform of the Hamiltonian of x's domain.
+
+    sup over theta of  theta.y - sum_m lam_m (exp(max_{k in J_m} theta_k) - 1)
+    - sum_{busy k} mu_k (exp(-theta_k) - 1) - sum_{idle k} mu_k (exp((-theta_k)^+) - 1),
+    maximized by Nelder-Mead.  The argmin sets J_m come straight from the
+    weighted levels x_k / w_km.  Only for points where the program is
+    feasible: elsewhere the supremum is +inf.
+
+    The max over J_m has kinks where coordinates are equal, and the maximizer
+    often sits on one, where a simplex stalls.  So the search also runs with
+    theta held constant on the blocks of every partition of the queues: on
+    the partition of the maximizer's equal coordinates the objective is
+    smooth near it.  Every theta gives a lower bound, so the best one wins.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    J = []
+    for m in range(topo.M):
+        levels = {k: x[k] / topo.weight(k, m) for k in topo.admissible[m]}
+        lo = min(levels.values())
+        J.append(sorted(k for k, v in levels.items() if v <= lo + 1e-12 * max(1.0, lo)))
+    busy = x > 0
+
+    def hamiltonian_gap(theta):
+        s = np.array([theta[j].max() for j in J])
+        t = np.where(busy, -theta, np.maximum(-theta, 0.0))
+        with np.errstate(over="ignore"):
+            return topo.lam @ np.expm1(s) + topo.mu @ np.expm1(t) - theta @ y
+
+    best = -math.inf
+    for blocks in _set_partitions(list(range(topo.K))):
+        block_of = np.empty(topo.K, dtype=int)
+        for b, ks in enumerate(blocks):
+            block_of[ks] = b
+        z = np.zeros(len(blocks))
+        for scale in (1.0, 0.1, 1e-2, 1e-3):
+            res = minimize(
+                lambda z: hamiltonian_gap(z[block_of]), z, method="Nelder-Mead",
+                options={"initial_simplex": z + scale * np.vstack([np.zeros(len(z)), np.eye(len(z))]),
+                         "xatol": 1e-13, "fatol": 1e-15, "maxiter": 20_000, "maxfev": 40_000},
+            )
+            z = res.x
+        best = max(best, -float(res.fun))
+    return best
+
+
+@st.composite
+def feasible_point(draw, topo):
+    """A state in the interior, on a weighted tie, in a zero set or at the
+    origin, and a velocity that shrinks no empty queue and grows no queue
+    outside every argmin set."""
+    K = topo.K
+    x = np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=K, max_size=K)))
+    where = draw(st.sampled_from(["interior", "zero", "tie", "origin"] if K > 1
+                                 else ["interior", "zero"]))
+    if where == "zero":
+        x[draw(st.integers(0, K - 1))] = 0.0
+    elif where == "origin":
+        x[:] = 0.0
+    elif where == "tie":
+        m = next(m for m in range(topo.M) if len(topo.admissible[m]) > 1)
+        k, l = sorted(topo.admissible[m])[:2]
+        x[l] = x[k] * topo.weight(l, m) / topo.weight(k, m)
+    y = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=K, max_size=K)))
+    reachable = frozenset().union(*classify_domain(x, topo).argmin_sets)
+    for k in range(K):
+        if x[k] == 0.0:
+            y[k] = abs(y[k])
+        elif k not in reachable:
+            y[k] = -abs(y[k])
+    return x, y
+
+
+NETS = {"single": "mm1", "drain": "mm1_stable", "pair": "two_queue", "readme": "weighted_net"}
+# the topology fixtures are immutable, so sharing one across examples is safe
+LEGENDRE_SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestLegendreOracle:
+    def test_slowdown_costs_as_much_as_speedup(self, mm1):
+        # lambda = mu: reversing time swaps arrivals and services
+        cost = PoissonCost(mm1)
+        wit = local_rate([1.0], [-1.0], mm1, cost)
+        assert wit.value == pytest.approx(GOLDEN_L11, abs=1e-9)
+        assert legendre_rate([1.0], [-1.0], mm1) == pytest.approx(GOLDEN_L11, abs=1e-9)
+        bf = local_rate_bruteforce([1.0], [-1.0], mm1, cost)
+        assert GOLDEN_L11 - 1e-9 <= bf <= GOLDEN_L11 + 1e-5
+        _check_witness(wit, np.array([1.0]), mm1)
+
+    def test_drain_faster_than_nominal(self, mm1_stable):
+        cost = PoissonCost(mm1_stable)
+        wit = local_rate([1.0], [-2.0], mm1_stable, cost)
+        assert wit.value == pytest.approx(DRAIN_L_MINUS_2, abs=1e-9)
+        assert legendre_rate([1.0], [-2.0], mm1_stable) == pytest.approx(DRAIN_L_MINUS_2, abs=1e-9)
+        bf = local_rate_bruteforce([1.0], [-2.0], mm1_stable, cost)
+        assert DRAIN_L_MINUS_2 - 1e-9 <= bf <= DRAIN_L_MINUS_2 + 1e-5
+        assert wit.a == pytest.approx([math.sqrt(3) - 1], abs=1e-6)
+
+    @pytest.mark.parametrize("net", NETS)
+    @LEGENDRE_SETTINGS
+    @given(data=st.data())
+    def test_local_rate_matches_legendre(self, request, net, data):
+        topo = request.getfixturevalue(NETS[net])
+        x, y = data.draw(feasible_point(topo))
+        cost = PoissonCost(topo)
+        wit = local_rate(x, y, topo, cost)
+        assert wit.value == pytest.approx(legendre_rate(x, y, topo), abs=1e-9)
+        _check_witness(wit, x, topo)
+        assert cost.eval(wit.a, wit.b) == pytest.approx(wit.value, abs=1e-9)
+        assert wit.e.sum(axis=1) - wit.d == pytest.approx(y, abs=1e-9)
+
+    @pytest.mark.parametrize("net", ["single", "drain", "pair"])
+    @LEGENDRE_SETTINGS
+    @given(data=st.data())
+    def test_grid_oracle_brackets_legendre(self, request, net, data):
+        # The grid search is an upper bound.  A grid point lies within one
+        # step of the optimum, and the cost's slope there is about
+        # log(rate / step) at most, so it overshoots by less than 3e-2.
+        topo = request.getfixturevalue(NETS[net])
+        x, y = data.draw(feasible_point(topo))
+        bf = local_rate_bruteforce(x, y, topo, PoissonCost(topo), grid_step=5e-3)
+        exact = legendre_rate(x, y, topo)
+        assert exact - 1e-9 <= bf <= exact + 3e-2
