@@ -3,7 +3,7 @@ large-deviation rate computations."""
 
 __version__ = "0.1.0"
 
-from .cost import CostModel, PoissonCost, PoissonTerm, pi, pi_vec, psi_poisson
+from .cost import PoissonCost, PoissonTerm, pi, pi_vec, psi_poisson
 from .fluid import FluidSolution, fluid_route_step, fluid_solve, lyapunov_check, water_fill
 from .ldp import (
     ActionReport,
@@ -32,7 +32,6 @@ from .topology import Topology, TopologyError, dump, load, validate
 __all__ = [
     "ActionReport",
     "ActionSegment",
-    "CostModel",
     "DomainLabel",
     "FluidSolution",
     "NoFiniteStartError",

@@ -2,7 +2,7 @@
 
 Every subcommand takes ``--topology`` (JSON network description) and writes a
 run manifest beside each output file.  Exit codes: 0 success, 2 bad input or
-missing file, 3 violated precondition, 4 the rate solver did not converge,
+missing file, 3 violated precondition, 4 the rate solver failed,
 1 internal failure.  Failures past argument parsing print a JSON error to
 stderr.
 """
@@ -222,6 +222,7 @@ def cmd_optimize(args) -> int:
     topo = _load_topology(args.topology)
     event = _event(args.event, topo.K)
     _require(args.segments >= 1, f"--segments must be >= 1, got {args.segments}")
+    _require(args.starts >= 1, f"--starts must be >= 1, got {args.starts}")
     q0 = _vector(args.q0, topo.K, "--q0", state=True) if args.q0 else None
     path, value = _minimize(event, topo, args, q0=q0, starts=args.starts)
     _print_json({

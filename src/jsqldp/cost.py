@@ -1,9 +1,10 @@
 """Local cost densities for arrival/service rate deviations.
 
-The built-in model charges the relative-entropy cost of tilting independent
+``PoissonCost`` charges the relative-entropy cost of tilting independent
 Poisson clocks: pi(alpha) = alpha*log(alpha) - alpha + 1 per unit of nominal
-rate.  Other convex densities that split into per-stream and per-queue
-scalar terms can be plugged in through ``CostModel``.
+rate, one ``PoissonTerm`` per stream and per queue.  It is the cost the rate
+program solves, in closed form through its convex conjugate
+rate * (e^theta - 1).
 """
 from __future__ import annotations
 
@@ -33,38 +34,7 @@ def pi_vec(alpha: np.ndarray) -> np.ndarray:
     return np.where(a > 0, a * np.log(safe) - a + 1.0, 1.0)
 
 
-class ScalarCost:
-    """One-dimensional convex cost term with partial-minimization helpers.
-
-    ``reduced_value(c)`` is inf over v >= c, used for the service rate of an
-    idle queue, which enters the program only through a lower bound.
-    """
-
-    def value(self, v: float) -> float:
-        raise NotImplementedError
-
-    def deriv(self, v: float) -> float:
-        raise NotImplementedError
-
-    def zero_level(self) -> float:
-        """Largest v with zero cost."""
-        raise NotImplementedError
-
-    def reduced_value(self, c: float) -> float:
-        if c <= self.zero_level():
-            return 0.0
-        return self.value(c)
-
-    def reduced_deriv(self, c: float) -> float:
-        if c <= self.zero_level():
-            return 0.0
-        return self.deriv(c)
-
-    def argmin_at_least(self, c: float) -> float:
-        return max(c, self.zero_level())
-
-
-class PoissonTerm(ScalarCost):
+class PoissonTerm:
     """rate * pi(v / rate); identically +inf for v > 0 when rate == 0."""
 
     def __init__(self, rate: float):
@@ -84,9 +54,6 @@ class PoissonTerm(ScalarCost):
             return -INF
         return math.log(v / self.rate)
 
-    def zero_level(self) -> float:
-        return self.rate
-
     def value_vec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if self.rate == 0.0:
@@ -95,27 +62,7 @@ class PoissonTerm(ScalarCost):
         return np.where(v >= 0, out, INF)
 
 
-class CostModel:
-    """Convex, lower-semicontinuous density over (arrival, service) rates.
-
-    Subclasses provide ``eval`` and ``subgradient`` and split the density
-    into per-stream and per-queue scalar terms, ``arrival_terms`` and
-    ``service_terms``; the rate program is solved through those terms.
-    """
-
-    M: int
-    K: int
-    arrival_terms: list[ScalarCost]
-    service_terms: list[ScalarCost]
-
-    def eval(self, a: np.ndarray, b: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def subgradient(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class PoissonCost(CostModel):
+class PoissonCost:
     """Sum of Poisson entropy terms at the topology's nominal rates."""
 
     def __init__(self, topology: Topology):

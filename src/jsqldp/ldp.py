@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import CostModel, INF
+from .cost import INF, PoissonCost
 from .piecewise import PiecewisePath
 from .rate import DomainLabel, classify_domain, local_rate
 from .sim import _replicate_statistics
@@ -86,7 +86,7 @@ def _segment_split_times(p: np.ndarray, v: np.ndarray, t0: float, t1: float,
 def path_action(
     q: PiecewisePath,
     topology: Topology,
-    cost: CostModel,
+    cost: PoissonCost,
     i_q0=None,
     tol: float = 1e-8,
 ) -> ActionReport:
@@ -142,7 +142,8 @@ class RareEventSpec:
 
     kind 'terminal': scaled queue ``queue`` at time T is >= threshold;
     kind 'running_max': its running maximum over [0, T] is >= threshold.
-    ``queue`` is 0-based internally.
+    ``queue`` is 0-based internally.  T must be positive and finite and the
+    threshold finite.
     """
 
     kind: str
@@ -153,6 +154,10 @@ class RareEventSpec:
     def __post_init__(self):
         if self.kind not in ("terminal", "running_max"):
             raise ValueError("event kind must be 'terminal' or 'running_max'")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"event horizon T must be positive and finite, got {self.T}")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"event threshold c must be finite, got {self.threshold}")
 
     @staticmethod
     def parse(text: str) -> "RareEventSpec":
@@ -276,6 +281,8 @@ def estimate_rare_event(
     """
     if len(reps) != len(scales):
         raise ValueError("one replication count per scale required")
+    if not scales or min(scales) < 1 or min(reps) < 1:
+        raise ValueError("scales and replication counts must be at least 1")
     if not 0 <= event.queue < topology.K:
         raise ValueError(f"event queue {event.queue + 1} is not one of the {topology.K} queues")
     fast = (
@@ -355,7 +362,7 @@ def _pattern_search(f, x0: np.ndarray, step0: float, tol: float = 1e-6,
 def minimize_action(
     event: RareEventSpec,
     topology: Topology,
-    cost: CostModel,
+    cost: PoissonCost,
     segments: int = 1,
     q0=None,
     starts: int = 8,
@@ -374,6 +381,8 @@ def minimize_action(
         raise ValueError("only terminal-threshold events are supported")
     if segments < 1:
         raise ValueError("need at least one segment")
+    if starts < 1:
+        raise ValueError("need at least one start")
     K = topology.K
     q0 = np.zeros(K) if q0 is None else np.asarray(q0, dtype=float)
     ts = np.linspace(0.0, event.T, segments + 1)
@@ -407,7 +416,7 @@ def minimize_action(
 
     rng = np.random.default_rng(seed)
     best_z, best_f = None, INF
-    for s in range(max(starts, 1)):
+    for s in range(starts):
         z0 = np.empty(n_free)
         frac = ts[1:segments] / event.T
         straight = q0[None, :] * (1 - frac[:, None])

@@ -3,10 +3,12 @@
 The instantaneous cost L(x, y) of moving at velocity y from state x is the
 value of a convex program over arrival rates a, service rates b, routed-rate
 matrices e and departure rates d subject to the conservation constraints of
-the network.  Feasibility depends only on the domain: the program is
-infeasible exactly when a growing queue lies in no stream's argmin set.
-``local_rate`` solves it with a projected-gradient method after eliminating
-a, b and d; ``local_rate_bruteforce`` is the independent grid oracle;
+the network, with the Poisson cost of ``PoissonCost``.  Feasibility depends
+only on the domain: the program is infeasible exactly when a growing queue
+lies in no stream's argmin set or an empty queue shrinks.  ``local_rate``
+solves the program exactly in its K-dimensional dual, the Legendre transform
+of the domain Hamiltonian, by an active-set method whose multipliers are the
+routed rates; ``local_rate_bruteforce`` is the independent grid oracle;
 ``classify_domain`` and ``psi_ij`` expose the piecewise-constant structure of
 L over the domains of constant dynamics.
 """
@@ -18,15 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import INF, CostModel
+from .cost import INF, PoissonCost
 from .topology import Topology
 
 CLASSIFY_RTOL = 1e-12
-MAX_ITER = 100_000
 
 
 class SolverError(RuntimeError):
-    """Raised when the convex solver fails to converge within its budget."""
+    """Raised when the rate solver cannot certify the optimum."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,9 @@ class RateWitness:
     """Value of the local rate program plus an optimal feasible point.
 
     ``feasible`` is False when the constraint polyhedron is empty; the
-    witness vectors are None when the value is infinite.
+    witness vectors are None when the value is infinite.  ``iterations``
+    counts active-set steps and ``stationarity`` is the duality gap between
+    the witness's cost and ``value``.
     """
 
     value: float
@@ -70,6 +73,8 @@ class RateWitness:
                 b=list(map(float, self.b)),
                 d=list(map(float, self.d)),
                 e=[list(map(float, row)) for row in self.e],
+                iterations=self.iterations,
+                stationarity=self.stationarity,
             )
         if self.certificate:
             out["certificate"] = self.certificate
@@ -133,163 +138,149 @@ def label_matches(label: DomainLabel, x: np.ndarray, topology: Topology) -> bool
 
 
 # ---------------------------------------------------------------------------
-# Reduced projected-gradient solver
+# Dual active-set solver
 # ---------------------------------------------------------------------------
 
-def _project_row(v: np.ndarray, c: float) -> np.ndarray:
-    """Euclidean projection onto {v >= 0, sum(v) >= c}."""
-    p = np.maximum(v, 0.0)
-    if p.sum() >= c:
-        return p
-    # project onto {v >= 0, sum(v) = c}: v -> max(v - tau, 0)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, len(v) + 1)
-    taus = (css - c) / j
-    idx = np.max(np.flatnonzero(u - taus > 0))
-    return np.maximum(v - taus[idx], 0.0)
+def _blocks(n: int, edges, work) -> tuple[list[int], list[float], list[int]]:
+    """Blocks of the face on which the working constraints hold with equality.
 
-
-class _Reduced:
-    """Objective/gradient in the routed-rate variables after elimination.
-
-    d_k = (row sum of e over stream entries at k) - y_k; every arrival is
-    routed, so a_m is the column sum of e over stream m's entries; service
-    rates on busy coordinates equal d_k, and idle ones are minimized out
-    through the service terms' reduced values.
+    Edge ``(i, j, sign)`` makes x_i = sign * x_j; node ``n`` is the constant
+    0.  Returns the block of every node, its sign against the block's free
+    value u (x_i = sign_i * u) and the working edges that joined two blocks,
+    which form a spanning forest of the working set.
     """
-
-    def __init__(self, support, busy, y, cost: CostModel, topology: Topology):
-        self.cost = cost
-        self.topo = topology
-        self.busy = np.asarray(busy, dtype=bool)
-        self.y = np.asarray(y, dtype=float)
-        # drop streams whose arrival term is +inf for any positive rate
-        self.entries = []
-        for m in range(topology.M):
-            if math.isinf(cost.arrival_terms[m].value(1e-300)):
-                continue
-            self.entries.extend((k, m) for k in sorted(support[m]))
-        self.nvar = len(self.entries)
-        self.row_idx = [
-            [j for j, (k, _) in enumerate(self.entries) if k == kk]
-            for kk in range(topology.K)
-        ]
-        self.col_idx = [
-            [j for j, (_, m) in enumerate(self.entries) if m == mm]
-            for mm in range(topology.M)
-        ]
-
-    def solvable(self) -> bool:
-        """Finite value reachable: rows needing inflow have live entries."""
-        return all(
-            self.y[k] <= 0 or self.row_idx[k] for k in range(self.topo.K)
-        )
-
-    def rowsums(self, e: np.ndarray) -> np.ndarray:
-        return np.array([e[idx].sum() for idx in self.row_idx])
-
-    def colsums(self, e: np.ndarray) -> np.ndarray:
-        return np.array([e[idx].sum() for idx in self.col_idx])
-
-    def value(self, e: np.ndarray) -> float:
-        d = self.rowsums(e) - self.y
-        if np.any(d < -1e-12):
-            return INF
-        d = np.maximum(d, 0.0)
-        total = 0.0
-        for m, c in enumerate(self.colsums(e)):
-            total += self.cost.arrival_terms[m].value(float(c))
-        for k in range(self.topo.K):
-            term = self.cost.service_terms[k]
-            if self.busy[k]:
-                total += term.value(float(d[k]))
-            else:
-                total += term.reduced_value(float(d[k]))
-        return total
-
-    def grad(self, e: np.ndarray) -> np.ndarray:
-        d = np.maximum(self.rowsums(e) - self.y, 1e-300)
-        # streams without entries (zero rate) never enter g
-        ga = [
-            term.deriv(max(float(c), 1e-12)) if idx else 0.0
-            for term, c, idx in zip(self.cost.arrival_terms, self.colsums(e), self.col_idx)
-        ]
-        gd = np.empty(self.topo.K)
-        for k in range(self.topo.K):
-            term = self.cost.service_terms[k]
-            if self.busy[k]:
-                gd[k] = term.deriv(float(max(d[k], 1e-12)))
-            else:
-                gd[k] = term.reduced_deriv(float(d[k]))
-        g = np.empty(self.nvar)
-        for j, (k, m) in enumerate(self.entries):
-            g[j] = ga[m] + gd[k]
-        return g
-
-    def project(self, e: np.ndarray) -> np.ndarray:
-        out = e.copy()
-        for k in range(self.topo.K):
-            idx = self.row_idx[k]
-            if not idx:
-                continue
-            out[idx] = _project_row(e[idx], float(self.y[k]))
-        return np.maximum(out, 0.0)
-
-    def initial(self) -> np.ndarray:
-        e = np.empty(self.nvar)
-        for m, idx in enumerate(self.col_idx):
-            if idx:
-                lam = self.cost.arrival_terms[m].zero_level()
-                e[idx] = max(lam, 1e-3) / len(idx)
-        return self.project(e)
-
-    def witness(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        d = np.maximum(self.rowsums(e) - self.y, 0.0)
-        a = self.colsums(e)
-        b = np.empty(self.topo.K)
-        for k in range(self.topo.K):
-            if self.busy[k]:
-                b[k] = d[k]
-            else:
-                b[k] = self.cost.service_terms[k].argmin_at_least(float(d[k]))
-        e_full = np.zeros((self.topo.K, self.topo.M))
-        for j, (k, m) in enumerate(self.entries):
-            e_full[k, m] = e[j]
-        return a, b, e_full, d
+    comp, sgn, kept = list(range(n + 1)), [1.0] * (n + 1), []
+    for c in work:
+        i, j, s = edges[c]
+        ci, cj = comp[i], comp[j]
+        if ci != cj:
+            flip = s * sgn[i] * sgn[j]
+            for v in range(n + 1):
+                if comp[v] == cj:
+                    comp[v], sgn[v] = ci, sgn[v] * flip
+            kept.append(c)
+    return comp, sgn, kept
 
 
-def _solve_reduced(red: _Reduced, tol: float) -> tuple[float, np.ndarray, int, float]:
-    """Projected gradient with Barzilai-Borwein steps and Armijo backtracking."""
-    if red.nvar == 0:
-        return red.value(np.empty(0)), np.empty(0), 0, 0.0
-    e = red.initial()
-    f = red.value(e)
-    g = red.grad(e)
-    step = 1.0
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        trial = step
-        for _ in range(60):
-            e_new = red.project(e - trial * g)
-            delta = e_new - e
-            f_new = red.value(e_new)
-            if f_new <= f + g @ delta + 0.5 / trial * (delta @ delta) + 1e-15:
-                break
-            trial *= 0.5
+def _block_argmin(A: float, B: float, Y: float, u: float) -> float:
+    """Least point of A e^v + B e^{-v} - Y v over the extended line; u if flat."""
+    r = math.sqrt(Y * Y + 4.0 * A * B)
+    num, den = (Y + r, 2.0 * A) if Y >= 0 else (2.0 * B, r - Y)
+    if den == 0.0:  # A = 0 <= Y: falls for ever unless Y = B = 0
+        return math.inf if num > 0 or B > 0 else u
+    q = num / den
+    return math.log(q) if q > 0 else -math.inf
+
+
+def _multipliers(n: int, edges, work, grad: list[float]) -> dict[int, float]:
+    """Multipliers of the working forest's edges, peeled from its leaves.
+
+    They solve grad = sum_c nu_c g_c, where g_c is the gradient of edge c's
+    constraint x_i - sign * x_j >= 0; the zero node takes no equation.
+    """
+    grad, live, nu = list(grad), set(work), {}
+    deg = [0] * (n + 1)
+    for c in work:
+        deg[edges[c][0]] += 1
+        deg[edges[c][1]] += 1
+    leaves = [v for v in range(n) if deg[v] == 1]
+    while leaves:
+        v = leaves.pop()
+        c = next((c for c in live if v in edges[c][:2]), None)
+        if c is None:  # a lone edge, already peeled from its other end
+            continue
+        i, j, s = edges[c]
+        gv, o, go = (1.0, j, -s) if v == i else (-s, i, 1.0)
+        nu[c] = grad[v] / gv
+        grad[o] -= nu[c] * go
+        live.discard(c)
+        deg[o] -= 1
+        if deg[o] == 1 and o != n:
+            leaves.append(o)
+    return nu
+
+
+def _solve_dual(argmin_sets, busy, lone, y, lam, mu):
+    """Exact active-set minimization of the dual of the rate program.
+
+    The variables x are theta (K), s (M) and t (K), and the program is
+
+        min  sum_m lam_m e^{s_m} + sum_busy mu_k e^{-theta_k} + sum_idle mu_k e^{t_k} - theta.y
+        s.t. s_m >= theta_k for k in J_m (lam_m > 0),  t_k >= -theta_k and t_k >= 0 (idle k).
+
+    Every constraint makes two variables equal up to sign or holds one at 0,
+    so on the face of a working set the variables fall into blocks with one
+    free value u each, and the objective on a block is A e^u + B e^{-u} - Y u,
+    least at u = log((Y + sqrt(Y^2 + 4AB)) / 2A).  Each step goes straight to
+    the face minimizer.  A constraint that blocks it joins the working set;
+    at the minimizer the most negative multiplier leaves it.  The working
+    set starts with every live stream routed to its whole argmin set and
+    every idle queue's t at 0.  Queues in ``lone`` (busy, and in no live
+    stream's argmin set) are left to the caller; their theta stays 0.
+
+    Returns the dual value without the lone queues, x, the routed rates e
+    (the multipliers of s_m >= theta_k) and the number of steps.
+    """
+    K, M = len(busy), len(lam)
+    n = 2 * K + M
+    idle = [k for k in range(K) if not busy[k]]
+    edges = [(K + m, k, 1.0) for m in range(M) if lam[m] > 0 for k in sorted(argmin_sets[m])]
+    edges += [(K + M + k, n, 1.0) for k in idle]
+    work = list(range(len(edges)))
+    edges += [(K + M + k, k, -1.0) for k in idle]
+    lam, mu, y = lam.tolist(), mu.tolist(), y.tolist()
+    # the objective is sum_i w_i e^{expo_i x_i} - yy_i x_i
+    w = ([mu[k] if busy[k] and not lone[k] else 0.0 for k in range(K)]
+         + lam + [0.0 if busy[k] else mu[k] for k in range(K)])
+    expo = [-1.0] * K + [1.0] * (M + K)
+    yy = [0.0 if lone[k] else y[k] for k in range(K)] + [0.0] * (M + K)
+    x = [0.0] * (n + 1)
+    for it in range(1, 101):
+        comp, sgn, work = _blocks(n, edges, work)
+        A, B, Y, u = ([0.0] * (n + 1) for _ in range(4))
+        for i in range(n):
+            c = comp[i]
+            u[c] = sgn[i] * x[i]
+            (A if expo[i] * sgn[i] > 0 else B)[c] += w[i]
+            Y[c] += sgn[i] * yy[i]
+        u[comp[n]] = 0.0
+        target = [_block_argmin(*args) for args in zip(A, B, Y, u)]
+        target[comp[n]] = 0.0
+        x = [sgn[i] * u[comp[i]] for i in range(n + 1)]
+        if any(math.isinf(v) for v in target):
+            reach = math.inf
+            p = [sgn[i] * math.copysign(1.0, target[comp[i]]) if math.isinf(target[comp[i]])
+                 else 0.0 for i in range(n + 1)]
         else:
-            raise SolverError("line search failed")
-        g_new = red.grad(e_new)
-        de, dg = e_new - e, g_new - g
-        denom = de @ dg
-        step = float(np.clip((de @ de) / denom, 1e-10, 1e10)) if denom > 0 else trial * 2
-        improve = f - f_new
-        e, f, g = e_new, f_new, g_new
-        stat = float(np.max(np.abs(e - red.project(e - g))))
-        if improve < tol / 10 and stat < math.sqrt(tol) * 1e-2:
-            break
-    stat = float(np.max(np.abs(e - red.project(e - g))))
-    return f, e, it, stat
+            reach = 1.0
+            p = [sgn[i] * target[comp[i]] - x[i] for i in range(n + 1)]
+        alpha, block = reach, None
+        for c, (i, j, s) in enumerate(edges):
+            slope = p[i] - s * p[j]
+            if slope < 0 and c not in work:
+                ratio = max(x[i] - s * x[j], 0.0) / -slope
+                if ratio < alpha:
+                    alpha, block = ratio, c
+        if block is not None:
+            x = [xi + alpha * pi for xi, pi in zip(x, p)]
+            work.append(block)
+            continue
+        if reach == math.inf:
+            raise SolverError("the dual of the rate program is unbounded")
+        x = [sgn[i] * target[comp[i]] for i in range(n + 1)]
+        grad = [w[i] * expo[i] * math.exp(expo[i] * x[i]) - yy[i] for i in range(n)] + [0.0]
+        nu = _multipliers(n, edges, work, grad)
+        worst = min(nu, key=nu.get, default=None)
+        if worst is None or nu[worst] >= -1e-12 * (1.0 + max(map(abs, grad))):
+            e = np.zeros((K, M))
+            for c, v in nu.items():
+                i, k, _ = edges[c]
+                if i < K + M:
+                    e[k, i - K] = max(v, 0.0)
+            value = sum(w[i] * -math.expm1(expo[i] * x[i]) + yy[i] * x[i] for i in range(n))
+            return value, np.array(x[:n]), e, it
+        work.remove(worst)
+    raise SolverError("the active set did not settle in 100 steps")
 
 
 # ---------------------------------------------------------------------------
@@ -303,76 +294,74 @@ def _velocity(y, topology: Topology) -> np.ndarray:
     return y
 
 
-def _require_scalar_terms(cost: CostModel) -> None:
-    if not (hasattr(cost, "arrival_terms") and hasattr(cost, "service_terms")):
-        raise ValueError(
-            "the rate program needs a cost with per-stream and per-queue scalar terms"
-        )
-
-
 def _rate_on_domain(
     label: DomainLabel,
     y: np.ndarray,
     topology: Topology,
-    cost: CostModel,
+    cost: PoissonCost,
     tol: float,
 ) -> RateWitness:
     """Rate program on the domain ``label``: the body of local_rate and psi_ij.
 
-    Checks ``tol``, the velocity and the cost, then decides feasibility.
-    The constraint polyhedron is empty exactly when some queue must grow
-    (y_k > 0) but lies in no stream's argmin set.  Arrival and service rates
-    are unbounded above, so otherwise e_km = y_k on a supporting stream and
-    d_k = -y_k on a shrinking queue give a feasible point.
+    Checks ``tol``, the velocity and the cost, then decides feasibility: the
+    program is infeasible exactly when a queue must grow (y_k > 0) but lies
+    in no stream's argmin set, or must shrink (y_k < 0) while empty.
+    Otherwise arrival and service rates are unbounded above, so e_km = y_k
+    on a supporting stream and d_k = -y_k on a shrinking busy queue give a
+    feasible point.  The value is the dual optimum and ``stationarity`` its
+    gap to the cost of the witness.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     y = _velocity(y, topology)
-    _require_scalar_terms(cost)
-    support = label.argmin_sets
-    reachable = frozenset().union(*support)
-    for k in range(topology.K):
+    if not isinstance(cost, PoissonCost):
+        raise ValueError("the rate program needs a PoissonCost")
+    K, M = topology.K, topology.M
+    busy = [k not in label.zero_set for k in range(K)]
+    reachable = frozenset().union(*label.argmin_sets)
+    for k in range(K):
         if y[k] > 0 and k not in reachable:
-            return RateWitness(
-                value=INF,
-                feasible=False,
-                certificate=f"queue {k + 1} cannot grow: it is in no stream's argmin set",
-                label=label,
-            )
-    busy = np.array([k not in label.zero_set for k in range(topology.K)])
-    red = _Reduced(support, busy, y, cost, topology)
-    if not red.solvable():
+            reason = "cannot grow: it is in no stream's argmin set"
+        elif y[k] < 0 and not busy[k]:
+            reason = "cannot shrink: it is empty"
+        else:
+            continue
+        return RateWitness(value=INF, feasible=False,
+                           certificate=f"queue {k + 1} {reason}", label=label)
+    live = frozenset().union(*(J for J, lam in zip(label.argmin_sets, cost.lam) if lam > 0))
+    if any(y[k] > 0 and k not in live for k in range(K)):
         return RateWitness(
             value=INF,
-            feasible=True,
             certificate="finite cost requires routed mass on a zero-rate stream",
             label=label,
         )
-    value, e, it, stat = _solve_reduced(red, tol)
-    a, b, e_full, d = red.witness(e)
-    return RateWitness(
-        value=value,
-        a=a,
-        b=b,
-        e=e_full,
-        d=d,
-        iterations=it,
-        stationarity=stat,
-        label=label,
-    )
+    lone = [busy[k] and k not in live for k in range(K)]
+    value, x, e, it = _solve_dual(label.argmin_sets, busy, lone, y, cost.lam, cost.mu)
+    # a lone queue serves exactly its outflow -y_k
+    value += sum(cost.service_terms[k].value(-y[k]) for k in range(K) if lone[k])
+    a = e.sum(axis=0)
+    d = np.maximum(e.sum(axis=1) - y, 0.0)
+    b = np.where(busy, d, cost.mu * np.exp(x[K + M:]))
+    gap = abs(cost.eval(a, b) - value)
+    if not gap <= tol * max(1.0, abs(value)):
+        raise SolverError(f"rate witness misses the dual value by {gap:.3g}")
+    return RateWitness(value=value, a=a, b=b, e=e, d=d, iterations=it,
+                       stationarity=gap, label=label)
 
 
 def local_rate(
     x,
     y,
     topology: Topology,
-    cost: CostModel,
+    cost: PoissonCost,
     tol: float = 1e-8,
 ) -> RateWitness:
     """Minimal deviation cost for the state to move at velocity y from x.
 
-    Raises ValueError for a bad state, a velocity that is not K finite
-    numbers, a nonpositive ``tol`` or a cost without scalar terms.
+    The witness's cost must match the value within ``tol`` * max(1, L), or
+    SolverError is raised.  Raises ValueError for a bad state, a velocity
+    that is not K finite numbers, a nonpositive ``tol`` or a cost other than
+    ``PoissonCost``.
     """
     label = classify_domain(x, topology)
     return _rate_on_domain(label, y, topology, cost, tol)
@@ -382,7 +371,7 @@ def psi_ij(
     label: DomainLabel,
     y,
     topology: Topology,
-    cost: CostModel,
+    cost: PoissonCost,
     tol: float = 1e-8,
 ) -> float:
     """Domain-wise rate value; equals local_rate at any state in the domain."""
@@ -394,7 +383,7 @@ def local_rate_bruteforce(
     x,
     y,
     topology: Topology,
-    cost: CostModel,
+    cost: PoissonCost,
     grid_step: float = 1e-3,
     box_radius: float = 5.0,
 ) -> float:
@@ -403,8 +392,8 @@ def local_rate_bruteforce(
     Enumerates the routed-rate entries on a uniform grid, recovers departure
     rates from the balance constraint and arrival rates from the routed
     totals exactly, and scans the idle service grids through precomputed
-    suffix minima.  Intended for tiny topologies only (dimension budget
-    K*M + M + 2K <= 8).
+    suffix minima.  An empty queue that shrinks costs inf.  Intended for tiny
+    topologies only (dimension budget K*M + M + 2K <= 8).
     """
     x = np.asarray(x, dtype=float)
     y = _velocity(y, topology)
@@ -415,14 +404,17 @@ def local_rate_bruteforce(
         raise ValueError("grid step and box radius must be positive and finite")
     if K * M + M + 2 * K > 8:
         raise ValueError("dimension budget exceeded for brute-force oracle")
-    _require_scalar_terms(cost)
-    # support and busy sets straight from the constraint definitions
+    if not isinstance(cost, PoissonCost):
+        raise ValueError("the rate program needs a PoissonCost")
+    busy = x > 0
+    if np.any(~busy & (y < 0)):
+        return INF
+    # support sets straight from the constraint definitions
     support = []
     for m in range(M):
         levels = topology.weighted_levels(x, m)
         lo, tolr = _argmin_tol(levels)
         support.append([k for k, v in levels.items() if v <= lo + tolr])
-    busy = x > 0
     entries = [(k, m) for m in range(M) for k in support[m]]
     S = len(entries)
     grid = np.arange(0.0, box_radius + grid_step / 2, grid_step)
@@ -431,7 +423,7 @@ def local_rate_bruteforce(
     def suffix_min(vals):
         return np.minimum.accumulate(vals[::-1])[::-1]
 
-    srv_sm = [suffix_min(_value_vec(cost.service_terms[k], grid)) for k in range(K)]
+    srv_sm = [suffix_min(cost.service_terms[k].value_vec(grid)) for k in range(K)]
 
     def lookup(sm, c):
         # min over grid points >= c; +inf when c exceeds the search box
@@ -460,10 +452,10 @@ def local_rate_bruteforce(
         d = np.maximum(d, 0.0)
         total = np.zeros(n_g)
         for m in range(M):
-            total += _value_vec(cost.arrival_terms[m], cols[m])
+            total += cost.arrival_terms[m].value_vec(cols[m])
         for k in range(K):
             if busy[k]:
-                total += _value_vec(cost.service_terms[k], d[k])
+                total += cost.service_terms[k].value_vec(d[k])
             else:
                 total += lookup(srv_sm[k], d[k])
         total[~ok] = INF
@@ -472,9 +464,3 @@ def local_rate_bruteforce(
             best = float(cand)
     return best
 
-
-def _value_vec(term, grid: np.ndarray) -> np.ndarray:
-    vec = getattr(term, "value_vec", None)
-    if vec is not None:
-        return vec(grid)
-    return np.array([term.value(float(v)) for v in np.atleast_1d(grid)])

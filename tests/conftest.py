@@ -40,5 +40,29 @@ def weighted_net():
 
 
 @pytest.fixture
+def shared_queues():
+    """Two streams that share both queues, with proportional weights, so at a
+    tie both streams route to both queues."""
+    return validate(
+        {
+            "K": 2,
+            "M": 2,
+            "admissible": [[1, 2], [1, 2]],
+            "weights": [{"1": 1, "2": 2}, {"1": "1/2", "2": 1}],
+            "lambda": [1, 2],
+            "mu": [1.5, 2],
+        }
+    )
+
+
+@pytest.fixture
+def three_queue():
+    """Three queues; stream 1 can tie on all three."""
+    return validate(
+        {"K": 3, "M": 2, "admissible": [[1, 2, 3], [2, 3]], "lambda": [2, 1], "mu": [1, 1, 2]}
+    )
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -100,11 +100,17 @@ class TestErrors:
         (["rate", "--x", "1 1", "--y", "nan 0"], "--y"),
         (["optimize", "--event", "running_max:k=1,c=1,T=1"], "only terminal events"),
         (["verify", "--event", "running_max:k=1,c=1,T=1"], "only terminal events"),
+        (["optimize", "--event", "terminal:k=1,c=1,T=1", "--starts", "-3"], "--starts"),
+        (["optimize", "--event", "terminal:k=1,c=1,T=-1"], "event horizon T"),
+        (["optimize", "--event", "terminal:k=1,c=1,T=0"], "event horizon T"),
+        (["optimize", "--event", "terminal:k=1,c=1,T=inf"], "event horizon T"),
+        (["verify", "--event", "terminal:k=1,c=nan,T=1"], "event threshold c"),
     ], ids=["simulate-n0", "simulate-T-negative", "simulate-q0-negative", "simulate-grid0",
             "verify-scales-unparsable", "verify-reps-count", "fluid-T0", "rate-x-negative",
             "optimize-queue-out-of-range", "optimize-segments0", "rate-tol0",
             "rate-oracle-step0", "rate-oracle-radius-negative", "rate-y-nan",
-            "optimize-running-max", "verify-running-max"])
+            "optimize-running-max", "verify-running-max", "optimize-starts-negative",
+            "optimize-T-negative", "optimize-T0", "optimize-T-inf", "verify-c-nan"])
     def test_bad_argument_value_is_exit_2(self, topo_file, tmp_path, capsys, argv, message):
         inputs = tmp_path / "inputs.json"
         inputs.write_text(json.dumps(self.FLUID_INPUTS))
@@ -170,6 +176,15 @@ class TestRate:
         assert out["L"] == math_inf_json()
         assert not out["feasible"]
         assert "certificate" in out
+
+    def test_empty_queue_cannot_shrink(self, topo_file, capsys):
+        assert run(["rate", "--topology", topo_file(MM1_STABLE), "--x", "0", "--y", "-1",
+                    "--oracle"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["L"] == out["oracle"] == math_inf_json()
+        assert out["feasible"] is False
+        assert out["certificate"] == "queue 1 cannot shrink: it is empty"
+        assert "d" not in out
 
 
 def math_inf_json():

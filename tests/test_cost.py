@@ -42,15 +42,6 @@ def test_poisson_term_zero_rate():
     assert math.isinf(t.value(1e-9))
 
 
-def test_poisson_term_reduced_value():
-    t = PoissonTerm(2.0)
-    # below the nominal rate the constrained minimum sits at the rate itself
-    assert t.reduced_value(1.5) == 0.0
-    assert t.reduced_value(3.0) == pytest.approx(t.value(3.0))
-    assert t.argmin_at_least(1.5) == 2.0
-    assert t.argmin_at_least(3.0) == 3.0
-
-
 def test_poisson_cost_eval_matches_term_sum(two_queue, rng):
     cost = PoissonCost(two_queue)
     a = rng.uniform(0, 5, two_queue.M)

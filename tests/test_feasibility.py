@@ -1,7 +1,7 @@
 """The support test of the rate program against a phase-1 LP oracle.
 
 The program over (a, b, d, e) is infeasible exactly when a growing queue
-lies in no stream's argmin set.  ``phase1_feasible`` decides the same
+lies in no stream's argmin set or an empty queue shrinks.  ``phase1_feasible`` decides the same
 question by linear programming, independently of the rate module.
 """
 import math
@@ -53,6 +53,13 @@ def phase1_feasible(support, busy, y, topology) -> bool:
         row[M + K + k] = 1.0
         row[M + k] = -1.0
         A_ub.append(row)
+        if not busy[k]:  # an empty queue sends out no more than it receives
+            row = np.zeros(nvar)
+            row[M + K + k] = 1.0
+            for j, (kk, _) in enumerate(entries):
+                if kk == k:
+                    row[e_col(j)] = -1.0
+            A_ub.append(row)
     res = linprog(
         c=np.zeros(nvar),
         A_eq=np.array(A_eq),
@@ -65,10 +72,12 @@ def phase1_feasible(support, busy, y, topology) -> bool:
     return res.status == 0
 
 
-# Velocities avoid (0, 1e-6]: there HiGHS's primal tolerance accepts a tiny
-# unsupported growth that the exact support test rejects.
+# Velocities avoid (0, 1e-6] and [-1e-6, 0): there HiGHS's primal tolerance
+# accepts a tiny unsupported growth or a tiny shrinking of an empty queue that
+# the exact support test rejects.
 velocity = st.one_of(
-    st.floats(-2.0, 0.0),
+    st.floats(-2.0, -1e-6, exclude_max=True),
+    st.just(0.0),
     st.floats(1e-6, 2.0, exclude_min=True),
 )
 

@@ -133,6 +133,16 @@ class TestEventSpec:
         with pytest.raises(ValueError):
             RareEventSpec("sojourn", 0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("T", [-1.0, 0.0, math.inf, math.nan])
+    def test_horizon_must_be_positive_and_finite(self, T):
+        with pytest.raises(ValueError, match="event horizon T"):
+            RareEventSpec("terminal", 0, 1.0, T)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_threshold_must_be_finite(self, c):
+        with pytest.raises(ValueError, match="event threshold c"):
+            RareEventSpec("terminal", 0, c, 1.0)
+
 
 class TestWilson:
     def test_zero_hits(self):
@@ -189,6 +199,14 @@ class TestEstimate:
         event = RareEventSpec("terminal", 0, 1.0, 1.0)
         with pytest.raises(ValueError):
             estimate_rare_event(event, mm1_stable, [5, 10], [100], seed=0)
+
+    @pytest.mark.parametrize("scales,reps", [([0], [100]), ([-3], [100]), ([5], [0]),
+                                             ([5, 10], [100, -1]), ([], [])])
+    @pytest.mark.parametrize("net", ["mm1_stable", "two_queue"])
+    def test_scales_and_reps_must_be_positive(self, request, net, scales, reps):
+        event = RareEventSpec("terminal", 0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="at least 1"):
+            estimate_rare_event(event, request.getfixturevalue(net), scales, reps, seed=0)
 
 
 class TestMM1Counter:
@@ -277,6 +295,12 @@ class TestMinimizeAction:
         event = RareEventSpec("running_max", 0, 1.0, 1.0)
         with pytest.raises(ValueError):
             minimize_action(event, mm1_stable, PoissonCost(mm1_stable))
+
+    @pytest.mark.parametrize("starts", [0, -3])
+    def test_needs_a_start(self, mm1_stable, starts):
+        event = RareEventSpec("terminal", 0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="at least one start"):
+            minimize_action(event, mm1_stable, PoissonCost(mm1_stable), starts=starts)
 
     def test_no_finite_start_is_a_typed_error(self, two_queue):
         # every straight path off the tie grows a queue that is not the

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from jsqldp import (
-    CostModel,
     DomainLabel,
     PoissonCost,
     classify_domain,
@@ -62,6 +61,14 @@ class TestGoldenValue:
         wit = local_rate([1.0], [1.0], mm1, PoissonCost(mm1))
         assert wit.stationarity <= 1e-6
         assert wit.iterations >= 1
+
+    def test_solver_counters_in_dict(self, two_queue):
+        # an interior state with a singleton argmin set is one closed-form step
+        out = local_rate([2.0, 1.0], [-0.5, 1.0], two_queue, PoissonCost(two_queue)).to_dict()
+        assert out["iterations"] == 1
+        assert 0.0 <= out["stationarity"] <= 1e-12
+        infeasible = local_rate([2.0, 1.0], [1.0, 0.0], two_queue, PoissonCost(two_queue))
+        assert "iterations" not in infeasible.to_dict()
 
 
 class TestOracleAgreement:
@@ -118,6 +125,21 @@ class TestInfeasibility:
     def test_shrinking_is_always_feasible(self, two_queue):
         wit = local_rate([2.0, 1.0], [-0.5, -0.5], two_queue, PoissonCost(two_queue))
         assert math.isfinite(wit.value)
+
+    def test_empty_queue_cannot_shrink(self, mm1, two_queue):
+        cost = PoissonCost(mm1)
+        wit = local_rate([0.0], [-1.0], mm1, cost)
+        assert wit.value == math.inf
+        assert wit.feasible is False
+        assert wit.certificate == "queue 1 cannot shrink: it is empty"
+        label = classify_domain(np.array([0.0]), mm1)
+        assert psi_ij(label, [-1.0], mm1, cost) == math.inf
+        assert local_rate_bruteforce([0.0], [-1.0], mm1, cost) == math.inf
+        # a busy queue beside the empty one may still shrink
+        wit = local_rate([0.0, 1.0], [-1e-9, -1.0], two_queue, PoissonCost(two_queue))
+        assert wit.certificate == "queue 1 cannot shrink: it is empty"
+        assert math.isfinite(local_rate([0.0, 1.0], [0.0, -1.0], two_queue,
+                                        PoissonCost(two_queue)).value)
 
 
 class TestZeroCost:
@@ -231,9 +253,10 @@ class TestValidation:
             with pytest.raises(ValueError, match="grid step"):
                 local_rate_bruteforce([1.0], [1.0], mm1, cost, grid_step=step, box_radius=radius)
 
-    def test_cost_without_scalar_terms(self, mm1):
-        class Opaque(CostModel):
+    def test_cost_other_than_poisson(self, mm1):
+        class Opaque:
             M = K = 1
+            lam = mu = np.ones(1)
 
             def eval(self, a, b):
                 return 0.0
@@ -244,7 +267,7 @@ class TestValidation:
             lambda: psi_ij(label, [1.0], mm1, Opaque()),
             lambda: local_rate_bruteforce([1.0], [1.0], mm1, Opaque()),
         ):
-            with pytest.raises(ValueError, match="scalar terms"):
+            with pytest.raises(ValueError, match="PoissonCost"):
                 call()
 
 
@@ -324,9 +347,11 @@ def feasible_point(draw, topo):
     elif where == "origin":
         x[:] = 0.0
     elif where == "tie":
+        # every queue of the stream on one weighted level
         m = next(m for m in range(topo.M) if len(topo.admissible[m]) > 1)
-        k, l = sorted(topo.admissible[m])[:2]
-        x[l] = x[k] * topo.weight(l, m) / topo.weight(k, m)
+        k, *rest = sorted(topo.admissible[m])
+        for l in rest:
+            x[l] = x[k] * topo.weight(l, m) / topo.weight(k, m)
     y = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=K, max_size=K)))
     reachable = frozenset().union(*classify_domain(x, topo).argmin_sets)
     for k in range(K):
@@ -337,7 +362,8 @@ def feasible_point(draw, topo):
     return x, y
 
 
-NETS = {"single": "mm1", "drain": "mm1_stable", "pair": "two_queue", "readme": "weighted_net"}
+NETS = {"single": "mm1", "drain": "mm1_stable", "pair": "two_queue", "readme": "weighted_net",
+        "shared": "shared_queues", "three": "three_queue"}
 # the topology fixtures are immutable, so sharing one across examples is safe
 LEGENDRE_SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
