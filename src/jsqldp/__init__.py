@@ -3,7 +3,7 @@ large-deviation rate computations."""
 
 __version__ = "0.1.0"
 
-from .cost import PoissonCost, PoissonTerm, pi, pi_vec, psi_poisson
+from .cost import PoissonCost, pi, pi_vec
 from .fluid import FluidSolution, fluid_route_step, fluid_solve, lyapunov_check, water_fill
 from .ldp import (
     ActionReport,
@@ -37,7 +37,6 @@ __all__ = [
     "NoFiniteStartError",
     "PiecewisePath",
     "PoissonCost",
-    "PoissonTerm",
     "RareEventSpec",
     "RateWitness",
     "SamplePath",
@@ -61,7 +60,6 @@ __all__ = [
     "pi",
     "pi_vec",
     "psi_ij",
-    "psi_poisson",
     "scale_counters",
     "scale_path",
     "simulate",

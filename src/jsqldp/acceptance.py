@@ -107,16 +107,12 @@ def criterion_domain_consistency(fast: bool = False):
 
 
 def _all_labels(topo: Topology):
-    ks = range(topo.K)
+    per_stream = [
+        [frozenset(c) for r in range(1, len(ks) + 1) for c in itertools.combinations(ks, r)]
+        for ks, _ in topo.routes
+    ]
     for zero_bits in itertools.product([False, True], repeat=topo.K):
-        I = frozenset(k for k in ks if zero_bits[k])
-        per_stream = []
-        for m in range(topo.M):
-            opts = []
-            s = sorted(topo.admissible[m])
-            for r in range(1, len(s) + 1):
-                opts.extend(frozenset(c) for c in itertools.combinations(s, r))
-            per_stream.append(opts)
+        I = frozenset(k for k in range(topo.K) if zero_bits[k])
         for J in itertools.product(*per_stream):
             if all(j <= I or not (j & I) for j in J):
                 yield DomainLabel(zero_set=I, argmin_sets=tuple(J))

@@ -1,10 +1,11 @@
 """Local cost densities for arrival/service rate deviations.
 
 ``PoissonCost`` charges the relative-entropy cost of tilting independent
-Poisson clocks: pi(alpha) = alpha*log(alpha) - alpha + 1 per unit of nominal
-rate, one ``PoissonTerm`` per stream and per queue.  It is the cost the rate
-program solves, in closed form through its convex conjugate
-rate * (e^theta - 1).
+Poisson clocks: running a clock of nominal rate r at rate v costs
+``price(r, v)`` = r * pi(v / r), with pi(alpha) = alpha*log(alpha) - alpha + 1,
+summed over the streams' rates ``lam`` and the queues' rates ``mu``.  It is
+the cost the rate program solves, in closed form through its convex
+conjugate r * (e^theta - 1).
 """
 from __future__ import annotations
 
@@ -34,72 +35,49 @@ def pi_vec(alpha: np.ndarray) -> np.ndarray:
     return np.where(a > 0, a * np.log(safe) - a + 1.0, 1.0)
 
 
-class PoissonTerm:
-    """rate * pi(v / rate); identically +inf for v > 0 when rate == 0."""
+def price(rate: float, v: float) -> float:
+    """rate * pi(v / rate); +inf for v < 0, and for v > 0 when rate == 0."""
+    if v < 0:
+        return INF
+    if rate == 0.0:
+        return 0.0 if v == 0.0 else INF
+    return rate * pi(v / rate)
 
-    def __init__(self, rate: float):
-        self.rate = float(rate)
 
-    def value(self, v: float) -> float:
-        if v < 0:
-            return INF
-        if self.rate == 0.0:
-            return 0.0 if v == 0.0 else INF
-        return self.rate * pi(v / self.rate)
-
-    def deriv(self, v: float) -> float:
-        if self.rate == 0.0 or v < 0:
-            raise ValueError("derivative undefined")
-        if v == 0.0:
-            return -INF
-        return math.log(v / self.rate)
-
-    def value_vec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if self.rate == 0.0:
-            return np.where(v == 0.0, 0.0, INF)
-        out = self.rate * pi_vec(v / self.rate)
-        return np.where(v >= 0, out, INF)
+def price_vec(rate: float, v: np.ndarray) -> np.ndarray:
+    """``price`` at every entry of v."""
+    v = np.asarray(v, dtype=float)
+    if rate == 0.0:
+        return np.where(v == 0.0, 0.0, INF)
+    return np.where(v >= 0, rate * pi_vec(np.maximum(v, 0.0) / rate), INF)
 
 
 class PoissonCost:
-    """Sum of Poisson entropy terms at the topology's nominal rates."""
+    """Sum of Poisson entropy prices at the topology's nominal rates."""
 
     def __init__(self, topology: Topology):
         self.M = topology.M
         self.K = topology.K
         self.lam = topology.lam
         self.mu = topology.mu
-        self.arrival_terms = [PoissonTerm(r) for r in self.lam]
-        self.service_terms = [PoissonTerm(r) for r in self.mu]
 
-    def eval(self, a: np.ndarray, b: np.ndarray) -> float:
+    def _pairs(self, a, b):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if a.shape != (self.M,) or b.shape != (self.K,):
             raise ValueError("rate vector dimensions do not match the model")
-        if np.any(a < 0) or np.any(b < 0):
-            return INF
+        return zip(self.lam.tolist() + self.mu.tolist(), a.tolist() + b.tolist())
+
+    def eval(self, a: np.ndarray, b: np.ndarray) -> float:
         total = 0.0
-        for term, v in zip(self.arrival_terms, a):
-            total += term.value(float(v))
-            if total == INF:
-                return INF
-        for term, v in zip(self.service_terms, b):
-            total += term.value(float(v))
+        for rate, v in self._pairs(a, b):
+            total += price(rate, v)
         return total
 
     def subgradient(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        g = np.empty(self.M + self.K)
-        for m, term in enumerate(self.arrival_terms):
-            g[m] = term.deriv(float(a[m]))
-        for k, term in enumerate(self.service_terms):
-            g[self.M + k] = term.deriv(float(b[k]))
-        return g
-
-
-def psi_poisson(a, b, topology: Topology) -> float:
-    """Entropy cost of running rates (a, b) against the nominal (lambda, mu)."""
-    return PoissonCost(topology).eval(np.asarray(a, float), np.asarray(b, float))
+        g = []
+        for rate, v in self._pairs(a, b):
+            if rate == 0.0 or v < 0:
+                raise ValueError("derivative undefined")
+            g.append(math.log(v / rate) if v > 0 else -INF)
+        return np.array(g)

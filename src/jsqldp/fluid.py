@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .piecewise import PiecewisePath
-from .topology import Topology
-
-TIE_RTOL = 1e-12
+from .topology import Topology, tie_level
 
 
 @dataclass(frozen=True)
@@ -24,19 +22,15 @@ class FluidSolution:
     queue: PiecewisePath          # K columns
     routed: PiecewisePath         # K*M columns, row-major (k, m), cumulative
     departed: PiecewisePath       # K columns, cumulative
-    step: float
-
-    def routed_matrix(self, t: float, K: int, M: int) -> np.ndarray:
-        return self.routed(t).reshape(K, M)
 
 
 def water_fill(levels: np.ndarray, widths: np.ndarray, mass: float) -> np.ndarray:
     """Allocate mass across bins so the lowest levels rise together.
 
     Raising bin i's level by dl consumes widths[i] * dl of mass.  Bins join
-    the active set as the rising water reaches their level (relative
-    tolerance TIE_RTOL).  Returns the mass given to each bin; exact
-    conservation: allocation sums to mass.
+    the active set as the rising water reaches their level (up to
+    ``tie_level``).  Returns the mass given to each bin; exact conservation:
+    allocation sums to mass.
     """
     n = len(levels)
     alloc = np.zeros(n)
@@ -49,7 +43,7 @@ def water_fill(levels: np.ndarray, widths: np.ndarray, mass: float) -> np.ndarra
     i = 0
     remaining = mass
     while True:
-        while i < n and lv[i] <= level + TIE_RTOL * max(1.0, abs(level)):
+        while i < n and lv[i] <= tie_level(level):
             active_width += widths[order[i]]
             i += 1
         target = lv[i] if i < n else np.inf
@@ -92,16 +86,14 @@ def fluid_route_step(
     K, M = topology.K, topology.M
     e_step = np.zeros((K, M))
     work = q.copy()
-    for m in range(M):
+    for m, (ks, ws) in enumerate(topology.routes):
         if da[m] == 0:
             continue
-        ks = sorted(topology.admissible[m])
-        widths = np.array([topology.weight(k, m) for k in ks])
-        levels = work[ks] / widths
-        alloc = water_fill(levels, widths, float(da[m]))
-        for j, k in enumerate(ks):
-            e_step[k, m] = alloc[j]
-            work[k] += alloc[j]
+        widths = np.array(ws)
+        alloc = water_fill(work.take(ks) / widths, widths, float(da[m]))
+        for k, v in zip(ks, alloc):
+            e_step[k, m] = v
+            work[k] += v
     d_step = np.minimum(db, work)
     q_next = work - d_step
     return e_step, d_step, np.maximum(q_next, 0.0)
@@ -150,7 +142,6 @@ def fluid_solve(
         queue=PiecewisePath(ts, q_hist),
         routed=PiecewisePath(ts, e_hist),
         departed=PiecewisePath(ts, d_hist),
-        step=float(ts[1] - ts[0]),
     )
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost import INF, PoissonCost
+from .fluid import fluid_solve
 from .piecewise import PiecewisePath
 from .rate import DomainLabel, classify_domain, local_rate
 from .sim import _replicate_statistics
@@ -36,16 +37,12 @@ class ActionSegment:
 @dataclass
 class ActionReport:
     total: float
-    initial: float
-    running: float
     segments: list[ActionSegment] = field(default_factory=list)
     tail_open: bool = False
 
     def to_dict(self) -> dict:
         return {
             "total": self.total,
-            "initial": self.initial,
-            "running": self.running,
             "tail_open": self.tail_open,
             "segments": [
                 {"t0": s.t0, "t1": s.t1, "L": s.rate, "domain": s.label.to_dict()}
@@ -73,12 +70,9 @@ def _segment_split_times(p: np.ndarray, v: np.ndarray, t0: float, t1: float,
 
     for k in range(topology.K):
         add_root(p[k], v[k])
-    for m in range(topology.M):
-        ks = sorted(topology.admissible[m])
-        for i, k in enumerate(ks):
-            wk = topology.weight(k, m)
-            for l in ks[i + 1:]:
-                wl = topology.weight(l, m)
+    for ks, ws in topology.routes:
+        for i, (k, wk) in enumerate(zip(ks, ws)):
+            for l, wl in zip(ks[i + 1:], ws[i + 1:]):
                 add_root(p[k] / wk - p[l] / wl, v[k] / wk - v[l] / wl)
     return sorted(cuts)
 
@@ -87,21 +81,16 @@ def path_action(
     q: PiecewisePath,
     topology: Topology,
     cost: PoissonCost,
-    i_q0=None,
     tol: float = 1e-8,
 ) -> ActionReport:
-    """Initial cost plus the integral of the local rate along the path.
+    """Integral of the local rate along the path.
 
-    ``i_q0`` maps the initial state to its cost (default 0).  Within each
-    constant-domain piece of a linear segment the rate is constant and
-    evaluated once at the midpoint.
+    Within each constant-domain piece of a linear segment the rate is
+    constant and evaluated once at the midpoint.
     """
-    initial = 0.0 if i_q0 is None else float(i_q0(q.values[0]))
     if np.any(q.values < 0):
-        return ActionReport(total=INF, initial=initial, running=INF)
-    if not math.isfinite(initial):
-        return ActionReport(total=INF, initial=initial, running=0.0)
-    running = 0.0
+        return ActionReport(total=INF)
+    total = 0.0
     segments: list[ActionSegment] = []
     slopes = q.slopes()
     for j in range(len(q.breakpoints) - 1):
@@ -116,20 +105,12 @@ def path_action(
             w = local_rate(x, v, topology, cost, tol)
             segments.append(ActionSegment(a, b, w.label, w.value))
             if not math.isfinite(w.value):
-                return ActionReport(
-                    total=INF, initial=initial, running=INF, segments=segments
-                )
-            running += (b - a) * w.value
+                return ActionReport(total=INF, segments=segments)
+            total += (b - a) * w.value
     tail = local_rate(np.maximum(q.values[-1], 0.0), np.zeros(topology.K),
                       topology, cost, tol)
     tail_open = not (math.isfinite(tail.value) and tail.value <= 1e-9)
-    return ActionReport(
-        total=initial + running,
-        initial=initial,
-        running=running,
-        segments=segments,
-        tail_open=tail_open,
-    )
+    return ActionReport(total=total, segments=segments, tail_open=tail_open)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +182,7 @@ def _reflected_queue(counts: np.ndarray, jumps: np.ndarray, kind: str) -> np.nda
     ends = np.cumsum(counts)
     starts = ends - counts
     bound = int(counts.max(initial=0)) + 1
-    # int32 holds walk - r*bound below: a batch of _count_hits_mm1 keeps it
+    # int32 holds walk - r*bound below: a batch of _count_hits keeps it
     # under ~2**25 unless one replicate makes ~2**30 jumps (8 GB of uniforms)
     walk = np.zeros(len(jumps) + 1, dtype=np.int32)
     np.cumsum(jumps, dtype=np.int32, out=walk[1:])
@@ -220,48 +201,46 @@ def _reflected_queue(counts: np.ndarray, jumps: np.ndarray, kind: str) -> np.nda
     return np.maximum(np.maximum.reduceat(rise, starts), q_end)
 
 
-def _count_hits_mm1(event: RareEventSpec, lam: float, mu: float, n: int,
-                    reps: int, seed: int) -> int:
-    """Vectorized replication counting for the single-queue empty-start case.
+def _mm1_batch(event: RareEventSpec, lam: float, mu: float, n: int, rng,
+               size: int) -> np.ndarray:
+    """Queue statistics of ``size`` M/M/1 replicates started empty.
 
-    The queue is a Lindley reflection of the +/-1 jump walk.  A batch draws
+    The queue is a Lindley reflection of the +/-1 jump walk.  The batch draws
     a Poisson jump count per replicate, then exactly that many jumps in one
     flat array (float64 uniforms against lam/(lam+mu)), with no padding; see
-    ``_reflected_queue``.  Batches hold about 2**20 expected jumps, so memory
-    does not grow with n, and batch ``b`` draws from its own PCG64 stream
-    seeded with ``SeedSequence([seed, b])``.
+    ``_reflected_queue``.
     """
     total_rate = lam + mu
-    tau = n * event.T
-    level = int(math.ceil(n * event.threshold - 1e-9))
-    batch = max(1, int(2**20 // max(1.0, total_rate * tau)))
-    hits = 0
-    for batch_id, done in enumerate(range(0, reps, batch)):
-        size = min(batch, reps - done)
-        rng = np.random.default_rng([seed, batch_id])
-        counts = rng.poisson(total_rate * tau, size)
-        # +/-1 in place on the comparison's bytes: np.where costs ~10x more
-        jumps = (rng.random(int(counts.sum())) < lam / total_rate).view(np.int8)
-        jumps *= 2
-        jumps -= 1
-        hits += int((_reflected_queue(counts, jumps, event.kind) >= level).sum())
-    return hits
+    counts = rng.poisson(total_rate * (n * event.T), size)
+    # +/-1 in place on the comparison's bytes: np.where costs ~10x more
+    jumps = (rng.random(int(counts.sum())) < lam / total_rate).view(np.int8)
+    jumps *= 2
+    jumps -= 1
+    return _reflected_queue(counts, jumps, event.kind)
 
 
-def _count_hits_generic(event: RareEventSpec, topology: Topology, n: int,
-                        reps: int, seed: int) -> int:
-    """Replication counting through the simulator's batched observer.
+def _count_hits(event: RareEventSpec, topology: Topology, n: int, reps: int,
+                seed: int) -> int:
+    """Replicates whose event statistic reaches n * threshold.
 
-    Batches hold about 2**20 expected events, as in ``_count_hits_mm1``, and
-    batch ``b`` is batch ``b`` of the simulator's stream at ``seed``.
+    Batches hold about 2**20 expected events, so memory does not grow with
+    n, and batch ``b`` draws from the streams of ``SeedSequence([seed, b])``.
+    A single queue fed by a live stream is sampled as a reflected walk
+    (``_mm1_batch``); any other net runs batch ``b`` of the simulator's
+    stream at ``seed``.
     """
-    rate = float(topology.lam.sum() + topology.mu.sum())
-    batch = max(1, int(2**20 // max(1.0, rate * n * event.T)))
+    lam, mu = float(topology.lam.sum()), float(topology.mu.sum())
+    if topology.K == topology.M == 1 and lam > 0:
+        def sample(batch_id, size):
+            return _mm1_batch(event, lam, mu, n, np.random.default_rng([seed, batch_id]), size)
+    else:
+        def sample(batch_id, size):
+            q_end, q_max = _replicate_statistics(topology, n, event.T, seed, batch_id, size)
+            return (q_end if event.kind == "terminal" else q_max)[:, event.queue]
+    batch = max(1, int(2**20 // max(1.0, (lam + mu) * (n * event.T))))
     hits = 0
     for batch_id, done in enumerate(range(0, reps, batch)):
-        q_end, q_max = _replicate_statistics(topology, n, event.T, seed, batch_id,
-                                             min(batch, reps - done))
-        value = (q_end if event.kind == "terminal" else q_max)[:, event.queue]
+        value = sample(batch_id, min(batch, reps - done))
         hits += int((value >= n * event.threshold - 1e-9).sum())
     return hits
 
@@ -285,17 +264,9 @@ def estimate_rare_event(
         raise ValueError("scales and replication counts must be at least 1")
     if not 0 <= event.queue < topology.K:
         raise ValueError(f"event queue {event.queue + 1} is not one of the {topology.K} queues")
-    fast = (
-        topology.K == 1
-        and topology.M == 1
-        and topology.lam[0] > 0
-    )
     rows = []
     for n, R in zip(scales, reps):
-        if fast:
-            hits = _count_hits_mm1(event, float(topology.lam[0]), float(topology.mu[0]), n, R, seed)
-        else:
-            hits = _count_hits_generic(event, topology, n, R, seed)
+        hits = _count_hits(event, topology, n, R, seed)
         lo, hi = wilson_interval(hits, R)
         phat = hits / R
         row = {
@@ -367,7 +338,6 @@ def minimize_action(
     q0=None,
     starts: int = 8,
     seed: int = 0,
-    tol: float = 1e-8,
 ) -> tuple[PiecewisePath, float]:
     """Best piecewise-linear path into a terminal-threshold event.
 
@@ -389,8 +359,6 @@ def minimize_action(
 
     # check the zero-cost fluid path first: if it already realizes the event
     # the infimum is 0
-    from .fluid import fluid_solve
-
     a_nom = PiecewisePath.cumulative_linear(topology.lam, event.T)
     b_nom = PiecewisePath.cumulative_linear(topology.mu, event.T)
     fl = fluid_solve(topology, q0, a_nom, b_nom, event.T, event.T / 1000)
@@ -412,7 +380,7 @@ def minimize_action(
         return PiecewisePath(ts, np.maximum(vals, 0.0))
 
     def objective(z: np.ndarray) -> float:
-        return path_action(build_path(z), topology, cost, tol=tol).total
+        return path_action(build_path(z), topology, cost).total
 
     rng = np.random.default_rng(seed)
     best_z, best_f = None, INF
@@ -426,11 +394,6 @@ def minimize_action(
         z0[(segments - 1) * K:] = q0[others]
         if s > 0:
             z0 = np.maximum(z0 + rng.normal(0, 0.3 * max(event.threshold, 1.0), n_free), 0.0)
-        if n_free == 0:
-            f0 = objective(z0)
-            if f0 < best_f:
-                best_z, best_f = z0, f0
-            continue
         z, fz = _pattern_search(objective, z0, step0=0.25 * max(event.threshold, 1.0))
         if fz < best_f:
             best_z, best_f = z, fz

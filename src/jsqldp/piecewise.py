@@ -64,11 +64,6 @@ class PiecewisePath:
         return PiecewisePath(np.array([0.0, T]), np.vstack([v0, v1]))
 
     @staticmethod
-    def constant(value, T: float) -> "PiecewisePath":
-        v = np.atleast_1d(np.asarray(value, dtype=float))
-        return PiecewisePath.linear(v, v, T)
-
-    @staticmethod
     def cumulative_linear(rates, T: float) -> "PiecewisePath":
         """Cumulative path t -> rates * t on [0, T]."""
         r = np.atleast_1d(np.asarray(rates, dtype=float))

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import INF, PoissonCost
-from .topology import Topology
-
-CLASSIFY_RTOL = 1e-12
+from .cost import INF, PoissonCost, price, price_vec
+from .topology import Topology, tie_level
 
 
 class SolverError(RuntimeError):
@@ -83,11 +81,6 @@ class RateWitness:
         return out
 
 
-def _argmin_tol(levels: dict[int, float]) -> tuple[float, float]:
-    lo = min(levels.values())
-    return lo, CLASSIFY_RTOL * max(1.0, abs(lo))
-
-
 def classify_domain(x: np.ndarray, topology: Topology) -> DomainLabel:
     """Zero set and per-stream weighted-argmin sets of a state vector."""
     x = np.asarray(x, dtype=float)
@@ -96,11 +89,12 @@ def classify_domain(x: np.ndarray, topology: Topology) -> DomainLabel:
     if not np.all(np.isfinite(x) & (x >= 0)):
         raise ValueError("state must be finite and componentwise nonnegative")
     zero = frozenset(int(k) for k in np.flatnonzero(x == 0.0))
+    xs = x.tolist()
     argmins = []
-    for m in range(topology.M):
-        levels = topology.weighted_levels(x, m)
-        lo, tol = _argmin_tol(levels)
-        argmins.append(frozenset(k for k, v in levels.items() if v <= lo + tol))
+    for ks, ws in topology.routes:
+        levels = [xs[k] / w for k, w in zip(ks, ws)]
+        cut = tie_level(min(levels))
+        argmins.append(frozenset(k for k, v in zip(ks, levels) if v <= cut))
     return DomainLabel(zero_set=zero, argmin_sets=tuple(argmins))
 
 
@@ -127,12 +121,11 @@ def label_matches(label: DomainLabel, x: np.ndarray, topology: Topology) -> bool
     for k in range(topology.K):
         if (x[k] == 0.0) != (k in label.zero_set):
             return False
-    for m in range(topology.M):
-        levels = topology.weighted_levels(x, m)
-        lo, tol = _argmin_tol(levels)
-        for k in topology.admissible[m]:
-            inside = levels[k] <= lo + tol
-            if inside != (k in label.argmin_sets[m]):
+    for (ks, ws), J in zip(topology.routes, label.argmin_sets):
+        levels = {k: float(x[k]) / w for k, w in zip(ks, ws)}
+        cut = tie_level(min(levels.values()))
+        for k, v in levels.items():
+            if (v <= cut) != (k in J):
                 return False
     return True
 
@@ -338,7 +331,7 @@ def _rate_on_domain(
     lone = [busy[k] and k not in live for k in range(K)]
     value, x, e, it = _solve_dual(label.argmin_sets, busy, lone, y, cost.lam, cost.mu)
     # a lone queue serves exactly its outflow -y_k
-    value += sum(cost.service_terms[k].value(-y[k]) for k in range(K) if lone[k])
+    value += sum(price(cost.mu[k], -y[k]) for k in range(K) if lone[k])
     a = e.sum(axis=0)
     d = np.maximum(e.sum(axis=1) - y, 0.0)
     b = np.where(busy, d, cost.mu * np.exp(x[K + M:]))
@@ -411,10 +404,10 @@ def local_rate_bruteforce(
         return INF
     # support sets straight from the constraint definitions
     support = []
-    for m in range(M):
-        levels = topology.weighted_levels(x, m)
-        lo, tolr = _argmin_tol(levels)
-        support.append([k for k, v in levels.items() if v <= lo + tolr])
+    for ks, ws in topology.routes:
+        levels = [float(x[k]) / w for k, w in zip(ks, ws)]
+        cut = tie_level(min(levels))
+        support.append([k for k, v in zip(ks, levels) if v <= cut])
     entries = [(k, m) for m in range(M) for k in support[m]]
     S = len(entries)
     grid = np.arange(0.0, box_radius + grid_step / 2, grid_step)
@@ -423,7 +416,7 @@ def local_rate_bruteforce(
     def suffix_min(vals):
         return np.minimum.accumulate(vals[::-1])[::-1]
 
-    srv_sm = [suffix_min(cost.service_terms[k].value_vec(grid)) for k in range(K)]
+    srv_sm = [suffix_min(price_vec(cost.mu[k], grid)) for k in range(K)]
 
     def lookup(sm, c):
         # min over grid points >= c; +inf when c exceeds the search box
@@ -452,10 +445,10 @@ def local_rate_bruteforce(
         d = np.maximum(d, 0.0)
         total = np.zeros(n_g)
         for m in range(M):
-            total += cost.arrival_terms[m].value_vec(cols[m])
+            total += price_vec(cost.lam[m], cols[m])
         for k in range(K):
             if busy[k]:
-                total += cost.service_terms[k].value_vec(d[k])
+                total += price_vec(cost.mu[k], d[k])
             else:
                 total += lookup(srv_sm[k], d[k])
         total[~ok] = INF

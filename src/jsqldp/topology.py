@@ -2,7 +2,8 @@
 
 External formats use 1-based server/stream indices; everything internal is
 0-based.  Weights are kept as exact rationals so that tie detection in the
-simulator can use integer arithmetic.
+simulator can use integer arithmetic; the float layers read them once, from
+``Topology.routes``.
 """
 from __future__ import annotations
 
@@ -12,6 +13,15 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
+
+
+# relative tolerance under which two float weighted levels count as tied
+TIE_RTOL = 1e-12
+
+
+def tie_level(lo: float) -> float:
+    """Highest level that still ties with the lowest level ``lo``."""
+    return lo + TIE_RTOL * max(1.0, abs(lo))
 
 
 class TopologyError(ValueError):
@@ -25,6 +35,8 @@ class Topology:
     K single-server queues, M arrival streams.  Stream m may join any queue
     in ``admissible[m]``; queue k carries weight ``weights[(k, m)]`` for that
     stream.  ``lam`` and ``mu`` are the nominal arrival and service rates.
+    ``routes[m]`` is stream m's routing table, built once: its queues in
+    index order and their float weights.
     """
 
     K: int
@@ -33,7 +45,7 @@ class Topology:
     weights: dict[tuple[int, int], Fraction]
     lam: np.ndarray
     mu: np.ndarray
-    incidence: tuple[frozenset[int], ...] = field(init=False)
+    routes: tuple[tuple[tuple[int, ...], tuple[float, ...]], ...] = field(init=False)
 
     def __post_init__(self):
         if self.K < 1 or self.M < 1:
@@ -69,14 +81,11 @@ class Topology:
             raise TopologyError("service rates must be finite and positive")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
-        incidence = tuple(
-            frozenset(m for m in range(self.M) if k in self.admissible[m])
-            for k in range(self.K)
-        )
-        object.__setattr__(self, "incidence", incidence)
-
-    def weight(self, k: int, m: int) -> float:
-        return float(self.weights[(k, m)])
+        routes = []
+        for m, s in enumerate(self.admissible):
+            ks = tuple(sorted(s))
+            routes.append((ks, tuple(float(self.weights[(k, m)]) for k in ks)))
+        object.__setattr__(self, "routes", tuple(routes))
 
     def level_multipliers(self, m: int) -> dict[int, int]:
         """Integer c_k with Q_k / w_km proportional to Q_k * c_k across S_m.
@@ -89,10 +98,6 @@ class Topology:
             k: common // self.weights[(k, m)].numerator * self.weights[(k, m)].denominator
             for k in self.admissible[m]
         }
-
-    def weighted_levels(self, x: np.ndarray, m: int) -> dict[int, float]:
-        """x_k / w_km for k in S_m."""
-        return {k: float(x[k]) / self.weight(k, m) for k in self.admissible[m]}
 
     def to_dict(self) -> dict:
         """External (1-based) representation."""

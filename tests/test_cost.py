@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from jsqldp import PoissonCost, PoissonTerm, pi, pi_vec, psi_poisson
+from jsqldp import PoissonCost, pi, pi_vec
+from jsqldp.cost import price, price_vec
 
 
 def test_pi_endpoint_values():
@@ -36,10 +37,17 @@ def test_pi_convexity(rng):
         assert pi(th * al + (1 - th) * be) <= th * pi(al) + (1 - th) * pi(be) + 1e-12
 
 
-def test_poisson_term_zero_rate():
-    t = PoissonTerm(0.0)
-    assert t.value(0.0) == 0.0
-    assert math.isinf(t.value(1e-9))
+def test_price_zero_rate():
+    assert price(0.0, 0.0) == 0.0
+    assert math.isinf(price(0.0, 1e-9))
+    assert np.array_equal(price_vec(0.0, np.array([0.0, 1e-9])), [0.0, math.inf])
+
+
+def test_price_vec_matches_scalar(rng):
+    for rate in (0.5, 2.0):
+        v = rng.uniform(-1, 5, 50)
+        v[:2] = [0.0, -1e-12]
+        assert np.array_equal(price_vec(rate, v), [price(rate, x) for x in v])
 
 
 def test_poisson_cost_eval_matches_term_sum(two_queue, rng):
@@ -50,7 +58,6 @@ def test_poisson_cost_eval_matches_term_sum(two_queue, rng):
         lam * pi(v / lam) for lam, v in zip(two_queue.lam, a)
     ) + sum(mu * pi(v / mu) for mu, v in zip(two_queue.mu, b))
     assert cost.eval(a, b) == pytest.approx(manual, rel=1e-14)
-    assert psi_poisson(a, b, two_queue) == pytest.approx(manual, rel=1e-14)
 
 
 def test_poisson_cost_negative_is_infinite(mm1):

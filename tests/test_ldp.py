@@ -108,12 +108,6 @@ class TestPathAction:
         report = path_action(q, two_queue, PoissonCost(two_queue))
         assert math.isinf(report.total)
 
-    def test_initial_cost_hook(self, mm1):
-        q = PiecewisePath.linear([1.0], [0.0], 1.0)
-        report = path_action(q, mm1, PoissonCost(mm1), i_q0=lambda v: 2.0 * v[0])
-        assert report.initial == pytest.approx(2.0)
-        assert report.total == pytest.approx(report.initial + report.running)
-
 
 class TestEventSpec:
     def test_parse_round_trip(self):
@@ -207,6 +201,23 @@ class TestEstimate:
         event = RareEventSpec("terminal", 0, 1.0, 1.0)
         with pytest.raises(ValueError, match="at least 1"):
             estimate_rare_event(event, request.getfixturevalue(net), scales, reps, seed=0)
+
+
+class TestHitCounts:
+    """Per-seed hits of both samplers of the one batch loop, pinned."""
+
+    # two batches each: 69905 replicates per batch on the drain net at n=5
+    # and 43690 on the weighted net at n=4
+    @pytest.mark.parametrize("net,kind,queue,c,n,reps,hits", [
+        ("mm1_stable", "terminal", 0, 0.6, 5, 75_000, 7826),
+        ("mm1_stable", "running_max", 0, 0.6, 5, 75_000, 25755),
+        ("weighted_net", "terminal", 0, 0.75, 4, 45_000, 19508),
+        ("weighted_net", "running_max", 1, 0.75, 4, 45_000, 11724),
+    ])
+    def test_hits_per_seed(self, request, net, kind, queue, c, n, reps, hits):
+        event = RareEventSpec(kind, queue, c, 1.0)
+        report = estimate_rare_event(event, request.getfixturevalue(net), [n], [reps], seed=9)
+        assert report["scales"][0]["hits"] == hits
 
 
 class TestMM1Counter:

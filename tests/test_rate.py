@@ -305,7 +305,7 @@ def legendre_rate(x, y, topo) -> float:
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     J = []
     for m in range(topo.M):
-        levels = {k: x[k] / topo.weight(k, m) for k in topo.admissible[m]}
+        levels = {k: x[k] / float(topo.weights[(k, m)]) for k in topo.admissible[m]}
         lo = min(levels.values())
         J.append(sorted(k for k, v in levels.items() if v <= lo + 1e-12 * max(1.0, lo)))
     busy = x > 0
@@ -351,7 +351,7 @@ def feasible_point(draw, topo):
         m = next(m for m in range(topo.M) if len(topo.admissible[m]) > 1)
         k, *rest = sorted(topo.admissible[m])
         for l in rest:
-            x[l] = x[k] * topo.weight(l, m) / topo.weight(k, m)
+            x[l] = x[k] * float(topo.weights[(l, m)]) / float(topo.weights[(k, m)])
     y = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=K, max_size=K)))
     reachable = frozenset().union(*classify_domain(x, topo).argmin_sets)
     for k in range(K):

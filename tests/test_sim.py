@@ -93,7 +93,8 @@ class TestRouting:
                 continue
             k, m = map(int, np.argwhere(dE == 1)[0])
             q = p.queues[j]
-            levels = weighted_net.weighted_levels(q.astype(float), m)
+            levels = {l: int(q[l]) / weighted_net.weights[(l, m)]
+                      for l in weighted_net.admissible[m]}
             assert levels[k] == min(levels.values())
 
     def test_tie_rules_agree_in_the_large(self, two_queue):

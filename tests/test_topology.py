@@ -36,9 +36,15 @@ def test_fractional_weight_parsing(weighted_net):
     assert weighted_net.weights[(1, 1)] == Fraction(1, 3)
 
 
-def test_incidence_sets(weighted_net):
-    assert weighted_net.incidence[0] == frozenset({0, 1})
-    assert weighted_net.incidence[1] == frozenset({1})
+@pytest.mark.parametrize("fixture", ["mm1", "mm1_stable", "two_queue", "weighted_net",
+                                     "shared_queues", "three_queue"])
+def test_routing_table(request, fixture):
+    topo = request.getfixturevalue(fixture)
+    assert len(topo.routes) == topo.M
+    for m, (ks, ws) in enumerate(topo.routes):
+        assert ks == tuple(sorted(topo.admissible[m]))
+        assert ws == tuple(float(topo.weights[(k, m)]) for k in ks)
+        assert all(type(w) is float for w in ws)
 
 
 def test_level_multipliers_exact(weighted_net):
@@ -52,7 +58,10 @@ def test_level_multipliers_exact(weighted_net):
 
 
 def test_weighted_levels(weighted_net):
-    levels = weighted_net.weighted_levels(np.array([1.0, 1.0]), 1)
+    # x_k / w_km from stream 2's routing table
+    ks, ws = weighted_net.routes[1]
+    levels = [1.0 / w for w in ws]
+    assert ks == (0, 1)
     assert levels[0] == pytest.approx(2.0)
     assert levels[1] == pytest.approx(3.0)
 
