@@ -10,6 +10,7 @@ from .ldp import (
     ActionSegment,
     NoFiniteStartError,
     RareEventSpec,
+    TooFewHitsError,
     estimate_rare_event,
     minimize_action,
     path_action,
@@ -42,6 +43,7 @@ __all__ = [
     "SamplePath",
     "SolverError",
     "TieRule",
+    "TooFewHitsError",
     "Topology",
     "TopologyError",
     "audit",

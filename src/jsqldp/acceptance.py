@@ -1,9 +1,7 @@
 """Acceptance criteria: quantitative desk-scale checks of the whole stack.
 
 Each criterion returns (passed, detail).  ``run_acceptance`` times them and
-is used both by the CLI subcommand and by the test suite.  ``fast=True``
-shrinks replication counts for smoke runs; the acceptance gate is the
-default sizes.
+is used both by the CLI subcommand and by the test suite.
 """
 from __future__ import annotations
 
@@ -52,10 +50,10 @@ def _hand_fluid_path() -> PiecewisePath:
     )
 
 
-def criterion_oracle_equivalence(fast: bool = False):
+def criterion_oracle_equivalence():
     rng = np.random.default_rng(42)
-    step = 2e-3 if fast else 1e-3
-    count = 10 if fast else 25
+    step = 1e-3
+    count = 25
     worst = 0.0
     for topo in (topo_single(), topo_pair()):
         cost = PoissonCost(topo)
@@ -73,16 +71,16 @@ def criterion_oracle_equivalence(fast: bool = False):
     return True, f"max |solver - oracle| = {worst:.2e} over {2 * count} points"
 
 
-def criterion_golden_value(fast: bool = False):
+def criterion_golden_value():
     topo = topo_single()
     wit = local_rate([1.0], [1.0], topo, PoissonCost(topo), tol=1e-8)
     err = abs(wit.value - GOLDEN_L)
     return err <= 1e-4, f"L(1,1) = {wit.value:.6f}, |err| = {err:.2e}"
 
 
-def criterion_domain_consistency(fast: bool = False):
+def criterion_domain_consistency():
     rng = np.random.default_rng(7)
-    goal = 30 if fast else 100
+    goal = 100
     done = 0
     worst = 0.0
     tol = 1e-8
@@ -118,11 +116,11 @@ def _all_labels(topo: Topology):
                 yield DomainLabel(zero_set=I, argmin_sets=tuple(J))
 
 
-def criterion_domain_partition(fast: bool = False):
+def criterion_domain_partition():
     rng = np.random.default_rng(3)
     topo = topo_pair()
     labels = list(_all_labels(topo))
-    n = 1000 if fast else 10_000
+    n = 10_000
     for _ in range(n):
         x = rng.uniform(0, 3, topo.K)
         u = rng.random()
@@ -139,7 +137,7 @@ def criterion_domain_partition(fast: bool = False):
     return True, f"{n} states each in exactly one domain"
 
 
-def criterion_fluid_worked_example(fast: bool = False):
+def criterion_fluid_worked_example():
     topo = topo_pair()
     T = 1.0
     details = []
@@ -179,11 +177,11 @@ def _halving_errors(topo, q0, T):
     return [float(np.abs(sols[i] - sols[i + 1]).max()) for i in range(len(sols) - 1)]
 
 
-def criterion_lyapunov(fast: bool = False):
+def criterion_lyapunov():
     rng = np.random.default_rng(11)
     topo = topo_pair()
     h = 1e-3
-    pairs = 5 if fast else 20
+    pairs = 20
     worst = 0.0
     for _ in range(pairs):
         knots = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, 4)), [1.0]])
@@ -199,7 +197,7 @@ def criterion_lyapunov(fast: bool = False):
     return worst <= 5 * h, f"max positive L1 increment {worst:.2e} (bound {5 * h:g})"
 
 
-def criterion_fluid_limit(fast: bool = False):
+def criterion_fluid_limit():
     topo = topo_pair()
     T = 1.0
     a = PiecewisePath.cumulative_linear(topo.lam, T)
@@ -207,8 +205,8 @@ def criterion_fluid_limit(fast: bool = False):
     fl = fluid_solve(topo, [1.0, 0.0], a, b, T, 1e-3)
     grid = np.linspace(0, T, 1001)
     fl_vals = fl.queue(grid)
-    seeds = range(5) if fast else range(20)
-    n = 2000 if fast else 10_000
+    seeds = range(20)
+    n = 10_000
     good = 0
     for s in seeds:
         p = simulate(topo, n, T, seed=s, q0_scaled=[1.0, 0.0])
@@ -223,14 +221,11 @@ def criterion_fluid_limit(fast: bool = False):
     return True, f"{good} seeds within 0.05; fluid-path action {report.total:.2e}"
 
 
-def criterion_ldp_sanity(fast: bool = False):
+def criterion_ldp_sanity():
     topo = topo_pair_drain()
     event = RareEventSpec("terminal", 0, 1.0, 1.0)
     _, value = minimize_action(event, topo, PoissonCost(topo), segments=1, seed=0)
-    if fast:
-        scales, reps = [5, 10], [100_000, 1_000_000]
-    else:
-        scales, reps = [10, 20, 40], [2_000_000, 100_000_000, 2_000_000]
+    scales, reps = [10, 20, 40], [2_000_000, 100_000_000, 2_000_000]
     report = estimate_rare_event(event, topo, scales, reps, seed=7)
     fit = report["fit"]
     if fit is None:
@@ -244,9 +239,9 @@ def criterion_ldp_sanity(fast: bool = False):
     )
 
 
-def criterion_simulator_audit(fast: bool = False):
+def criterion_simulator_audit():
     rng = np.random.default_rng(5)
-    runs = 20 if fast else 100
+    runs = 100
     topos = [topo_single(), topo_pair(),
              validate({"K": 2, "M": 2, "admissible": [[1], [1, 2]],
                        "weights": [{"1": 1}, {"1": 2, "2": 1}],
@@ -269,7 +264,7 @@ def criterion_simulator_audit(fast: bool = False):
     return True, f"{runs} runs audited; reruns identical"
 
 
-def criterion_cost_properties(fast: bool = False):
+def criterion_cost_properties():
     if pi(1.0) != 0.0 or pi(0.0) != 1.0:
         return False, "pi endpoint values wrong"
     rng = np.random.default_rng(9)
@@ -322,14 +317,14 @@ CRITERIA = [
 ]
 
 
-def run_acceptance(only: str | None = None, fast: bool = False) -> list[dict]:
+def run_acceptance(only: str | None = None) -> list[dict]:
     results = []
     for name, fn in CRITERIA:
         if only and only not in name:
             continue
         t0 = time.time()
         try:
-            passed, detail = fn(fast=fast)
+            passed, detail = fn()
         except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(

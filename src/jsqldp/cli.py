@@ -1,17 +1,17 @@
 """Command-line interface: one binary, subcommand style.
 
 Every subcommand takes ``--topology`` (JSON network description) and writes a
-run manifest beside each output file.  Exit codes: 0 success, 2 bad input or
-missing file, 3 violated precondition, 4 the rate solver failed,
-1 internal failure.  Failures past argument parsing print a JSON error to
-stderr.
+run manifest beside each output file.  The CLI parses text; the library
+checks every value.  Exit codes: 0 success, 2 bad input or missing file (any
+library ``ValueError``), 3 violated precondition (``NoFiniteStartError``,
+``TooFewHitsError``), 4 the rate solver failed (``SolverError``), 1 internal
+failure.  Failures past argument parsing print a JSON error to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -20,8 +20,8 @@ import numpy as np
 from . import topology as topo_mod
 from .cost import PoissonCost
 from .fluid import fluid_solve
-from .ldp import (NoFiniteStartError, RareEventSpec, estimate_rare_event, minimize_action,
-                  path_action)
+from .ldp import (NoFiniteStartError, RareEventSpec, TooFewHitsError, estimate_rare_event,
+                  minimize_action, path_action)
 from .manifest import RunManifest
 from .piecewise import PiecewisePath
 from .rate import SolverError, local_rate, local_rate_bruteforce
@@ -43,56 +43,23 @@ def _load_topology(path: str):
         raise CliError(f"invalid topology: {exc}", 2) from exc
 
 
-def _require(ok: bool, message: str) -> None:
-    """Reject a bad argument value with exit code 2."""
-    if not ok:
-        raise CliError(message, 2)
-
-
-def _vector(text: str, length: int, what: str, state: bool = False) -> np.ndarray:
-    """``length`` finite numbers, nonnegative for a ``state``."""
+def _vector(text: str, length: int, what: str) -> np.ndarray:
+    """``length`` finite numbers."""
     try:
         v = np.array([float(p) for p in text.replace(",", " ").split()])
     except ValueError as exc:
         raise CliError(f"cannot parse {what}: {text!r}", 2) from exc
-    _require(len(v) == length, f"{what} must have {length} entries")
-    _require(bool(np.all(np.isfinite(v) & (v >= 0 if state else True))),
-             f"{what} must be finite{' and nonnegative' if state else ''}, got {text!r}")
+    if len(v) != length or not np.all(np.isfinite(v)):
+        raise CliError(f"{what} must be {length} finite numbers, got {text!r}", 2)
     return v
 
 
-def _positive(value: float, what: str) -> None:
-    _require(math.isfinite(value) and value > 0, f"{what} must be positive, got {value}")
-
-
 def _counts(text: str, what: str, parse) -> list[int]:
-    """Comma-separated positive integers, each read by ``parse``."""
+    """Comma-separated integers, each read by ``parse``."""
     try:
-        values = [parse(part) for part in text.split(",")]
+        return [parse(part) for part in text.split(",")]
     except (ValueError, OverflowError) as exc:
         raise CliError(f"cannot parse {what}: {text!r}", 2) from exc
-    _require(all(v >= 1 for v in values), f"{what} must be positive integers, got {text!r}")
-    return values
-
-
-def _event(text: str, K: int) -> RareEventSpec:
-    try:
-        event = RareEventSpec.parse(text)
-    except ValueError as exc:
-        raise CliError(str(exc), 2) from exc
-    _require(0 <= event.queue < K, f"event {text!r} names no queue of the {K}")
-    _require(event.kind == "terminal",
-             f"event {text!r}: the path search supports only terminal events")
-    return event
-
-
-def _minimize(event: RareEventSpec, topo, args, **kwargs):
-    """minimize_action; no start at finite action is a violated precondition."""
-    try:
-        return minimize_action(event, topo, PoissonCost(topo), segments=args.segments,
-                               seed=args.seed, **kwargs)
-    except NoFiniteStartError as exc:
-        raise CliError(str(exc), 3) from exc
 
 
 def _read_paths(path: str, what: str, widths: dict[str, int]):
@@ -137,11 +104,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def cmd_simulate(args) -> int:
     topo = _load_topology(args.topology)
-    _require(args.n >= 1, f"--n must be >= 1, got {args.n}")
-    _require(math.isfinite(args.T) and args.T >= 0,
-             f"--T must be finite and nonnegative, got {args.T}")
-    _positive(args.grid, "--grid")
-    q0 = _vector(args.q0, topo.K, "--q0", state=True) if args.q0 else np.zeros(topo.K)
+    q0 = _vector(args.q0, topo.K, "--q0") if args.q0 else np.zeros(topo.K)
     tie = TieRule.LOWEST_INDEX if args.tie == "lowest" else TieRule.UNIFORM_RANDOM
     path = simulate(topo, args.n, args.T, args.seed, tie, q0)
     sc = scale_counters(path, args.grid)
@@ -167,30 +130,21 @@ def cmd_simulate(args) -> int:
 
 def cmd_rate(args) -> int:
     topo = _load_topology(args.topology)
-    x = _vector(args.x, topo.K, "--x", state=True)
+    x = _vector(args.x, topo.K, "--x")
     y = _vector(args.y, topo.K, "--y")
-    _positive(args.tol, "--tol")
-    _positive(args.oracle_step, "--oracle-step")
-    _positive(args.oracle_radius, "--oracle-radius")
     cost = PoissonCost(topo)
-    wit = local_rate(x, y, topo, cost, tol=args.tol)
-    out = wit.to_dict()
+    out = local_rate(x, y, topo, cost, tol=args.tol).to_dict()
     if args.oracle:
-        try:
-            out["oracle"] = local_rate_bruteforce(
-                x, y, topo, cost, grid_step=args.oracle_step, box_radius=args.oracle_radius
-            )
-        except ValueError as exc:
-            raise CliError(f"--oracle: {exc}", 2) from exc
+        out["oracle"] = local_rate_bruteforce(
+            x, y, topo, cost, grid_step=args.oracle_step, box_radius=args.oracle_radius
+        )
     _print_json(out)
     return 0
 
 
 def cmd_fluid(args) -> int:
     topo = _load_topology(args.topology)
-    _positive(args.T, "--T")
-    _positive(args.h, "--h")
-    q0 = _vector(args.q0, topo.K, "--q0", state=True)
+    q0 = _vector(args.q0, topo.K, "--q0")
     raw, (a, b) = _read_paths(args.inputs, "inputs", {"a": topo.M, "b": topo.K})
     sol = fluid_solve(topo, q0, a, b, args.T, args.h)
     header = (["t"] + [f"q_{k+1}" for k in range(topo.K)]
@@ -220,11 +174,10 @@ def cmd_action(args) -> int:
 
 def cmd_optimize(args) -> int:
     topo = _load_topology(args.topology)
-    event = _event(args.event, topo.K)
-    _require(args.segments >= 1, f"--segments must be >= 1, got {args.segments}")
-    _require(args.starts >= 1, f"--starts must be >= 1, got {args.starts}")
-    q0 = _vector(args.q0, topo.K, "--q0", state=True) if args.q0 else None
-    path, value = _minimize(event, topo, args, q0=q0, starts=args.starts)
+    q0 = _vector(args.q0, topo.K, "--q0") if args.q0 else None
+    path, value = minimize_action(RareEventSpec.parse(args.event), topo, PoissonCost(topo),
+                                  segments=args.segments, q0=q0, starts=args.starts,
+                                  seed=args.seed)
     _print_json({
         "value": value,
         "path": {"t": list(map(float, path.breakpoints)),
@@ -235,19 +188,17 @@ def cmd_optimize(args) -> int:
 
 def cmd_verify(args) -> int:
     topo = _load_topology(args.topology)
-    event = _event(args.event, topo.K)
-    _require(args.segments >= 1, f"--segments must be >= 1, got {args.segments}")
+    event = RareEventSpec.parse(args.event)
     scales = _counts(args.scales, "--scales", int)
     reps = _counts(args.reps, "--reps", lambda r: int(float(r)))
     if len(reps) == 1:
         reps = reps * len(scales)
-    _require(len(reps) == len(scales), "--reps needs one count, or one per scale")
+    elif len(reps) != len(scales):
+        raise CliError(f"--reps needs one count, or one per scale, got {args.reps!r}", 2)
     # the path search is the cheap half, so its failures come first
-    _, value = _minimize(event, topo, args)
-    try:
-        report = estimate_rare_event(event, topo, scales, reps, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc), 3) from exc
+    _, value = minimize_action(event, topo, PoissonCost(topo), segments=args.segments,
+                               seed=args.seed)
+    report = estimate_rare_event(event, topo, scales, reps, seed=args.seed)
     report["variational_value"] = value
     out = args.out
     _write_csv(out, ["inv_n", "n", "reps", "hits", "p_hat", "rate"],
@@ -271,7 +222,7 @@ def cmd_verify(args) -> int:
 def cmd_acceptance(args) -> int:
     from .acceptance import run_acceptance
 
-    results = run_acceptance(only=args.only, fast=args.fast)
+    results = run_acceptance(only=args.only)
     width = max(len(r["name"]) for r in results)
     ok = True
     for r in results:
@@ -343,22 +294,27 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("acceptance", help="run the acceptance criteria suite")
     s.add_argument("--only", default=None,
                    help="run only criteria whose name contains this substring")
-    s.add_argument("--fast", action="store_true",
-                   help="reduced replication counts (not the acceptance gate)")
     s.set_defaults(func=cmd_acceptance)
     return p
 
 
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, CliError):
+        return exc.code
+    if isinstance(exc, (NoFiniteStartError, TooFewHitsError)):
+        return 3
+    if isinstance(exc, SolverError):
+        return 4
+    return 2 if isinstance(exc, ValueError) else 1
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, SolverError, ValueError, OSError) as exc:
+    except (CliError, NoFiniteStartError, SolverError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        if isinstance(exc, CliError):
-            return exc.code
-        return 4 if isinstance(exc, SolverError) else 1
+        return _exit_code(exc)
 
 
 def main() -> None:

@@ -81,8 +81,9 @@ def fluid_route_step(
     q = np.asarray(q, dtype=float)
     da = np.asarray(da, dtype=float)
     db = np.asarray(db, dtype=float)
-    if np.any(da < 0) or np.any(db < 0) or np.any(q < 0):
-        raise ValueError("inputs must be nonnegative")
+    # >= rather than < 0, so that NaN fails too: it would stall water_fill
+    if not (np.all(da >= 0) and np.all(db >= 0) and np.all(q >= 0)):
+        raise ValueError(f"inputs must be nonnegative, got q={q}, da={da}, db={db}")
     K, M = topology.K, topology.M
     e_step = np.zeros((K, M))
     work = q.copy()
@@ -107,16 +108,22 @@ def fluid_solve(
     T: float,
     h: float,
 ) -> FluidSolution:
-    """March the fluid system to horizon T with step at most h."""
+    """March the fluid system to horizon T with step at most h.
+
+    Raises ValueError unless q0 is K finite nonnegative numbers, T and h are
+    positive and finite, and a and b are nondecreasing paths on [0, T].
+    """
     q0 = np.asarray(q0, dtype=float)
-    if np.any(q0 < 0):
-        raise ValueError("initial state must be nonnegative")
-    if h <= 0 or T <= 0:
-        raise ValueError("horizon and step must be positive")
+    if q0.shape != (topology.K,) or not np.all(np.isfinite(q0) & (q0 >= 0)):
+        raise ValueError(f"initial state must be {topology.K} finite nonnegative numbers, "
+                         f"got q0={q0}")
+    if not (0 < T < np.inf and 0 < h < np.inf):
+        raise ValueError(f"horizon and step must be positive and finite, got T={T}, h={h}")
     if a.horizon < T - 1e-12 or b.horizon < T - 1e-12:
-        raise ValueError("inputs must be defined on [0, T]")
+        raise ValueError(f"inputs must be defined on [0, T], got T={T} and inputs a, b "
+                         f"ending at {a.horizon}, {b.horizon}")
     if not a.is_nondecreasing(atol=1e-12) or not b.is_nondecreasing(atol=1e-12):
-        raise ValueError("cumulative inputs must be nondecreasing")
+        raise ValueError("cumulative inputs a and b must be nondecreasing")
     K, M = topology.K, topology.M
     n_steps = max(1, int(np.ceil(T / h - 1e-12)))
     ts = np.linspace(0.0, T, n_steps + 1)

@@ -26,6 +26,10 @@ class NoFiniteStartError(RuntimeError):
     """Raised when no start of the path search reaches the event at finite action."""
 
 
+class TooFewHitsError(ValueError):
+    """Raised when the smallest scale of a Monte Carlo run gets fewer than 10 hits."""
+
+
 @dataclass
 class ActionSegment:
     t0: float
@@ -123,8 +127,8 @@ class RareEventSpec:
 
     kind 'terminal': scaled queue ``queue`` at time T is >= threshold;
     kind 'running_max': its running maximum over [0, T] is >= threshold.
-    ``queue`` is 0-based internally.  T must be positive and finite and the
-    threshold finite.
+    ``queue`` is 0-based internally and nonnegative.  T must be positive and
+    finite and the threshold finite.
     """
 
     kind: str
@@ -134,7 +138,10 @@ class RareEventSpec:
 
     def __post_init__(self):
         if self.kind not in ("terminal", "running_max"):
-            raise ValueError("event kind must be 'terminal' or 'running_max'")
+            raise ValueError(
+                f"event kind must be 'terminal' or 'running_max', got {self.kind!r}")
+        if self.queue < 0:
+            raise ValueError(f"event queue must be >= 1, got k={self.queue + 1}")
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"event horizon T must be positive and finite, got {self.T}")
         if not math.isfinite(self.threshold):
@@ -245,6 +252,11 @@ def _count_hits(event: RareEventSpec, topology: Topology, n: int, reps: int,
     return hits
 
 
+def _check_queue(event: RareEventSpec, topology: Topology) -> None:
+    if event.queue >= topology.K:
+        raise ValueError(f"event queue {event.queue + 1} is not one of the {topology.K} queues")
+
+
 def estimate_rare_event(
     event: RareEventSpec,
     topology: Topology,
@@ -256,14 +268,15 @@ def estimate_rare_event(
 
     Zero-hit scales yield a one-sided Wilson bound and are excluded from the
     fit; the fitted intercept of rate = I + c/n is the reported empirical
-    rate.  Requires the expected hit count at the smallest scale to be >= 10.
+    rate.  Raises TooFewHitsError when the smallest scale gets fewer than 10
+    hits.
     """
     if len(reps) != len(scales):
-        raise ValueError("one replication count per scale required")
+        raise ValueError(f"one replication count per scale required, got reps={reps}")
     if not scales or min(scales) < 1 or min(reps) < 1:
-        raise ValueError("scales and replication counts must be at least 1")
-    if not 0 <= event.queue < topology.K:
-        raise ValueError(f"event queue {event.queue + 1} is not one of the {topology.K} queues")
+        raise ValueError("scales and replication counts must be at least 1, got "
+                         f"scales={scales}, reps={reps}")
+    _check_queue(event, topology)
     rows = []
     for n, R in zip(scales, reps):
         hits = _count_hits(event, topology, n, R, seed)
@@ -287,8 +300,9 @@ def estimate_rare_event(
     # enforce the expected-hits precondition at the smallest scale
     smallest = min(rows, key=lambda r: r["n"])
     if smallest["hits"] < 10:
-        raise ValueError(
-            "replication count too low: fewer than 10 hits at the smallest scale"
+        raise TooFewHitsError(
+            f"replication count too low: {smallest['hits']} hits at the smallest scale "
+            f"n={smallest['n']}, fewer than 10"
         )
     pts = [(r["n"], r["rate"]) for r in rows if r["rate"] is not None]
     fit = None
@@ -344,15 +358,18 @@ def minimize_action(
     Searches interior breakpoint values (and non-threshold terminal
     coordinates) by seeded multistart pattern search; the returned action is
     an upper bound on the infimum over the event, not a global certificate.
-    Raises NoFiniteStartError when every start ends at infinite action, as
-    when the only finite paths run along a weighted tie.
+    Raises ValueError for an event that is not terminal or names no queue of
+    the topology and for fewer than one segment or start, and
+    NoFiniteStartError when every start ends at infinite action, as when the
+    only finite paths run along a weighted tie.
     """
     if event.kind != "terminal":
-        raise ValueError("only terminal-threshold events are supported")
+        raise ValueError(f"the path search supports only terminal events, got {event.kind!r}")
+    _check_queue(event, topology)
     if segments < 1:
-        raise ValueError("need at least one segment")
+        raise ValueError(f"need at least one segment, got segments={segments}")
     if starts < 1:
-        raise ValueError("need at least one start")
+        raise ValueError(f"need at least one start, got starts={starts}")
     K = topology.K
     q0 = np.zeros(K) if q0 is None else np.asarray(q0, dtype=float)
     ts = np.linspace(0.0, event.T, segments + 1)

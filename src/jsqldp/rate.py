@@ -85,9 +85,9 @@ def classify_domain(x: np.ndarray, topology: Topology) -> DomainLabel:
     """Zero set and per-stream weighted-argmin sets of a state vector."""
     x = np.asarray(x, dtype=float)
     if x.shape != (topology.K,):
-        raise ValueError("state dimension does not match topology")
+        raise ValueError(f"state must have {topology.K} entries, got x of shape {x.shape}")
     if not np.all(np.isfinite(x) & (x >= 0)):
-        raise ValueError("state must be finite and componentwise nonnegative")
+        raise ValueError(f"state must be finite and componentwise nonnegative, got x={x}")
     zero = frozenset(int(k) for k in np.flatnonzero(x == 0.0))
     xs = x.tolist()
     argmins = []
@@ -283,7 +283,7 @@ def _solve_dual(argmin_sets, busy, lone, y, lam, mu):
 def _velocity(y, topology: Topology) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (topology.K,) or not np.all(np.isfinite(y)):
-        raise ValueError(f"velocity must be {topology.K} finite numbers")
+        raise ValueError(f"velocity must be {topology.K} finite numbers, got y={y}")
     return y
 
 
@@ -305,7 +305,7 @@ def _rate_on_domain(
     gap to the cost of the witness.
     """
     if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+        raise ValueError(f"tol must be positive, got tol={tol!r}")
     y = _velocity(y, topology)
     if not isinstance(cost, PoissonCost):
         raise ValueError("the rate program needs a PoissonCost")
@@ -392,11 +392,13 @@ def local_rate_bruteforce(
     y = _velocity(y, topology)
     K, M = topology.K, topology.M
     if x.shape != (K,) or not np.all(np.isfinite(x) & (x >= 0)):
-        raise ValueError(f"state must be {K} finite nonnegative numbers")
+        raise ValueError(f"state must be {K} finite nonnegative numbers, got x={x}")
     if not (0 < grid_step < math.inf and 0 < box_radius < math.inf):
-        raise ValueError("grid step and box radius must be positive and finite")
+        raise ValueError("grid step and box radius must be positive and finite, got "
+                         f"grid_step={grid_step}, box_radius={box_radius}")
     if K * M + M + 2 * K > 8:
-        raise ValueError("dimension budget exceeded for brute-force oracle")
+        raise ValueError("dimension budget exceeded for brute-force oracle: "
+                         f"K*M + M + 2K = {K * M + M + 2 * K} > 8")
     if not isinstance(cost, PoissonCost):
         raise ValueError("the rate program needs a PoissonCost")
     busy = x > 0

@@ -63,16 +63,17 @@ class SamplePath:
 def _initial_queues(topology: Topology, n: int, T: float, q0_scaled) -> np.ndarray:
     """floor(n * q0_scaled), after checking the arguments of a run."""
     if n < 1:
-        raise ValueError("scale must be >= 1")
+        raise ValueError(f"scale must be >= 1, got n={n}")
     if not (math.isfinite(T) and T >= 0):
-        raise ValueError(f"horizon must be finite and nonnegative, got {T!r}")
+        raise ValueError(f"horizon must be finite and nonnegative, got T={T!r}")
     if q0_scaled is None:
         return np.zeros(topology.K, dtype=np.int64)
     q0 = np.asarray(q0_scaled, dtype=float)
     if q0.shape != (topology.K,):
-        raise ValueError(f"initial state must have {topology.K} entries, got shape {q0.shape}")
+        raise ValueError(f"initial state must have {topology.K} entries, "
+                         f"got q0_scaled of shape {q0.shape}")
     if not (np.all(np.isfinite(q0)) and np.all(q0 >= 0)):
-        raise ValueError(f"initial state must be finite and nonnegative, got {q0}")
+        raise ValueError(f"initial state must be finite and nonnegative, got q0_scaled={q0}")
     return np.floor(n * q0).astype(np.int64)
 
 
@@ -227,15 +228,24 @@ def audit(path: SamplePath, topology: Topology) -> None:
         raise AssertionError("service jump with customer present must depart")
 
 
+def _grid(path: SamplePath, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform grid of scaled time over the run, and the index of the event
+    row in force at each grid time."""
+    if not 0 < grid_step < math.inf:
+        raise ValueError(f"grid step must be positive and finite, got grid_step={grid_step}")
+    ts = np.arange(0.0, path.horizon / path.n + grid_step / 2, grid_step)
+    return ts, np.searchsorted(path.times, ts * path.n, side="right") - 1
+
+
 def scale_path(path: SamplePath, grid_step: float = 1e-3) -> PiecewisePath:
     """Scaled queue path Q(n t)/n sampled on a uniform grid of scaled time.
 
     The underlying step path is right-continuous; sampling keeps the value
-    in force at each grid time.
+    in force at each grid time.  Raises ValueError unless ``grid_step`` is
+    positive and finite.
     """
     T = path.horizon / path.n
-    ts = np.arange(0.0, T + grid_step / 2, grid_step)
-    idx = np.searchsorted(path.times, ts * path.n, side="right") - 1
+    ts, idx = _grid(path, grid_step)
     vals = path.queues[idx] / path.n
     if len(ts) < 2:
         ts = np.array([0.0, T if T > 0 else 1.0])
@@ -244,10 +254,11 @@ def scale_path(path: SamplePath, grid_step: float = 1e-3) -> PiecewisePath:
 
 
 def scale_counters(path: SamplePath, grid_step: float = 1e-3) -> dict[str, np.ndarray]:
-    """All scaled processes sampled on a uniform grid, for CSV export."""
-    T = path.horizon / path.n
-    ts = np.arange(0.0, T + grid_step / 2, grid_step)
-    idx = np.searchsorted(path.times, ts * path.n, side="right") - 1
+    """All scaled processes sampled on a uniform grid, for CSV export.
+
+    Raises ValueError unless ``grid_step`` is positive and finite.
+    """
+    ts, idx = _grid(path, grid_step)
     return {
         "t": ts,
         "Q": path.queues[idx] / path.n,

@@ -28,7 +28,7 @@ class TopologyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """Validated, immutable network description.
 
@@ -36,7 +36,8 @@ class Topology:
     in ``admissible[m]``; queue k carries weight ``weights[(k, m)]`` for that
     stream.  ``lam`` and ``mu`` are the nominal arrival and service rates.
     ``routes[m]`` is stream m's routing table, built once: its queues in
-    index order and their float weights.
+    index order and their float weights.  Topologies compare and hash by
+    identity, so two loads of one file are two distinct keys.
     """
 
     K: int

@@ -6,5 +6,5 @@ from jsqldp.acceptance import CRITERIA
 
 @pytest.mark.parametrize("name,criterion", CRITERIA, ids=[c[0] for c in CRITERIA])
 def test_criterion(name, criterion):
-    passed, detail = criterion(fast=False)
+    passed, detail = criterion()
     assert passed, detail

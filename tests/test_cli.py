@@ -65,9 +65,11 @@ class TestErrors:
         ("action", json.dumps(PATH | {"t": 1.0}), "'q'"),
         ("action", json.dumps([PATH]), "lacks 't', 'q'"),
         ("action", "not json", "not valid JSON"),
+        ("fluid", json.dumps(FLUID_INPUTS | {"a": [[3.0], [0.0]]}), "must be nondecreasing"),
+        ("fluid", json.dumps(FLUID_INPUTS | {"t": [0.0, 0.5]}), "ending at 0.5"),
     ], ids=["fluid-no-a", "fluid-no-b", "fluid-no-t", "fluid-b-width", "fluid-bad-json",
             "action-no-q", "action-no-t", "action-scalar-t", "action-not-object",
-            "action-bad-json"])
+            "action-bad-json", "fluid-decreasing", "fluid-short"])
     def test_malformed_input_file_is_exit_2(self, topo_file, tmp_path, capsys,
                                            command, text, message):
         f = tmp_path / "input.json"
@@ -82,35 +84,44 @@ class TestErrors:
         assert message in err["error"]
 
     @pytest.mark.parametrize("argv,message", [
-        (["simulate", "--n", "0", "--T", "1"], "--n"),
-        (["simulate", "--n", "5", "--T", "-1"], "--T"),
-        (["simulate", "--n", "5", "--T", "1", "--q0", "-1 0"], "--q0"),
-        (["simulate", "--n", "5", "--T", "1", "--grid", "0"], "--grid"),
+        (["simulate", "--n", "0", "--T", "1"], "n=0"),
+        (["simulate", "--n", "5", "--T", "-1"], "T=-1.0"),
+        (["simulate", "--n", "5", "--T", "1", "--q0", "-1 0"], "q0_scaled="),
+        (["simulate", "--n", "5", "--T", "1", "--grid", "0"], "grid_step=0.0"),
         (["verify", "--event", "terminal:k=1,c=1,T=1", "--scales", "5,x"], "--scales"),
         (["verify", "--event", "terminal:k=1,c=1,T=1", "--scales", "5,10", "--reps", "1,2,3"],
          "--reps"),
-        (["fluid", "--q0", "1 0", "--T", "0"], "--T"),
-        (["rate", "--x", "-1 0", "--y", "0 0"], "--x"),
-        (["optimize", "--event", "terminal:k=3,c=1,T=1"], "names no queue"),
-        (["optimize", "--event", "terminal:k=1,c=1,T=1", "--segments", "0"], "--segments"),
-        (["rate", "--x", "1 1", "--y", "0 0", "--tol", "0"], "--tol"),
-        (["rate", "--x", "1 1", "--y", "0 0", "--oracle", "--oracle-step", "0"], "--oracle-step"),
+        (["fluid", "--q0", "1 0", "--T", "0"], "T=0.0"),
+        (["rate", "--x", "-1 0", "--y", "0 0"], "x=["),
+        (["optimize", "--event", "terminal:k=3,c=1,T=1"], "queue 3 is not one of the 2"),
+        (["optimize", "--event", "terminal:k=1,c=1,T=1", "--segments", "0"], "segments=0"),
+        (["rate", "--x", "1 1", "--y", "0 0", "--tol", "0"], "tol=0.0"),
+        (["rate", "--x", "1 1", "--y", "0 0", "--oracle", "--oracle-step", "0"],
+         "grid_step=0.0"),
         (["rate", "--x", "1 1", "--y", "0 0", "--oracle", "--oracle-radius", "-1"],
-         "--oracle-radius"),
+         "box_radius=-1.0"),
         (["rate", "--x", "1 1", "--y", "nan 0"], "--y"),
         (["optimize", "--event", "running_max:k=1,c=1,T=1"], "only terminal events"),
         (["verify", "--event", "running_max:k=1,c=1,T=1"], "only terminal events"),
-        (["optimize", "--event", "terminal:k=1,c=1,T=1", "--starts", "-3"], "--starts"),
+        (["optimize", "--event", "terminal:k=1,c=1,T=1", "--starts", "-3"], "starts=-3"),
         (["optimize", "--event", "terminal:k=1,c=1,T=-1"], "event horizon T"),
         (["optimize", "--event", "terminal:k=1,c=1,T=0"], "event horizon T"),
         (["optimize", "--event", "terminal:k=1,c=1,T=inf"], "event horizon T"),
         (["verify", "--event", "terminal:k=1,c=nan,T=1"], "event threshold c"),
+        (["fluid", "--q0", "1 0", "--T", "1", "--h", "nan"], "h=nan"),
+        (["simulate", "--n", "5", "--T", "1", "--grid", "nan"], "grid_step=nan"),
+        # a likely event, so the path search returns 0 and the Monte Carlo
+        # run checks its counts
+        (["verify", "--event", "terminal:k=1,c=0.2,T=1", "--scales", "5", "--reps", "0"],
+         "reps=[0]"),
+        (["optimize", "--event", "terminal:k=0,c=1,T=1"], "k=0"),
     ], ids=["simulate-n0", "simulate-T-negative", "simulate-q0-negative", "simulate-grid0",
             "verify-scales-unparsable", "verify-reps-count", "fluid-T0", "rate-x-negative",
             "optimize-queue-out-of-range", "optimize-segments0", "rate-tol0",
             "rate-oracle-step0", "rate-oracle-radius-negative", "rate-y-nan",
             "optimize-running-max", "verify-running-max", "optimize-starts-negative",
-            "optimize-T-negative", "optimize-T0", "optimize-T-inf", "verify-c-nan"])
+            "optimize-T-negative", "optimize-T0", "optimize-T-inf", "verify-c-nan",
+            "fluid-h-nan", "simulate-grid-nan", "verify-reps0", "optimize-k0"])
     def test_bad_argument_value_is_exit_2(self, topo_file, tmp_path, capsys, argv, message):
         inputs = tmp_path / "inputs.json"
         inputs.write_text(json.dumps(self.FLUID_INPUTS))
@@ -152,6 +163,8 @@ class TestErrors:
                     "--scales", "10", "--reps", "100",
                     "--out", str(tmp_path / "v.csv")])
         assert code == 3
+        assert "replication count too low" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "v.csv").exists()
 
 
 class TestRate:

@@ -63,6 +63,9 @@ class TestRouteStep:
     def test_negative_inputs_rejected(self, mm1):
         with pytest.raises(ValueError):
             fluid_route_step(np.array([1.0]), np.array([-0.1]), np.array([0.0]), mm1)
+        # a NaN queue level never settles in water_fill
+        with pytest.raises(ValueError):
+            fluid_route_step(np.array([np.nan]), np.array([1.0]), np.array([0.0]), mm1)
 
 
 class TestSolve:
@@ -116,6 +119,22 @@ class TestSolve:
         b = PiecewisePath.cumulative_linear(mm1.mu, 1.0)
         with pytest.raises(ValueError, match="defined on"):
             fluid_solve(mm1, [0.0], a, b, 1.0, 1e-2)
+
+
+    @pytest.mark.parametrize("T,h", [(float("nan"), 1e-2), (1.0, float("nan")),
+                                     (float("inf"), 1e-2), (1.0, 0.0)])
+    def test_horizon_and_step_must_be_positive_and_finite(self, mm1, T, h):
+        a = PiecewisePath.cumulative_linear(mm1.lam, 1.0)
+        b = PiecewisePath.cumulative_linear(mm1.mu, 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            fluid_solve(mm1, [0.0], a, b, T, h)
+
+    @pytest.mark.parametrize("q0", [[0.0, 0.0], [-1.0], [float("nan")]])
+    def test_initial_state_must_fit_the_net(self, mm1, q0):
+        a = PiecewisePath.cumulative_linear(mm1.lam, 1.0)
+        b = PiecewisePath.cumulative_linear(mm1.mu, 1.0)
+        with pytest.raises(ValueError, match="q0="):
+            fluid_solve(mm1, q0, a, b, 1.0, 1e-2)
 
 
 class TestLyapunov:

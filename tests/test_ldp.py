@@ -11,6 +11,7 @@ from jsqldp import (
     PiecewisePath,
     PoissonCost,
     RareEventSpec,
+    TooFewHitsError,
     estimate_rare_event,
     minimize_action,
     path_action,
@@ -137,6 +138,13 @@ class TestEventSpec:
         with pytest.raises(ValueError, match="event threshold c"):
             RareEventSpec("terminal", 0, c, 1.0)
 
+    def test_negative_queue_rejected(self):
+        # k is 1-based, so k=0 is queue -1; no counter or search may see it
+        with pytest.raises(ValueError, match="got k=0"):
+            RareEventSpec("terminal", -1, 0.2, 1.0)
+        with pytest.raises(ValueError, match="got k=0"):
+            RareEventSpec.parse("terminal:k=0,c=1")
+
 
 class TestWilson:
     def test_zero_hits(self):
@@ -155,7 +163,7 @@ class TestWilson:
 class TestEstimate:
     def test_precondition_on_hit_count(self, mm1_stable):
         event = RareEventSpec("terminal", 0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="replication count too low"):
+        with pytest.raises(TooFewHitsError, match="replication count too low"):
             estimate_rare_event(event, mm1_stable, [10], [100], seed=0)
 
     def test_decay_rate_extrapolates_to_variational_value(self, mm1_stable):
@@ -182,7 +190,7 @@ class TestEstimate:
         p_runm = estimate_rare_event(runm, mm1_stable, [5], [50_000], seed=3)
         assert p_runm["scales"][0]["p_hat"] >= p_term["scales"][0]["p_hat"]
 
-    @pytest.mark.parametrize("queue", [1, -1])
+    @pytest.mark.parametrize("queue", [1, 4])
     def test_event_queue_must_exist(self, mm1_stable, queue):
         # the one-queue counter would otherwise count queue 1 for any index
         event = RareEventSpec("terminal", queue, 0.2, 1.0)
@@ -312,6 +320,12 @@ class TestMinimizeAction:
         event = RareEventSpec("terminal", 0, 1.0, 1.0)
         with pytest.raises(ValueError, match="at least one start"):
             minimize_action(event, mm1_stable, PoissonCost(mm1_stable), starts=starts)
+
+    def test_event_queue_must_exist(self, two_queue):
+        # queue 3 of a two-queue net; estimate_rare_event rejects it alike
+        event = RareEventSpec("terminal", 2, 1.0, 1.0)
+        with pytest.raises(ValueError, match="queue 3 is not one of the 2 queues"):
+            minimize_action(event, two_queue, PoissonCost(two_queue), starts=1)
 
     def test_no_finite_start_is_a_typed_error(self, two_queue):
         # every straight path off the tie grows a queue that is not the

@@ -210,6 +210,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             fn(two_queue, n, T, seed=0, q0_scaled=q0)
 
+    @pytest.mark.parametrize("fn", [scale_path, scale_counters])
+    @pytest.mark.parametrize("grid_step", [0.0, -1.0, float("nan")])
+    def test_grid_step_must_be_positive_and_finite(self, two_queue, fn, grid_step):
+        path = simulate(two_queue, 5, 1.0, seed=0)
+        with pytest.raises(ValueError, match="grid_step"):
+            fn(path, grid_step)
+
     def test_zero_horizon_is_the_initial_state(self, two_queue):
         p = simulate(two_queue, 5, 0.0, seed=0, q0_scaled=[1.0, 0.4])
         assert p.times.tolist() == [0.0]

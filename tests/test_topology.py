@@ -101,3 +101,14 @@ def test_direct_constructor_requires_all_weights():
             lam=np.array([1.0]),
             mu=np.array([1.0, 1.0]),
         )
+
+
+def test_compares_and_hashes_by_identity(tmp_path, weighted_net):
+    # the generated __eq__ compared the numpy rate vectors inside a tuple and
+    # raised; two topologies are equal only when they are one object
+    path = str(tmp_path / "net.json")
+    dump(weighted_net, path)
+    a, b = load(path), load(path)
+    assert a == a and a != b
+    assert {a: 1, b: 2}[a] == 1
+    assert hash(a) == hash(a)
