@@ -20,8 +20,8 @@ import numpy as np
 from . import topology as topo_mod
 from .cost import PoissonCost
 from .fluid import fluid_solve
-from .ldp import (NoFiniteStartError, RareEventSpec, TooFewHitsError, estimate_rare_event,
-                  minimize_action, path_action)
+from .ldp import (NoFiniteStartError, RareEventSpec, TooFewHitsError, _check_counts,
+                  estimate_rare_event, minimize_action, path_action)
 from .manifest import RunManifest
 from .piecewise import PiecewisePath
 from .rate import SolverError, local_rate, local_rate_bruteforce
@@ -195,6 +195,7 @@ def cmd_verify(args) -> int:
         reps = reps * len(scales)
     elif len(reps) != len(scales):
         raise CliError(f"--reps needs one count, or one per scale, got {args.reps!r}", 2)
+    _check_counts(scales, reps)
     # the path search is the cheap half, so its failures come first
     _, value = minimize_action(event, topo, PoissonCost(topo), segments=args.segments,
                                seed=args.seed)

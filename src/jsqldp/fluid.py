@@ -6,6 +6,13 @@ shortest (weighted) queues by water-filling, then departures drain each queue
 by at most the service increment.  Trajectorial uniqueness of the continuum
 system makes any consistent discretization converge to the same solution;
 ``lyapunov_check`` probes the contraction property that underlies it.
+
+The step runs on Python floats, because numpy's per-call overhead dominates
+on vectors of K and M entries.  ``fluid_solve`` checks its arguments once,
+takes every increment from one vectorized difference, and accumulates the
+routed and departed mass with one cumulative sum; the public
+``water_fill`` and ``fluid_route_step`` check their arguments and call the
+same private ``_fill`` and ``_step``.
 """
 from __future__ import annotations
 
@@ -24,46 +31,92 @@ class FluidSolution:
     departed: PiecewisePath       # K columns, cumulative
 
 
-def water_fill(levels: np.ndarray, widths: np.ndarray, mass: float) -> np.ndarray:
+def water_fill(levels, widths, mass: float) -> np.ndarray:
     """Allocate mass across bins so the lowest levels rise together.
 
     Raising bin i's level by dl consumes widths[i] * dl of mass.  Bins join
     the active set as the rising water reaches their level (up to
     ``tie_level``).  Returns the mass given to each bin; exact conservation:
-    allocation sums to mass.
+    allocation sums to mass.  A mass of at most 0 allocates nothing.  Raises
+    ValueError unless levels and widths are equally long, nonempty and
+    finite, the widths are positive and the mass is finite.
     """
+    levels = np.asarray(levels, dtype=float)
+    widths = np.asarray(widths, dtype=float)
+    if (levels.ndim != 1 or levels.shape != widths.shape or not len(levels)
+            or not np.all(np.isfinite(levels))
+            or not np.all(np.isfinite(widths) & (widths > 0))):
+        raise ValueError("levels and widths must be equally long nonempty vectors of "
+                         f"finite numbers, widths positive, got levels={levels}, "
+                         f"widths={widths}")
+    if not np.isfinite(mass):
+        raise ValueError(f"mass must be finite, got mass={mass}")
+    return np.array(_fill(levels.tolist(), widths.tolist(), float(mass)))
+
+
+def _fill(levels: list, widths: list, mass: float) -> list:
+    """``water_fill`` on Python floats, without argument checks."""
     n = len(levels)
-    alloc = np.zeros(n)
+    alloc = [0.0] * n
     if mass <= 0:
         return alloc
-    order = np.argsort(levels, kind="stable")
-    lv = levels[order]
+    order = sorted(range(n), key=levels.__getitem__)
     active_width = 0.0
-    level = lv[0]
+    level = levels[order[0]]
     i = 0
     remaining = mass
     while True:
-        while i < n and lv[i] <= tie_level(level):
+        while i < n and levels[order[i]] <= tie_level(level):
             active_width += widths[order[i]]
             i += 1
-        target = lv[i] if i < n else np.inf
+        if i >= n:
+            break
+        target = levels[order[i]]
         need = active_width * (target - level)
-        if need >= remaining or i >= n:
-            level += remaining / active_width
-            remaining = 0.0
+        if need >= remaining:
             break
         level = target
         remaining -= need
-    for j in range(i):
-        k = order[j]
-        alloc[k] = max(level - levels[k], 0.0) * widths[k]
-    # exact mass conservation despite rounding
-    drift = mass - alloc.sum()
-    if alloc.sum() > 0:
-        alloc[np.argmax(alloc)] += drift
+    level += remaining / active_width
+    for k in order[:i]:
+        gap = level - levels[k]
+        alloc[k] = (0.0 if gap < 0.0 else gap) * widths[k]
+    # exact mass conservation despite rounding; the total is the one numpy's
+    # sum gives, which adds fewer than 8 terms in order and more pairwise
+    if n < 8:
+        total = alloc[0]
+        for v in alloc[1:]:
+            total += v
+    else:
+        total = float(np.sum(alloc))
+    drift = mass - total
+    if total > 0:
+        alloc[alloc.index(max(alloc))] += drift
     else:
         alloc[order[0]] += drift
     return alloc
+
+
+def _step(q: list, da: list, db: list, routes, M: int) -> tuple[list, list, list]:
+    """``fluid_route_step`` on Python floats, without argument checks.
+
+    Returns the routed mass flat in row-major (k, m) order.  The comparisons
+    break ties as numpy's ``minimum`` and ``maximum`` do, towards their second
+    argument, so that the signs of zeros match too.
+    """
+    e = [0.0] * (len(q) * M)
+    work = list(q)
+    for m, (ks, ws) in enumerate(routes):
+        mass = da[m]
+        if mass == 0:
+            continue
+        alloc = _fill([work[k] / w for k, w in zip(ks, ws)], ws, mass)
+        for k, v in zip(ks, alloc):
+            e[k * M + m] = v
+            work[k] += v
+    d = [b if b < w else w for b, w in zip(db, work)]
+    q_next = [w - x for w, x in zip(work, d)]
+    return e, d, [x if x > 0.0 else 0.0 for x in q_next]
 
 
 def fluid_route_step(
@@ -76,28 +129,23 @@ def fluid_route_step(
 
     Streams are processed in index order against the running queue levels;
     departures are min(service increment, content plus inflow), so queues
-    never go negative and mass balance is exact.
+    never go negative and mass balance is exact.  Returns the routed mass as
+    a (K, M) array, the departures and the next queue levels.  Raises
+    ValueError unless q and db are K and da is M finite nonnegative numbers.
     """
+    K, M = topology.K, topology.M
     q = np.asarray(q, dtype=float)
     da = np.asarray(da, dtype=float)
     db = np.asarray(db, dtype=float)
-    # >= rather than < 0, so that NaN fails too: it would stall water_fill
-    if not (np.all(da >= 0) and np.all(db >= 0) and np.all(q >= 0)):
-        raise ValueError(f"inputs must be nonnegative, got q={q}, da={da}, db={db}")
-    K, M = topology.K, topology.M
-    e_step = np.zeros((K, M))
-    work = q.copy()
-    for m, (ks, ws) in enumerate(topology.routes):
-        if da[m] == 0:
-            continue
-        widths = np.array(ws)
-        alloc = water_fill(work.take(ks) / widths, widths, float(da[m]))
-        for k, v in zip(ks, alloc):
-            e_step[k, m] = v
-            work[k] += v
-    d_step = np.minimum(db, work)
-    q_next = work - d_step
-    return e_step, d_step, np.maximum(q_next, 0.0)
+    if q.shape != (K,) or da.shape != (M,) or db.shape != (K,):
+        raise ValueError(f"q and db must have {K} entries and da {M}, got q={q}, "
+                         f"da={da}, db={db}")
+    # a NaN level would stall the water-fill, an infinite one yields NaN
+    if not all(np.all(np.isfinite(v) & (v >= 0)) for v in (q, da, db)):
+        raise ValueError(f"inputs must be finite and nonnegative, got q={q}, da={da}, "
+                         f"db={db}")
+    e, d, q_next = _step(q.tolist(), da.tolist(), db.tolist(), topology.routes, M)
+    return np.array(e).reshape(K, M), np.array(d), np.array(q_next)
 
 
 def fluid_solve(
@@ -111,44 +159,45 @@ def fluid_solve(
     """March the fluid system to horizon T with step at most h.
 
     Raises ValueError unless q0 is K finite nonnegative numbers, T and h are
-    positive and finite, and a and b are nondecreasing paths on [0, T].
+    positive and finite, and a (M columns) and b (K columns) are finite
+    nondecreasing paths on [0, T].
     """
+    K, M = topology.K, topology.M
     q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (topology.K,) or not np.all(np.isfinite(q0) & (q0 >= 0)):
-        raise ValueError(f"initial state must be {topology.K} finite nonnegative numbers, "
+    if q0.shape != (K,) or not np.all(np.isfinite(q0) & (q0 >= 0)):
+        raise ValueError(f"initial state must be {K} finite nonnegative numbers, "
                          f"got q0={q0}")
     if not (0 < T < np.inf and 0 < h < np.inf):
         raise ValueError(f"horizon and step must be positive and finite, got T={T}, h={h}")
+    if a.dim != M or b.dim != K:
+        raise ValueError(f"inputs a and b must have {M} and {K} columns, "
+                         f"got a.dim={a.dim}, b.dim={b.dim}")
     if a.horizon < T - 1e-12 or b.horizon < T - 1e-12:
         raise ValueError(f"inputs must be defined on [0, T], got T={T} and inputs a, b "
                          f"ending at {a.horizon}, {b.horizon}")
+    if not (np.all(np.isfinite(a.values)) and np.all(np.isfinite(b.values))):
+        raise ValueError("cumulative inputs a and b must be finite")
     if not a.is_nondecreasing(atol=1e-12) or not b.is_nondecreasing(atol=1e-12):
         raise ValueError("cumulative inputs a and b must be nondecreasing")
-    K, M = topology.K, topology.M
     n_steps = max(1, int(np.ceil(T / h - 1e-12)))
     ts = np.linspace(0.0, T, n_steps + 1)
+    da = np.maximum(np.diff(a(ts), axis=0), 0)
+    db = np.maximum(np.diff(b(ts), axis=0), 0)
+    # row j of e_hist and d_hist holds step j's increments until the
+    # cumulative sums below; row 0 stays zero
     q_hist = np.empty((n_steps + 1, K))
     e_hist = np.zeros((n_steps + 1, K * M))
     d_hist = np.zeros((n_steps + 1, K))
     q_hist[0] = q0
-    a_vals = a(ts)
-    b_vals = b(ts)
-    q = q0.copy()
-    e_cum = np.zeros((K, M))
-    d_cum = np.zeros(K)
-    for j in range(n_steps):
-        da = np.maximum(a_vals[j + 1] - a_vals[j], 0.0)
-        db = np.maximum(b_vals[j + 1] - b_vals[j], 0.0)
-        e_step, d_step, q = fluid_route_step(q, da, db, topology)
-        e_cum += e_step
-        d_cum += d_step
-        q_hist[j + 1] = q
-        e_hist[j + 1] = e_cum.ravel()
-        d_hist[j + 1] = d_cum
+    q = q0.tolist()
+    routes = topology.routes
+    for j, (da_j, db_j) in enumerate(zip(da, db), 1):
+        e_hist[j], d_hist[j], q = _step(q, da_j.tolist(), db_j.tolist(), routes, M)
+        q_hist[j] = q
     return FluidSolution(
         queue=PiecewisePath(ts, q_hist),
-        routed=PiecewisePath(ts, e_hist),
-        departed=PiecewisePath(ts, d_hist),
+        routed=PiecewisePath(ts, np.cumsum(e_hist, axis=0)),
+        departed=PiecewisePath(ts, np.cumsum(d_hist, axis=0)),
     )
 
 

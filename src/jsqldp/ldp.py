@@ -257,6 +257,14 @@ def _check_queue(event: RareEventSpec, topology: Topology) -> None:
         raise ValueError(f"event queue {event.queue + 1} is not one of the {topology.K} queues")
 
 
+def _check_counts(scales: list[int], reps: list[int]) -> None:
+    if len(reps) != len(scales):
+        raise ValueError(f"one replication count per scale required, got reps={reps}")
+    if not scales or min(scales) < 1 or min(reps) < 1:
+        raise ValueError("scales and replication counts must be at least 1, got "
+                         f"scales={scales}, reps={reps}")
+
+
 def estimate_rare_event(
     event: RareEventSpec,
     topology: Topology,
@@ -271,11 +279,7 @@ def estimate_rare_event(
     rate.  Raises TooFewHitsError when the smallest scale gets fewer than 10
     hits.
     """
-    if len(reps) != len(scales):
-        raise ValueError(f"one replication count per scale required, got reps={reps}")
-    if not scales or min(scales) < 1 or min(reps) < 1:
-        raise ValueError("scales and replication counts must be at least 1, got "
-                         f"scales={scales}, reps={reps}")
+    _check_counts(scales, reps)
     _check_queue(event, topology)
     rows = []
     for n, R in zip(scales, reps):

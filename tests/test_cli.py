@@ -149,6 +149,15 @@ class TestErrors:
         assert "finite action" in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "v.csv").exists()
 
+    def test_bad_count_is_exit_2_before_the_search(self, topo_file, tmp_path, capsys):
+        # the event has no finite start, so a search run first would exit 3
+        code = run(["verify", "--topology", topo_file(TWO_QUEUE),
+                    "--event", "terminal:k=1,c=1,T=1", "--scales", "5", "--reps", "0",
+                    "--out", str(tmp_path / "v.csv")])
+        assert code == 2
+        assert "reps=[0]" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "v.csv").exists()
+
     def test_solver_failure_is_exit_4(self, topo_file, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise jsqldp.SolverError("line search failed")

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jsqldp import (
     PiecewisePath,
@@ -40,6 +44,33 @@ class TestWaterFill:
             water_fill(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 0.0), [0.0, 0.0]
         )
 
+    def test_ties_split_by_width_and_wide_bins_conserve(self, rng):
+        # nine bins: the rounding correction sums more terms than the short case
+        levels = np.repeat([0.5, 1.0, 1.5], 3)
+        widths = rng.uniform(0.1, 3, 9)
+        alloc = water_fill(levels, widths, 2.0)
+        assert alloc.sum() == pytest.approx(2.0, rel=1e-15)
+        assert alloc[3:] == pytest.approx(np.zeros(6))
+        assert alloc[:3] / widths[:3] == pytest.approx(np.full(3, alloc[0] / widths[0]))
+
+    @pytest.mark.parametrize("levels,widths,mass", [
+        ([np.nan, 1.0], [1.0, 1.0], 1.0),
+        ([np.inf, 1.0], [1.0, 1.0], 1.0),
+        ([0.0, 1.0], [0.0, 1.0], 1.0),
+        ([0.0, 1.0], [-1.0, 1.0], 1.0),
+        ([0.0, 1.0], [np.nan, 1.0], 1.0),
+        ([0.0, 1.0], [np.inf, 1.0], 1.0),
+        ([0.0, 1.0], [1.0], 1.0),
+        ([], [], 1.0),
+        ([0.0, 1.0], [1.0, 1.0], np.nan),
+        ([0.0, 1.0], [1.0, 1.0], np.inf),
+    ], ids=["level-nan", "level-inf", "width-zero", "width-negative", "width-nan",
+            "width-inf", "length-mismatch", "empty", "mass-nan", "mass-inf"])
+    def test_bad_input_rejected(self, levels, widths, mass):
+        # a NaN level used to loop forever
+        with pytest.raises(ValueError):
+            water_fill(levels, widths, mass)
+
 
 class TestRouteStep:
     def test_departures_capped_by_content(self, mm1):
@@ -66,6 +97,21 @@ class TestRouteStep:
         # a NaN queue level never settles in water_fill
         with pytest.raises(ValueError):
             fluid_route_step(np.array([np.nan]), np.array([1.0]), np.array([0.0]), mm1)
+
+    @pytest.mark.parametrize("q,da,db", [([np.inf], [1.0], [0.0]), ([1.0], [np.inf], [0.0]),
+                                         ([1.0], [1.0], [np.inf])])
+    def test_infinite_inputs_rejected(self, mm1, q, da, db):
+        # these used to pass; an infinite level or arrival mass came back as
+        # NaN routed mass
+        with pytest.raises(ValueError, match="finite"):
+            fluid_route_step(q, da, db, mm1)
+
+    @pytest.mark.parametrize("q,da,db", [([1.0], [0.1], [0.1, 0.1]),
+                                         ([1.0, 1.0, 1.0], [0.1], [0.1, 0.1]),
+                                         ([1.0, 1.0], [0.1, 0.1], [0.1, 0.1])])
+    def test_input_lengths_must_fit_the_net(self, two_queue, q, da, db):
+        with pytest.raises(ValueError, match="entries"):
+            fluid_route_step(q, da, db, two_queue)
 
 
 class TestSolve:
@@ -129,12 +175,98 @@ class TestSolve:
         with pytest.raises(ValueError, match="positive and finite"):
             fluid_solve(mm1, [0.0], a, b, T, h)
 
+    @pytest.mark.parametrize("a_dim,b_dim", [(2, 2), (1, 1), (2, 1)])
+    def test_input_widths_must_fit_the_net(self, two_queue, a_dim, b_dim):
+        # on the pair net (M=1, K=2) a wrong width used to be ignored or broadcast
+        a = PiecewisePath.cumulative_linear(np.full(a_dim, 3.0), 1.0)
+        b = PiecewisePath.cumulative_linear(np.ones(b_dim), 1.0)
+        with pytest.raises(ValueError, match="columns"):
+            fluid_solve(two_queue, [1.0, 0.0], a, b, 1.0, 1e-2)
+
+    def test_infinite_input_rejected(self, mm1):
+        a = PiecewisePath(np.array([0.0, 1.0]), np.array([[0.0], [np.inf]]))
+        b = PiecewisePath.cumulative_linear(mm1.mu, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            fluid_solve(mm1, [0.0], a, b, 1.0, 1e-2)
+
+    def test_pinned_solution_digest(self, two_queue):
+        # the pair net from q0 = (1, 0) on nominal inputs, as the benchmark
+        # runs it; guards every bit of the stepper's arithmetic
+        a = PiecewisePath.cumulative_linear(two_queue.lam, 1.0)
+        b = PiecewisePath.cumulative_linear(two_queue.mu, 1.0)
+        sol = fluid_solve(two_queue, [1.0, 0.0], a, b, 1.0, 1e-3)
+        h = hashlib.sha256()
+        for arr in (sol.queue.breakpoints, sol.queue.values, sol.routed.values,
+                    sol.departed.values):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == (
+            "99ac8f0263a233e59b9fbb6a5b3cac6362da65ac5faa7f148d5f29fe11888189")
+
     @pytest.mark.parametrize("q0", [[0.0, 0.0], [-1.0], [float("nan")]])
     def test_initial_state_must_fit_the_net(self, mm1, q0):
         a = PiecewisePath.cumulative_linear(mm1.lam, 1.0)
         b = PiecewisePath.cumulative_linear(mm1.mu, 1.0)
         with pytest.raises(ValueError, match="q0="):
             fluid_solve(mm1, q0, a, b, 1.0, 1e-2)
+
+
+@st.composite
+def fluid_case(draw, topo):
+    """An empty, tied or random start; nondecreasing piecewise-linear inputs
+    with flat stretches; and a step that need not divide the horizon."""
+    K, M = topo.K, topo.M
+    where = draw(st.sampled_from(["empty", "tie", "random"]))
+    q0 = np.zeros(K)
+    if where == "tie":
+        # every queue of the widest stream on one weighted level
+        ks, ws = max(topo.routes, key=lambda r: len(r[0]))
+        level = draw(st.floats(0.0, 2.0))
+        for k, w in zip(ks, ws):
+            q0[k] = level * w
+    elif where == "random":
+        q0 = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=K, max_size=K)))
+    T = draw(st.sampled_from([0.5, 1.0]))
+    knots = draw(st.integers(2, 5))
+    rates = st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 4.0),
+                     min_size=(knots - 1) * (M + K), max_size=(knots - 1) * (M + K))
+    slopes = np.array(draw(rates)).reshape(knots - 1, M + K)
+    t = np.linspace(0.0, T, knots)
+    values = np.vstack([np.zeros(M + K), np.cumsum(slopes * np.diff(t)[:, None], axis=0)])
+    a = PiecewisePath(t, values[:, :M])
+    b = PiecewisePath(t, values[:, M:])
+    h = draw(st.sampled_from([0.1, 0.03, 1 / 64, 0.01]))
+    return q0, a, b, T, h
+
+
+FLUID_NETS = {"single": "mm1", "drain": "mm1_stable", "pair": "two_queue",
+              "readme": "weighted_net", "three": "three_queue"}
+
+
+class TestSolveMatchesSteps:
+    @pytest.mark.parametrize("net", FLUID_NETS)
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_rows_equal_repeated_steps_bitwise(self, request, net, data):
+        topo = request.getfixturevalue(FLUID_NETS[net])
+        q0, a, b, T, h = data.draw(fluid_case(topo))
+        sol = fluid_solve(topo, q0, a, b, T, h)
+        ts = sol.queue.breakpoints
+        da = np.maximum(np.diff(a(ts), axis=0), 0.0)
+        db = np.maximum(np.diff(b(ts), axis=0), 0.0)
+        q = np.asarray(q0, dtype=float)
+        e_cum = np.zeros((topo.K, topo.M))
+        d_cum = np.zeros(topo.K)
+        rows = [(q, e_cum.ravel(), d_cum)]
+        for j in range(len(ts) - 1):
+            e, d, q = fluid_route_step(q, da[j], db[j], topo)
+            e_cum = e_cum + e
+            d_cum = d_cum + d
+            rows.append((q, e_cum.ravel(), d_cum))
+        for j, (q, e, d) in enumerate(rows):
+            assert sol.queue.values[j].tobytes() == q.tobytes(), j
+            assert sol.routed.values[j].tobytes() == e.tobytes(), j
+            assert sol.departed.values[j].tobytes() == d.tobytes(), j
 
 
 class TestLyapunov:
