@@ -28,19 +28,13 @@ from .rate import SolverError, local_rate, local_rate_bruteforce
 from .sim import TieRule, scale_counters, simulate
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
-
-
 def _load_topology(path: str):
     if not os.path.exists(path):
-        raise CliError(f"topology not found: {path}", 2)
+        raise ValueError(f"topology not found: {path}")
     try:
         return topo_mod.load(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise CliError(f"invalid topology: {exc}", 2) from exc
+    except ValueError as exc:  # a TopologyError or a JSONDecodeError
+        raise ValueError(f"invalid topology: {exc}") from exc
 
 
 def _vector(text: str, length: int, what: str) -> np.ndarray:
@@ -48,9 +42,9 @@ def _vector(text: str, length: int, what: str) -> np.ndarray:
     try:
         v = np.array([float(p) for p in text.replace(",", " ").split()])
     except ValueError as exc:
-        raise CliError(f"cannot parse {what}: {text!r}", 2) from exc
+        raise ValueError(f"cannot parse {what}: {text!r}") from exc
     if len(v) != length or not np.all(np.isfinite(v)):
-        raise CliError(f"{what} must be {length} finite numbers, got {text!r}", 2)
+        raise ValueError(f"{what} must be {length} finite numbers, got {text!r}")
     return v
 
 
@@ -59,31 +53,31 @@ def _counts(text: str, what: str, parse) -> list[int]:
     try:
         return [parse(part) for part in text.split(",")]
     except (ValueError, OverflowError) as exc:
-        raise CliError(f"cannot parse {what}: {text!r}", 2) from exc
+        raise ValueError(f"cannot parse {what}: {text!r}") from exc
 
 
 def _read_paths(path: str, what: str, widths: dict[str, int]):
     """(raw JSON, paths) from a file holding breakpoints "t" and, for each
     key of ``widths``, a value array with that many columns."""
     if not os.path.exists(path):
-        raise CliError(f"{what} file not found: {path}", 2)
+        raise ValueError(f"{what} file not found: {path}")
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except ValueError as exc:
-        raise CliError(f"{what} file {path} is not valid JSON: {exc}", 2) from exc
+        raise ValueError(f"{what} file {path} is not valid JSON: {exc}") from exc
     missing = [k for k in ["t", *widths] if not isinstance(raw, dict) or k not in raw]
     if missing:
-        raise CliError(f"{what} file {path} lacks {', '.join(map(repr, missing))}", 2)
+        raise ValueError(f"{what} file {path} lacks {', '.join(map(repr, missing))}")
     paths = []
     for key, width in widths.items():
         try:
             p = PiecewisePath(np.asarray(raw["t"], dtype=float),
                               np.asarray(raw[key], dtype=float))
         except (TypeError, ValueError) as exc:
-            raise CliError(f"{what} file {path}: {key!r}: {exc}", 2) from exc
+            raise ValueError(f"{what} file {path}: {key!r}: {exc}") from exc
         if p.dim != width:
-            raise CliError(f"{what} file {path}: {key!r} must have {width} columns", 2)
+            raise ValueError(f"{what} file {path}: {key!r} must have {width} columns")
         paths.append(p)
     return raw, paths
 
@@ -194,7 +188,7 @@ def cmd_verify(args) -> int:
     if len(reps) == 1:
         reps = reps * len(scales)
     elif len(reps) != len(scales):
-        raise CliError(f"--reps needs one count, or one per scale, got {args.reps!r}", 2)
+        raise ValueError(f"--reps needs one count, or one per scale, got {args.reps!r}")
     _check_counts(scales, reps)
     # the path search is the cheap half, so its failures come first
     _, value = minimize_action(event, topo, PoissonCost(topo), segments=args.segments,
@@ -300,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, CliError):
-        return exc.code
     if isinstance(exc, (NoFiniteStartError, TooFewHitsError)):
         return 3
     if isinstance(exc, SolverError):
@@ -313,7 +305,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, NoFiniteStartError, SolverError, ValueError, OSError) as exc:
+    except (NoFiniteStartError, SolverError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return _exit_code(exc)
 

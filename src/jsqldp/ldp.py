@@ -5,7 +5,8 @@ trajectory, splitting each segment exactly where the domain of constant
 dynamics changes, so the integrand is constant on every evaluated piece.
 ``minimize_action`` searches piecewise-linear paths into a rare-event set;
 ``estimate_rare_event`` measures the same events by direct Monte Carlo and
-extrapolates the decay rate in 1/n.
+extrapolates the decay rate in 1/n.  Its replicates, on every net, are drawn
+and reduced by ``sim``: this module only counts their hits.
 """
 from __future__ import annotations
 
@@ -90,8 +91,12 @@ def path_action(
     """Integral of the local rate along the path.
 
     Within each constant-domain piece of a linear segment the rate is
-    constant and evaluated once at the midpoint.
+    constant and evaluated once at the midpoint.  Raises ValueError unless
+    the path has one column per queue.
     """
+    if q.dim != topology.K:
+        raise ValueError(f"path q must have {topology.K} columns, one per queue, "
+                         f"got {q.dim}")
     if np.any(q.values < 0):
         return ActionReport(total=INF)
     total = 0.0
@@ -166,6 +171,10 @@ class RareEventSpec:
 
 
 def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
+    """Wilson score interval for ``hits`` successes in ``n`` trials; (0, 1)
+    when n == 0.  Raises ValueError unless 0 <= hits <= n."""
+    if not 0 <= hits <= n:
+        raise ValueError(f"hits must lie in [0, n], got hits={hits}, n={n}")
     if n == 0:
         return 0.0, 1.0
     phat = hits / n
@@ -175,80 +184,20 @@ def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _reflected_queue(counts: np.ndarray, jumps: np.ndarray, kind: str) -> np.ndarray:
-    """Per-replicate queue statistic from jumps laid end to end.
-
-    Replicate ``r`` owns the next ``counts[r]`` entries of the +/-1 array
-    ``jumps``.  The walk is their cumulative sum with a leading 0, so the
-    replicate owns the slice ``walk[start:end+1]`` and shares its last entry
-    with the next replicate's first.  The queue is the Lindley reflection of
-    that slice: its terminal value is ``walk[end] - min(slice)`` and its
-    running maximum is the largest rise within the slice.  ``kind`` is
-    'terminal' or 'running_max'.
-    """
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    bound = int(counts.max(initial=0)) + 1
-    # int32 holds walk - r*bound below: a batch of _count_hits keeps it
-    # under ~2**25 unless one replicate makes ~2**30 jumps (8 GB of uniforms)
-    walk = np.zeros(len(jumps) + 1, dtype=np.int32)
-    np.cumsum(jumps, dtype=np.int32, out=walk[1:])
-    last = walk[ends]
-    # reduceat over [start, next start) omits the shared end entry
-    q_end = last - np.minimum(np.minimum.reduceat(walk, starts), last)
-    if kind == "terminal":
-        return q_end
-    # Subtracting r*bound on replicate r's entries puts each start below
-    # everything before it (the walk climbs at most max(counts) within one
-    # replicate), so one running minimum restarts at every replicate.
-    lengths = counts.copy()
-    lengths[-1] += 1
-    shifted = walk - np.repeat(np.arange(len(counts), dtype=np.int32) * np.int32(bound), lengths)
-    rise = shifted - np.minimum.accumulate(shifted)
-    return np.maximum(np.maximum.reduceat(rise, starts), q_end)
-
-
-def _mm1_batch(event: RareEventSpec, lam: float, mu: float, n: int, rng,
-               size: int) -> np.ndarray:
-    """Queue statistics of ``size`` M/M/1 replicates started empty.
-
-    The queue is a Lindley reflection of the +/-1 jump walk.  The batch draws
-    a Poisson jump count per replicate, then exactly that many jumps in one
-    flat array (float64 uniforms against lam/(lam+mu)), with no padding; see
-    ``_reflected_queue``.
-    """
-    total_rate = lam + mu
-    counts = rng.poisson(total_rate * (n * event.T), size)
-    # +/-1 in place on the comparison's bytes: np.where costs ~10x more
-    jumps = (rng.random(int(counts.sum())) < lam / total_rate).view(np.int8)
-    jumps *= 2
-    jumps -= 1
-    return _reflected_queue(counts, jumps, event.kind)
-
-
 def _count_hits(event: RareEventSpec, topology: Topology, n: int, reps: int,
                 seed: int) -> int:
     """Replicates whose event statistic reaches n * threshold.
 
     Batches hold about 2**20 expected events, so memory does not grow with
-    n, and batch ``b`` draws from the streams of ``SeedSequence([seed, b])``.
-    A single queue fed by a live stream is sampled as a reflected walk
-    (``_mm1_batch``); any other net runs batch ``b`` of the simulator's
-    stream at ``seed``.
+    n, and batch ``b`` is batch ``b`` of the simulator's stream at ``seed``.
     """
-    lam, mu = float(topology.lam.sum()), float(topology.mu.sum())
-    if topology.K == topology.M == 1 and lam > 0:
-        def sample(batch_id, size):
-            return _mm1_batch(event, lam, mu, n, np.random.default_rng([seed, batch_id]), size)
-    else:
-        def sample(batch_id, size):
-            q_end, q_max = _replicate_statistics(topology, n, event.T, seed, batch_id, size)
-            return (q_end if event.kind == "terminal" else q_max)[:, event.queue]
-    batch = max(1, int(2**20 // max(1.0, (lam + mu) * (n * event.T))))
+    rate = float(topology.lam.sum() + topology.mu.sum())
+    batch = max(1, int(2**20 // max(1.0, rate * (n * event.T))))
     hits = 0
     for batch_id, done in enumerate(range(0, reps, batch)):
-        value = sample(batch_id, min(batch, reps - done))
-        hits += int((value >= n * event.threshold - 1e-9).sum())
+        (value,) = _replicate_statistics(topology, n, event.T, seed, batch_id,
+                                         min(batch, reps - done), (event.kind,))
+        hits += int((value[:, event.queue] >= n * event.threshold - 1e-9).sum())
     return hits
 
 

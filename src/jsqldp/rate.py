@@ -287,6 +287,16 @@ def _velocity(y, topology: Topology) -> np.ndarray:
     return y
 
 
+def _check_cost(cost: PoissonCost, topology: Topology) -> None:
+    """Raise ValueError unless ``cost`` is a PoissonCost at the topology's rates."""
+    if not isinstance(cost, PoissonCost):
+        raise ValueError("the rate program needs a PoissonCost")
+    if cost.lam.tolist() != topology.lam.tolist() or cost.mu.tolist() != topology.mu.tolist():
+        raise ValueError("cost must be built for this net: its rates are lambda="
+                         f"{cost.lam.tolist()}, mu={cost.mu.tolist()}, the net's "
+                         f"lambda={topology.lam.tolist()}, mu={topology.mu.tolist()}")
+
+
 def _rate_on_domain(
     label: DomainLabel,
     y: np.ndarray,
@@ -307,8 +317,7 @@ def _rate_on_domain(
     if not tol > 0:
         raise ValueError(f"tol must be positive, got tol={tol!r}")
     y = _velocity(y, topology)
-    if not isinstance(cost, PoissonCost):
-        raise ValueError("the rate program needs a PoissonCost")
+    _check_cost(cost, topology)
     K, M = topology.K, topology.M
     busy = [k not in label.zero_set for k in range(K)]
     reachable = frozenset().union(*label.argmin_sets)
@@ -353,8 +362,8 @@ def local_rate(
 
     The witness's cost must match the value within ``tol`` * max(1, L), or
     SolverError is raised.  Raises ValueError for a bad state, a velocity
-    that is not K finite numbers, a nonpositive ``tol`` or a cost other than
-    ``PoissonCost``.
+    that is not K finite numbers, a nonpositive ``tol``, or a cost other
+    than a ``PoissonCost`` built at the topology's rates.
     """
     label = classify_domain(x, topology)
     return _rate_on_domain(label, y, topology, cost, tol)
@@ -399,8 +408,7 @@ def local_rate_bruteforce(
     if K * M + M + 2 * K > 8:
         raise ValueError("dimension budget exceeded for brute-force oracle: "
                          f"K*M + M + 2K = {K * M + M + 2 * K} > 8")
-    if not isinstance(cost, PoissonCost):
-        raise ValueError("the rate program needs a PoissonCost")
+    _check_cost(cost, topology)
     busy = x > 0
     if np.any(~busy & (y < 0)):
         return INF

@@ -7,11 +7,14 @@ one uniformized stream, in place of one stream per clock: a run has
 Poisson(Λ n T) events with Λ = Σλ + Σμ, and each event belongs to clock c
 with probability rate_c / Λ.  The draws come from PCG64 streams seeded with
 ``SeedSequence([seed, batch])``, batch 0 for ``simulate`` and
-``terminal_statistics``, so runs are reproducible bit-for-bit.  One scalar
-loop routes the events of any number of replicates laid end to end; numpy
-observers turn its output into full paths (``simulate``) or per-replicate
-terminal values and running maxima (``terminal_statistics`` and the
-rare-event estimator).
+``terminal_statistics``, so runs are reproducible bit-for-bit.  This module
+draws every run, including each replicate of the rare-event estimator.  One
+scalar loop routes the events of any number of replicates laid end to end;
+numpy observers turn its output into full paths (``simulate``) or
+per-replicate terminal values or running maxima (``terminal_statistics``
+and the rare-event estimator).  A one-queue net needs no routing: every
+arrival joins the queue, so its replicates are reflected walks of +/-1
+jumps, reduced without a Python loop.
 """
 from __future__ import annotations
 
@@ -83,11 +86,14 @@ def _draw(topology: Topology, n: int, T: float, seed: int, batch: int, reps: int
 
     Clocks 0..M-1 are the arrival streams and M..M+K-1 the servers; an event
     takes the clock whose share of the cumulative rates its uniform falls in,
-    so a clock of rate 0 is never chosen.  Tie uniforms (``UNIFORM_RANDOM``
-    only) are interleaved with the clock uniforms.  Counts and events come
-    from two streams spawned from ``SeedSequence([seed, batch])``, so a
-    replicate's events do not depend on how many replicates follow it.  The
-    event stream is returned for callers that draw more from it.
+    so a clock of rate 0 is never chosen.  The clock is the number of
+    normalized cumulative shares at or below the uniform, which a few array
+    comparisons count far faster than a binary search; clocks are stored in
+    the smallest unsigned dtype.  Tie uniforms (``UNIFORM_RANDOM`` only) are
+    interleaved with the clock uniforms.  Counts and events come from two
+    streams spawned from ``SeedSequence([seed, batch])``, so a replicate's
+    events do not depend on how many replicates follow it.  The event stream
+    is returned for callers that draw more from it.
     """
     rates = np.concatenate([topology.lam, topology.mu])
     count_rng, event_rng = map(np.random.default_rng,
@@ -96,7 +102,10 @@ def _draw(topology: Topology, n: int, T: float, seed: int, batch: int, reps: int
     width = 2 if tie_rule is TieRule.UNIFORM_RANDOM else 1
     u = event_rng.random((int(counts.sum()), width))
     shares = np.cumsum(rates)
-    clocks = np.searchsorted(shares / shares[-1], u[:, 0], side="right")
+    clocks = np.zeros(len(u), np.min_scalar_type(len(rates)))
+    # the last share is 1, which no uniform reaches
+    for cut in (shares[:-1] / shares[-1]).tolist():
+        clocks += u[:, 0] >= cut
     return counts, clocks, (u[:, 1] if width == 2 else None), event_rng
 
 
@@ -283,7 +292,8 @@ def terminal_statistics(
     replicate 0 of the first batch the rare-event estimator draws at
     ``seed``.  Raises ``ValueError`` on the arguments ``simulate`` rejects.
     """
-    q_end, q_max = _replicate_statistics(topology, n, T, seed, 0, 1, tie_rule, q0_scaled)
+    q_end, q_max = _replicate_statistics(topology, n, T, seed, 0, 1,
+                                         ("terminal", "running_max"), tie_rule, q0_scaled)
     return q_end[0], q_max[0]
 
 
@@ -294,24 +304,77 @@ def _replicate_statistics(
     seed: int,
     batch: int,
     reps: int,
+    kinds: tuple[str, ...],
     tie_rule: TieRule = TieRule.LOWEST_INDEX,
     q0_scaled=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Terminal queue vectors and running maxima of ``reps`` independent runs.
+) -> list[np.ndarray]:
+    """Per-replicate statistics of ``reps`` independent runs.
 
-    Both arrays have shape (reps, K).  The runs are batch ``batch`` of the
-    stream seeded by ``seed``.  Replicate r's queue path is ``q0`` plus the
-    slice ``walk[start:end+1]`` of the batch's ``_walk`` minus the slice's
-    first entry.
+    One array of shape (reps, K) for each entry of ``kinds``, in order:
+    'terminal' gives the terminal queue vectors and 'running_max' the
+    running maxima, so a caller pays only for what it names.  The runs are
+    batch ``batch`` of the stream seeded by ``seed``.  On a net of two or
+    more queues, replicate r's queue path is ``q0`` plus the slice
+    ``walk[start:end+1]`` of the batch's ``_walk`` minus the slice's first
+    entry; on one queue it is the reflected walk of ``_reflected_queue``.
     """
     q0 = _initial_queues(topology, n, T, q0_scaled)
     counts, clocks, ties, _ = _draw(topology, n, T, seed, batch, reps, tie_rule)
-    moves = _route(topology, q0, counts, clocks, ties)
-    walk = _walk(topology, clocks, moves)
+    if topology.K == 1:
+        # every arrival joins the one queue, so no event needs routing: the
+        # queue is the reflected walk of +1 arrivals and -1 service ticks
+        jumps = (clocks < topology.M).view(np.int8)
+        jumps *= 2
+        jumps -= 1
+        return [_reflected_queue(counts, jumps, q0[0], kind)[:, None] for kind in kinds]
+    walk = _walk(topology, clocks, _route(topology, q0, counts, clocks, ties))
     ends = np.cumsum(counts)
     starts = ends - counts
     first, last = walk[starts], walk[ends]
-    # reduceat over [start, next start) omits the end entry a replicate shares
-    # with the next one, and gives walk[start] for an empty replicate
-    top = np.maximum(np.maximum.reduceat(walk, starts, axis=0), last)
-    return q0 + (last - first), q0 + (top - first)
+    stats = []
+    for kind in kinds:
+        # reduceat over [start, next start) omits the end entry a replicate
+        # shares with the next one, and gives walk[start] for an empty one
+        top = (last if kind == "terminal"
+               else np.maximum(np.maximum.reduceat(walk, starts, axis=0), last))
+        stats.append(q0 + (top - first))
+    return stats
+
+
+def _reflected_queue(counts: np.ndarray, jumps: np.ndarray, q0: int, kind: str) -> np.ndarray:
+    """Per-replicate statistic of a queue that starts at ``q0`` and moves by
+    +/-1 jumps laid end to end, never going below 0.
+
+    Replicate ``r`` owns the next ``counts[r]`` entries of ``jumps``.  The
+    walk is their cumulative sum with a leading 0, so the replicate owns the
+    slice ``walk[start:end+1]`` and shares its last entry with the next
+    replicate's first.  The queue is the Lindley reflection of that slice: at
+    entry j it is ``walk[j] - min(floor, min(walk[start:j+1]))`` with
+    ``floor = walk[start] - q0``.  ``kind`` is 'terminal' (its value at the
+    slice's end) or 'running_max' (its largest value over the slice).
+    """
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    bound = int(counts.max(initial=0)) + 1
+    # int32 holds walk - r*bound below: a batch of 2**20 expected events
+    # keeps it under ~2**25 unless one replicate makes ~2**30 jumps (8 GB of
+    # uniforms)
+    walk = np.zeros(len(jumps) + 1, dtype=np.int32)
+    np.cumsum(jumps, dtype=np.int32, out=walk[1:])
+    first, last = walk[starts], walk[ends]
+    floor = first - np.int64(q0)
+    # reduceat over [start, next start) omits the shared end entry
+    q_end = last - np.minimum(np.minimum(np.minimum.reduceat(walk, starts), last), floor)
+    if kind == "terminal":
+        return q_end
+    # Subtracting r*bound on replicate r's entries puts each start below
+    # everything before it (the walk climbs at most max(counts) within one
+    # replicate), so one running minimum restarts at every replicate.
+    lengths = counts.copy()
+    lengths[-1] += 1
+    shifted = walk - np.repeat(np.arange(len(counts), dtype=np.int32) * np.int32(bound), lengths)
+    rise = shifted - np.minimum.accumulate(shifted)
+    # entry j's queue is the larger of walk[j] - floor and its rise above
+    # the running minimum; the end entry's rise belongs to the next replicate
+    top = np.maximum(np.maximum.reduceat(walk, starts), last)
+    return np.maximum(np.maximum(np.maximum.reduceat(rise, starts), q_end), top - floor)

@@ -129,50 +129,52 @@ def _parse_weight(v) -> Fraction:
     raise TopologyError(f"cannot parse weight {v!r}")
 
 
+def _list_of(kind: type, raw) -> list:
+    """``raw``, checked to be a list of ``kind`` values."""
+    if not (isinstance(raw, list) and all(isinstance(entry, kind) for entry in raw)):
+        raise TypeError(f"expected a list of {kind.__name__}s, got {raw!r}")
+    return raw
+
+
+def _weight_maps(raw, M: int) -> dict[tuple[int, int], Fraction]:
+    """Weights by 0-based (server, stream) from one {server: weight} map per stream."""
+    if len(_list_of(dict, raw)) != M:
+        raise TopologyError("weights must have one entry per stream")
+    return {(int(key) - 1, m): _parse_weight(w)
+            for m, table in enumerate(raw) for key, w in table.items()}
+
+
+def _field(raw: dict, name: str, parse):
+    """``parse(raw[name])``, any failure raised as a TopologyError naming the field."""
+    try:
+        return parse(raw[name])
+    except KeyError as exc:
+        raise TopologyError(f"missing required field {exc}") from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise TopologyError(f"invalid field {name!r}: {exc}") from exc
+
+
 def validate(raw: dict) -> Topology:
     """Build a Topology from an external (1-based) dict description.
 
     Expected fields: K, M, admissible (list of server-index lists, one per
     stream), weights (list of {server: weight} maps, one per stream; may be
     omitted for all-ones), lambda (list of M rates), mu (list of K rates).
+    Raises TopologyError for any description that does not fit this shape.
     """
-    try:
-        K = int(raw["K"])
-        M = int(raw["M"])
-        adm_raw = raw["admissible"]
-        lam = raw["lambda"]
-        mu = raw["mu"]
-    except KeyError as exc:
-        raise TopologyError(f"missing required field {exc}") from exc
-    if len(adm_raw) != M:
-        raise TopologyError("admissible must have one entry per stream")
-    admissible = tuple(frozenset(int(k) - 1 for k in s) for s in adm_raw)
-    weights: dict[tuple[int, int], Fraction] = {}
-    w_raw = raw.get("weights")
-    if w_raw is None:
-        for m, s in enumerate(admissible):
-            for k in s:
-                weights[(k, m)] = Fraction(1)
+    if not isinstance(raw, dict):
+        raise TopologyError(f"a topology must be an object, got {type(raw).__name__}")
+    K = _field(raw, "K", int)
+    M = _field(raw, "M", int)
+    admissible = _field(raw, "admissible", lambda v: tuple(
+        frozenset(int(k) - 1 for k in s) for s in _list_of(list, v)))
+    lam = _field(raw, "lambda", lambda v: np.asarray(v, dtype=float))
+    mu = _field(raw, "mu", lambda v: np.asarray(v, dtype=float))
+    if raw.get("weights") is None:
+        weights = {(k, m): Fraction(1) for m, s in enumerate(admissible) for k in s}
     else:
-        if len(w_raw) != M:
-            raise TopologyError("weights must have one entry per stream")
-        for m, table in enumerate(w_raw):
-            for key, v in table.items():
-                k = int(key) - 1
-                if k not in admissible[m]:
-                    raise TopologyError(
-                        f"weight given for pair (server {k + 1}, stream {m + 1}) "
-                        "outside the admissible set"
-                    )
-                weights[(k, m)] = _parse_weight(v)
-    return Topology(
-        K=K,
-        M=M,
-        admissible=admissible,
-        weights=weights,
-        lam=np.asarray(lam, dtype=float),
-        mu=np.asarray(mu, dtype=float),
-    )
+        weights = _field(raw, "weights", lambda v: _weight_maps(v, M))
+    return Topology(K=K, M=M, admissible=admissible, weights=weights, lam=lam, mu=mu)
 
 
 def load(path: str) -> Topology:

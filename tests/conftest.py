@@ -17,6 +17,12 @@ def mm1_stable():
 
 
 @pytest.fixture
+def two_stream_queue():
+    """Single queue fed by two streams: lambda = (1, 1/2), mu = 2."""
+    return validate({"K": 1, "M": 2, "admissible": [[1], [1]], "lambda": [1, 0.5], "mu": [2]})
+
+
+@pytest.fixture
 def two_queue():
     """Two symmetric queues fed by one stream at rate 3."""
     return validate(

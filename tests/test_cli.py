@@ -37,6 +37,13 @@ class TestErrors:
                                  "lambda": [1], "mu": [1]}))
         assert run(["rate", "--topology", str(p), "--x", "1", "--y", "1"]) == 2
 
+    def test_malformed_topology_is_exit_2(self, tmp_path, capsys):
+        # a JSON list where the description object belongs
+        p = tmp_path / "list.json"
+        p.write_text(json.dumps([MM1]))
+        assert run(["rate", "--topology", str(p), "--x", "1", "--y", "1"]) == 2
+        assert "invalid topology" in json.loads(capsys.readouterr().err)["error"]
+
     def test_wrong_vector_length_is_exit_2(self, topo_file, capsys):
         assert run(["rate", "--topology", topo_file(MM1),
                     "--x", "1 2", "--y", "1"]) == 2

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix, diags
+from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import expm_multiply
 
 from jsqldp import (
@@ -17,42 +17,25 @@ from jsqldp import (
     path_action,
     wilson_interval,
 )
-from jsqldp.ldp import _reflected_queue
+from jsqldp.sim import _reflected_queue
 
 LOG2 = math.log(2.0)
 
 
-def exact_mm1_probability(topology, event, n: int) -> float:
-    """P(event) for the M/M/1 queue started empty, from the matrix exponential
-    of the birth-death generator over [0, nT].  For 'running_max' the
-    threshold level absorbs; for 'terminal' the chain is cut 60 levels above
-    it, far beyond any reachable mass at the sizes used here."""
-    lam, mu = float(topology.lam[0]), float(topology.mu[0])
+def exact_probability(topology, event, n: int, cap: int = 60) -> float:
+    """P(event) for a net of one or two queues started empty, from the matrix
+    exponential of its generator over [0, nT], truncated at ``cap``
+    customers per queue (arrivals into a full queue are dropped).  An
+    arrival of stream m joins the lowest-index queue of least weighted level;
+    for 'running_max' the states at or above the threshold level absorb.  At
+    the sizes used here the mass near the cap is negligible."""
+    K = topology.K
     level = math.ceil(n * event.threshold - 1e-9)
-    top = level if event.kind == "running_max" else level + 60
-    up = np.full(top, lam)
-    down = np.full(top, mu)
-    if event.kind == "running_max":
-        down[-1] = 0.0
-    gen = diags([up, down], [1, -1], shape=(top + 1, top + 1)).tocsr()
-    gen = gen - diags(np.asarray(gen.sum(axis=1)).ravel())
-    p0 = np.zeros(top + 1)
-    p0[0] = 1.0
-    return float(expm_multiply(gen.T * (n * event.T), p0)[level:].sum())
-
-
-def exact_two_queue_probability(topology, event, n: int, cap: int = 60) -> float:
-    """P(event) for a K=2 network started empty, from the matrix exponential
-    of its generator truncated at ``cap`` customers per queue (arrivals into
-    a full queue are dropped).  An arrival of stream m joins the lowest-index
-    queue of least weighted level; for 'running_max' the states at or above
-    the threshold level absorb.  At n=4 the mass near the cap is negligible."""
-    level = math.ceil(n * event.threshold - 1e-9)
-    shape = (cap + 1, cap + 1)
+    shape = (cap + 1,) * K
     streams = [(float(topology.lam[m]), sorted(topology.level_multipliers(m).items()))
                for m in range(topology.M)]
     rows, cols, vals = [], [], []
-    for state in itertools.product(range(cap + 1), repeat=2):
+    for state in itertools.product(range(cap + 1), repeat=K):
         if event.kind == "running_max" and state[event.queue] >= level:
             continue
         moves = []
@@ -61,7 +44,7 @@ def exact_two_queue_probability(topology, event, n: int, cap: int = 60) -> float
             k = next(k for k, c in mults if state[k] * c == best)
             if state[k] < cap:
                 moves.append((k, 1, lam))
-        moves += [(k, -1, float(topology.mu[k])) for k in range(2) if state[k] > 0]
+        moves += [(k, -1, float(topology.mu[k])) for k in range(K) if state[k] > 0]
         s = np.ravel_multi_index(state, shape)
         for k, step, rate in moves:
             nxt = list(state)
@@ -69,12 +52,12 @@ def exact_two_queue_probability(topology, event, n: int, cap: int = 60) -> float
             rows += [s, s]
             cols += [np.ravel_multi_index(nxt, shape), s]
             vals += [rate, -rate]
-    size = (cap + 1) ** 2
+    size = (cap + 1) ** K
     gen = coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
     p0 = np.zeros(size)
     p0[0] = 1.0
     pt = expm_multiply(gen.T * (n * event.T), p0)
-    return float(pt[np.indices(shape).reshape(2, -1)[event.queue] >= level].sum())
+    return float(pt[np.indices(shape).reshape(K, -1)[event.queue] >= level].sum())
 
 
 class TestPathAction:
@@ -102,6 +85,13 @@ class TestPathAction:
         report = path_action(q, two_queue, PoissonCost(two_queue))
         knots = [s.t0 for s in report.segments] + [report.segments[-1].t1]
         assert any(abs(k - 0.5) < 1e-12 for k in knots)  # levels cross at t = 1/2
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_path_needs_one_column_per_queue(self, two_queue, width):
+        q = PiecewisePath.linear([0.0] * width, [1.0] * width, 1.0)
+        with pytest.raises(ValueError, match=f"path q must have 2 columns, one per queue, "
+                                             f"got {width}"):
+            path_action(q, two_queue, PoissonCost(two_queue))
 
     def test_infinite_when_domain_forbids_velocity(self, two_queue):
         # both queues climb from an untied state: impossible
@@ -151,6 +141,11 @@ class TestWilson:
         lo, hi = wilson_interval(0, 100)
         assert lo == 0.0
         assert 0 < hi < 0.05
+
+    @pytest.mark.parametrize("hits,n", [(-1, 10), (11, 10), (1, 0), (0, -1)])
+    def test_hits_must_lie_in_0_n(self, hits, n):
+        with pytest.raises(ValueError, match=f"hits={hits}, n={n}"):
+            wilson_interval(hits, n)
 
     def test_contains_the_point_estimate(self, rng):
         for _ in range(100):
@@ -212,13 +207,14 @@ class TestEstimate:
 
 
 class TestHitCounts:
-    """Per-seed hits of both samplers of the one batch loop, pinned."""
+    """Per-seed hits of the one batch loop, pinned: the one-queue rows pin the
+    reflected walk, the weighted rows the scalar router."""
 
     # two batches each: 69905 replicates per batch on the drain net at n=5
     # and 43690 on the weighted net at n=4
     @pytest.mark.parametrize("net,kind,queue,c,n,reps,hits", [
-        ("mm1_stable", "terminal", 0, 0.6, 5, 75_000, 7826),
-        ("mm1_stable", "running_max", 0, 0.6, 5, 75_000, 25755),
+        ("mm1_stable", "terminal", 0, 0.6, 5, 75_000, 7910),
+        ("mm1_stable", "running_max", 0, 0.6, 5, 75_000, 25489),
         ("weighted_net", "terminal", 0, 0.75, 4, 45_000, 19508),
         ("weighted_net", "running_max", 1, 0.75, 4, 45_000, 11724),
     ])
@@ -229,17 +225,19 @@ class TestHitCounts:
 
 
 class TestMM1Counter:
-    """The flat-layout M/M/1 hit counter behind ``estimate_rare_event``."""
+    """One-queue hit counting: the simulator's reflected walk behind
+    ``estimate_rare_event``."""
 
     def test_reflection_matches_lindley_loop(self, rng):
         for _ in range(200):
             counts = rng.poisson(rng.uniform(0.0, 6.0), int(rng.integers(1, 30)))
             jumps = rng.choice(np.array([-1, 1], dtype=np.int8), int(counts.sum()))
-            q_end = _reflected_queue(counts, jumps, "terminal")
-            q_max = _reflected_queue(counts, jumps, "running_max")
+            q0 = int(rng.integers(0, 4))
+            q_end = _reflected_queue(counts, jumps, q0, "terminal")
+            q_max = _reflected_queue(counts, jumps, q0, "running_max")
             start = 0
             for r, c in enumerate(counts):
-                q = top = 0
+                q = top = q0
                 for j in jumps[start:start + c]:
                     q = max(q + int(j), 0)
                     top = max(top, q)
@@ -259,7 +257,7 @@ class TestMM1Counter:
         reps = 200_000
         row = estimate_rare_event(event, mm1_stable, [5], [reps], seed=11)["scales"][0]
         lo, hi = wilson_interval(row["hits"], reps, z=4.5)
-        assert lo <= exact_mm1_probability(mm1_stable, event, 5) <= hi
+        assert lo <= exact_probability(mm1_stable, event, 5) <= hi
 
     @pytest.mark.parametrize("kind", ["terminal", "running_max"])
     @pytest.mark.parametrize("T,reps", [(1e-3, 50_001), (1.0, 150_001)])
@@ -336,16 +334,20 @@ class TestMinimizeAction:
 
 
 class TestGenericCounter:
-    """Batched hit counting on networks with more than one queue."""
+    """Batched hit counting on networks other than the M/M/1 queue."""
 
-    # 60k replicates make two batches at n=4, the second partial; the cases
-    # cover both queues, so an arrival routed to a queue outside its
-    # stream's admissible set or past its weighted argmin shows
+    # 60k replicates make two batches at n=4, the second partial; the
+    # two-queue cases cover both queues, so an arrival routed to a queue
+    # outside its stream's admissible set or past its weighted argmin shows,
+    # and the one-queue net with two streams checks that every stream feeds
+    # the reflected walk
     @pytest.mark.parametrize("net,kind,queue,c", [
         ("weighted_net", "terminal", 0, 1.0),
         ("weighted_net", "running_max", 1, 0.75),
         ("two_queue", "terminal", 1, 1.0),
         ("two_queue", "running_max", 0, 1.5),
+        ("two_stream_queue", "terminal", 0, 1.0),
+        ("two_stream_queue", "running_max", 0, 0.75),
     ])
     def test_matches_exact_law(self, request, net, kind, queue, c):
         topo = request.getfixturevalue(net)
@@ -353,7 +355,7 @@ class TestGenericCounter:
         reps = 60_000
         row = estimate_rare_event(event, topo, [4], [reps], seed=5)["scales"][0]
         lo, hi = wilson_interval(row["hits"], reps, z=4.5)
-        assert lo <= exact_two_queue_probability(topo, event, 4) <= hi
+        assert lo <= exact_probability(topo, event, 4) <= hi
 
     def test_seed_fixes_the_stream(self, weighted_net):
         event = RareEventSpec("running_max", 1, 0.75, 1.0)

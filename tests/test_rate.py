@@ -14,6 +14,7 @@ from jsqldp import (
     local_rate,
     local_rate_bruteforce,
     psi_ij,
+    validate,
 )
 from jsqldp.rate import check_label
 
@@ -269,6 +270,22 @@ class TestValidation:
         ):
             with pytest.raises(ValueError, match="PoissonCost"):
                 call()
+
+    def test_cost_built_for_another_net(self, two_queue):
+        # at the parent this read 2.389 against the correct 1.297
+        other = validate({"K": 2, "M": 1, "admissible": [[1, 2]], "lambda": [1], "mu": [2, 2]})
+        assert local_rate([1.0, 0.5], [0.0, 0.5], two_queue,
+                          PoissonCost(two_queue)).value == pytest.approx(1.297, abs=1e-3)
+        label = classify_domain(np.array([1.0, 0.5]), two_queue)
+        for cost in (PoissonCost(other), PoissonCost(validate(
+                {"K": 1, "M": 1, "admissible": [[1]], "lambda": [3], "mu": [1]}))):
+            for call in (
+                lambda: local_rate([1.0, 0.5], [0.0, 0.5], two_queue, cost),
+                lambda: psi_ij(label, [0.0, 0.5], two_queue, cost),
+                lambda: local_rate_bruteforce([1.0, 0.5], [0.0, 0.5], two_queue, cost),
+            ):
+                with pytest.raises(ValueError, match="cost must be built for this net"):
+                    call()
 
 
 # ---------------------------------------------------------------------------

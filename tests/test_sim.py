@@ -163,36 +163,65 @@ class TestEngine:
             first += int(p.routed[j + 1, 0, 0] - p.routed[j, 0, 0])
         assert abs(first - seeds / 2) <= 4.5 * np.sqrt(seeds / 4)
 
+    def test_clocks_match_a_binary_search(self):
+        # the comparison count must pick the clock searchsorted picked, also
+        # next to a zero-rate stream, whose share repeats the one before it
+        topo = validate({"K": 2, "M": 3, "admissible": [[1, 2], [2], [1]],
+                         "lambda": [0.3, 0, 2.2], "mu": [1, 0.7]})
+        for tie in TieRule:
+            counts, clocks, _, _ = _draw(topo, 50, 3.0, 8, 1, 20, tie)
+            _, event_rng = map(np.random.default_rng, np.random.SeedSequence([8, 1]).spawn(2))
+            u = event_rng.random((int(counts.sum()), 2 if tie is TieRule.UNIFORM_RANDOM else 1))
+            shares = np.cumsum(np.concatenate([topo.lam, topo.mu]))
+            assert clocks.dtype == np.uint8
+            assert np.array_equal(clocks, np.searchsorted(shares / shares[-1], u[:, 0],
+                                                           side="right"))
+
+    # the weighted net runs the scalar router, the one-queue nets (one and two
+    # streams) the reflected walk
+    NETS = [("weighted_net", [0.3, 0.1]), ("mm1_stable", [0.3]), ("two_stream_queue", [0.7])]
+
     @pytest.mark.parametrize("reps", [1, 7, 50])
     @pytest.mark.parametrize("tie", list(TieRule))
-    def test_batch_replicate_zero_is_terminal_statistics(self, weighted_net, reps, tie):
-        for seed in range(5):
-            q_end, q_max = _replicate_statistics(weighted_net, 10, 1.5, seed, 0, reps, tie,
-                                                 [0.4, 0.2])
-            assert q_end.shape == q_max.shape == (reps, 2)
-            one_end, one_max = terminal_statistics(weighted_net, 10, 1.5, seed, tie,
-                                                   [0.4, 0.2])
-            assert np.array_equal(q_end[0], one_end)
-            assert np.array_equal(q_max[0], one_max)
+    def test_batch_replicate_zero_is_terminal_statistics(self, request, reps, tie):
+        for net, q0 in self.NETS:
+            topo = request.getfixturevalue(net)
+            for seed in range(5):
+                q_end, q_max = _replicate_statistics(topo, 10, 1.5, seed, 0, reps,
+                                                     ("terminal", "running_max"), tie, q0)
+                assert q_end.shape == q_max.shape == (reps, topo.K)
+                (only_max,) = _replicate_statistics(topo, 10, 1.5, seed, 0, reps,
+                                                    ("running_max",), tie, q0)
+                assert np.array_equal(only_max, q_max)
+                one_end, one_max = terminal_statistics(topo, 10, 1.5, seed, tie, q0)
+                assert np.array_equal(q_end[0], one_end)
+                assert np.array_equal(q_max[0], one_max)
+                p = simulate(topo, 10, 1.5, seed, tie, q0)
+                assert np.array_equal(one_end, p.queues[-1])
+                assert np.array_equal(one_max, p.queues.max(axis=0))
 
     @pytest.mark.parametrize("T", [0.05, 2.0])
-    def test_batch_observer_matches_replicate_loop(self, weighted_net, T):
-        # at T=0.05 (n=10) most replicates have no event at all
-        q0 = np.array([3, 1])
-        counts, clocks, ties, _ = _draw(weighted_net, 10, T, 4, 2, 300, TieRule.UNIFORM_RANDOM)
-        moves = _route(weighted_net, q0, counts, clocks, ties)
-        q_end, q_max = _replicate_statistics(weighted_net, 10, T, 4, 2, 300,
-                                             TieRule.UNIFORM_RANDOM, [0.3, 0.1])
-        events = iter(zip(clocks.tolist(), moves.tolist()))
-        for r, count in enumerate(counts):
-            q, top = q0.copy(), q0.copy()
-            for _ in range(count):
-                c, k = next(events)
-                if k >= 0:
-                    q[k] += 1 if c < weighted_net.M else -1
-                    assert q[k] >= 0
-                top = np.maximum(top, q)
-            assert np.array_equal(q_end[r], q) and np.array_equal(q_max[r], top)
+    def test_batch_observer_matches_replicate_loop(self, request, T):
+        # at T=0.05 (n=10) most replicates have no event at all; the scalar
+        # router is the reference for every net
+        for net, q0_scaled in self.NETS:
+            topo = request.getfixturevalue(net)
+            q0 = np.floor(10 * np.array(q0_scaled)).astype(np.int64)
+            for tie in TieRule:
+                counts, clocks, ties, _ = _draw(topo, 10, T, 4, 2, 300, tie)
+                moves = _route(topo, q0, counts, clocks, ties)
+                q_end, q_max = _replicate_statistics(topo, 10, T, 4, 2, 300,
+                                                     ("terminal", "running_max"), tie, q0_scaled)
+                events = iter(zip(clocks.tolist(), moves.tolist()))
+                for r, count in enumerate(counts):
+                    q, top = q0.copy(), q0.copy()
+                    for _ in range(count):
+                        c, k = next(events)
+                        if k >= 0:
+                            q[k] += 1 if c < topo.M else -1
+                            assert q[k] >= 0
+                        top = np.maximum(top, q)
+                    assert np.array_equal(q_end[r], q) and np.array_equal(q_max[r], top)
 
 
 class TestValidation:

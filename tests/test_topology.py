@@ -79,6 +79,10 @@ def test_weighted_levels(weighted_net):
          "weights": [{"1": 0}], "lambda": [1], "mu": [1]},
         {"K": 2, "M": 1, "admissible": [[1]],
          "weights": [{"2": 1}], "lambda": [1], "mu": [1, 1]},
+        [{"K": 1, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [1]}],
+        {"K": 1, "M": 1, "admissible": 5, "lambda": [1], "mu": [1]},
+        {"K": 1, "M": 1, "admissible": [[1]], "weights": [[1]], "lambda": [1], "mu": [1]},
+        {"K": None, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [1]},
     ],
 )
 def test_invalid_descriptions_rejected(raw):
