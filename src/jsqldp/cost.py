@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .topology import Topology
+from .topology import Topology, vector
 
 INF = math.inf
 
@@ -62,10 +62,8 @@ class PoissonCost:
         self.mu = topology.mu
 
     def _pairs(self, a, b):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != (self.M,) or b.shape != (self.K,):
-            raise ValueError("rate vector dimensions do not match the model")
+        a = vector(a, self.M, "arrival rates a", nonnegative=False)
+        b = vector(b, self.K, "service rates b", nonnegative=False)
         return zip(self.lam.tolist() + self.mu.tolist(), a.tolist() + b.tolist())
 
     def eval(self, a: np.ndarray, b: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .piecewise import PiecewisePath
-from .topology import Topology, tie_level
+from .topology import Topology, positive, tie_level, vector
 
 
 @dataclass(frozen=True)
@@ -134,16 +134,10 @@ def fluid_route_step(
     ValueError unless q and db are K and da is M finite nonnegative numbers.
     """
     K, M = topology.K, topology.M
-    q = np.asarray(q, dtype=float)
-    da = np.asarray(da, dtype=float)
-    db = np.asarray(db, dtype=float)
-    if q.shape != (K,) or da.shape != (M,) or db.shape != (K,):
-        raise ValueError(f"q and db must have {K} entries and da {M}, got q={q}, "
-                         f"da={da}, db={db}")
     # a NaN level would stall the water-fill, an infinite one yields NaN
-    if not all(np.all(np.isfinite(v) & (v >= 0)) for v in (q, da, db)):
-        raise ValueError(f"inputs must be finite and nonnegative, got q={q}, da={da}, "
-                         f"db={db}")
+    q = vector(q, K, "queue levels q")
+    da = vector(da, M, "arrival mass da")
+    db = vector(db, K, "service mass db")
     e, d, q_next = _step(q.tolist(), da.tolist(), db.tolist(), topology.routes, M)
     return np.array(e).reshape(K, M), np.array(d), np.array(q_next)
 
@@ -163,12 +157,9 @@ def fluid_solve(
     nondecreasing paths on [0, T].
     """
     K, M = topology.K, topology.M
-    q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (K,) or not np.all(np.isfinite(q0) & (q0 >= 0)):
-        raise ValueError(f"initial state must be {K} finite nonnegative numbers, "
-                         f"got q0={q0}")
-    if not (0 < T < np.inf and 0 < h < np.inf):
-        raise ValueError(f"horizon and step must be positive and finite, got T={T}, h={h}")
+    q0 = vector(q0, K, "initial state q0")
+    T = positive(T, "horizon T")
+    h = positive(h, "step h")
     if a.dim != M or b.dim != K:
         raise ValueError(f"inputs a and b must have {M} and {K} columns, "
                          f"got a.dim={a.dim}, b.dim={b.dim}")

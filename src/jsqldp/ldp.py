@@ -20,7 +20,7 @@ from .fluid import fluid_solve
 from .piecewise import PiecewisePath
 from .rate import DomainLabel, classify_domain, local_rate
 from .sim import _replicate_statistics
-from .topology import Topology
+from .topology import Topology, count, positive, vector
 
 
 class NoFiniteStartError(RuntimeError):
@@ -132,8 +132,8 @@ class RareEventSpec:
 
     kind 'terminal': scaled queue ``queue`` at time T is >= threshold;
     kind 'running_max': its running maximum over [0, T] is >= threshold.
-    ``queue`` is 0-based internally and nonnegative.  T must be positive and
-    finite and the threshold finite.
+    ``queue`` is 0-based internally, a nonnegative integer.  T must be
+    positive and finite and the threshold finite.
     """
 
     kind: str
@@ -145,19 +145,21 @@ class RareEventSpec:
         if self.kind not in ("terminal", "running_max"):
             raise ValueError(
                 f"event kind must be 'terminal' or 'running_max', got {self.kind!r}")
-        if self.queue < 0:
-            raise ValueError(f"event queue must be >= 1, got k={self.queue + 1}")
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ValueError(f"event horizon T must be positive and finite, got {self.T}")
+        count(self.queue + 1, "event queue k")
+        positive(self.T, "event horizon T")
         if not math.isfinite(self.threshold):
             raise ValueError(f"event threshold c must be finite, got {self.threshold}")
 
     @staticmethod
     def parse(text: str) -> "RareEventSpec":
-        """Parse 'terminal:k=1,c=1,T=1' style event descriptions."""
+        """Parse 'terminal:k=1,c=1,T=1' style event descriptions; k and T
+        may be left out, and any other field is an error."""
         kind, _, rest = text.partition(":")
         try:
             fields = dict(part.split("=") for part in rest.split(",") if part)
+            unknown = sorted(fields.keys() - {"k", "c", "T"})
+            if unknown:
+                raise ValueError(f"unknown field {unknown[0]!r}; the fields are k, c and T")
             return RareEventSpec(
                 kind=kind.strip(),
                 queue=int(fields.get("k", 1)) - 1,
@@ -172,9 +174,12 @@ class RareEventSpec:
 
 def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for ``hits`` successes in ``n`` trials; (0, 1)
-    when n == 0.  Raises ValueError unless 0 <= hits <= n."""
+    when n == 0.  Raises ValueError unless hits and n are integers with
+    0 <= hits <= n and z is positive and finite."""
     if not 0 <= hits <= n:
         raise ValueError(f"hits must lie in [0, n], got hits={hits}, n={n}")
+    hits, n = count(hits, "hits", least=0), count(n, "n", least=0)
+    z = positive(z, "z")
     if n == 0:
         return 0.0, 1.0
     phat = hits / n
@@ -207,11 +212,19 @@ def _check_queue(event: RareEventSpec, topology: Topology) -> None:
 
 
 def _check_counts(scales: list[int], reps: list[int]) -> None:
+    """Raise ValueError unless there is one replication count per scale, at
+    least one scale, and every scale and count is an integer >= 1."""
     if len(reps) != len(scales):
         raise ValueError(f"one replication count per scale required, got reps={reps}")
-    if not scales or min(scales) < 1 or min(reps) < 1:
-        raise ValueError("scales and replication counts must be at least 1, got "
-                         f"scales={scales}, reps={reps}")
+    try:
+        for v in [*scales, *reps]:
+            count(v, "entry")
+        ok = bool(scales)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError("scales and replication counts must be integers, at least 1, "
+                         f"got scales={scales}, reps={reps}")
 
 
 def estimate_rare_event(
@@ -225,7 +238,9 @@ def estimate_rare_event(
 
     Zero-hit scales yield a one-sided Wilson bound and are excluded from the
     fit; the fitted intercept of rate = I + c/n is the reported empirical
-    rate.  Raises TooFewHitsError when the smallest scale gets fewer than 10
+    rate.  Raises ValueError unless there is one replication count per
+    scale, every scale and count is an integer >= 1 and the seed an integer
+    >= 0, and TooFewHitsError when the smallest scale gets fewer than 10
     hits.
     """
     _check_counts(scales, reps)
@@ -312,19 +327,19 @@ def minimize_action(
     coordinates) by seeded multistart pattern search; the returned action is
     an upper bound on the infimum over the event, not a global certificate.
     Raises ValueError for an event that is not terminal or names no queue of
-    the topology and for fewer than one segment or start, and
-    NoFiniteStartError when every start ends at infinite action, as when the
-    only finite paths run along a weighted tie.
+    the topology, for a q0 that is not K finite nonnegative numbers, and
+    unless segments and starts are integers >= 1 and seed an integer >= 0.
+    Raises NoFiniteStartError when every start ends at infinite action, as
+    when the only finite paths run along a weighted tie.
     """
     if event.kind != "terminal":
         raise ValueError(f"the path search supports only terminal events, got {event.kind!r}")
     _check_queue(event, topology)
-    if segments < 1:
-        raise ValueError(f"need at least one segment, got segments={segments}")
-    if starts < 1:
-        raise ValueError(f"need at least one start, got starts={starts}")
+    count(segments, "segments")
+    count(starts, "starts")
+    count(seed, "seed", least=0)
     K = topology.K
-    q0 = np.zeros(K) if q0 is None else np.asarray(q0, dtype=float)
+    q0 = np.zeros(K) if q0 is None else vector(q0, K, "initial state q0")
     ts = np.linspace(0.0, event.T, segments + 1)
 
     # check the zero-cost fluid path first: if it already realizes the event

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import INF, PoissonCost, price, price_vec
-from .topology import Topology, tie_level
+from .topology import Topology, positive, tie_level, vector
 
 
 class SolverError(RuntimeError):
@@ -83,13 +83,8 @@ class RateWitness:
 
 def classify_domain(x: np.ndarray, topology: Topology) -> DomainLabel:
     """Zero set and per-stream weighted-argmin sets of a state vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (topology.K,):
-        raise ValueError(f"state must have {topology.K} entries, got x of shape {x.shape}")
-    if not np.all(np.isfinite(x) & (x >= 0)):
-        raise ValueError(f"state must be finite and componentwise nonnegative, got x={x}")
-    zero = frozenset(int(k) for k in np.flatnonzero(x == 0.0))
-    xs = x.tolist()
+    xs = vector(x, topology.K, "state x").tolist()
+    zero = frozenset(k for k, v in enumerate(xs) if v == 0.0)
     argmins = []
     for ks, ws in topology.routes:
         levels = [xs[k] / w for k, w in zip(ks, ws)]
@@ -116,13 +111,16 @@ def check_label(label: DomainLabel, topology: Topology) -> None:
 
 
 def label_matches(label: DomainLabel, x: np.ndarray, topology: Topology) -> bool:
-    """Re-check x against the defining conditions of the labelled domain."""
-    x = np.asarray(x, dtype=float)
+    """Re-check x against the defining conditions of the labelled domain.
+
+    Raises ValueError unless x is K finite nonnegative numbers.
+    """
+    xs = vector(x, topology.K, "state x").tolist()
     for k in range(topology.K):
-        if (x[k] == 0.0) != (k in label.zero_set):
+        if (xs[k] == 0.0) != (k in label.zero_set):
             return False
     for (ks, ws), J in zip(topology.routes, label.argmin_sets):
-        levels = {k: float(x[k]) / w for k, w in zip(ks, ws)}
+        levels = {k: xs[k] / w for k, w in zip(ks, ws)}
         cut = tie_level(min(levels.values()))
         for k, v in levels.items():
             if (v <= cut) != (k in J):
@@ -280,13 +278,6 @@ def _solve_dual(argmin_sets, busy, lone, y, lam, mu):
 # Public entry points
 # ---------------------------------------------------------------------------
 
-def _velocity(y, topology: Topology) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (topology.K,) or not np.all(np.isfinite(y)):
-        raise ValueError(f"velocity must be {topology.K} finite numbers, got y={y}")
-    return y
-
-
 def _check_cost(cost: PoissonCost, topology: Topology) -> None:
     """Raise ValueError unless ``cost`` is a PoissonCost at the topology's rates."""
     if not isinstance(cost, PoissonCost):
@@ -314,9 +305,8 @@ def _rate_on_domain(
     feasible point.  The value is the dual optimum and ``stationarity`` its
     gap to the cost of the witness.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got tol={tol!r}")
-    y = _velocity(y, topology)
+    positive(tol, "tol")
+    y = vector(y, topology.K, "velocity y", nonnegative=False)
     _check_cost(cost, topology)
     K, M = topology.K, topology.M
     busy = [k not in label.zero_set for k in range(K)]
@@ -362,8 +352,8 @@ def local_rate(
 
     The witness's cost must match the value within ``tol`` * max(1, L), or
     SolverError is raised.  Raises ValueError for a bad state, a velocity
-    that is not K finite numbers, a nonpositive ``tol``, or a cost other
-    than a ``PoissonCost`` built at the topology's rates.
+    that is not K finite numbers, a ``tol`` that is not positive and finite,
+    or a cost other than a ``PoissonCost`` built at the topology's rates.
     """
     label = classify_domain(x, topology)
     return _rate_on_domain(label, y, topology, cost, tol)
@@ -397,14 +387,11 @@ def local_rate_bruteforce(
     suffix minima.  An empty queue that shrinks costs inf.  Intended for tiny
     topologies only (dimension budget K*M + M + 2K <= 8).
     """
-    x = np.asarray(x, dtype=float)
-    y = _velocity(y, topology)
+    y = vector(y, topology.K, "velocity y", nonnegative=False)
+    x = vector(x, topology.K, "state x")
+    grid_step = positive(grid_step, "grid_step")
+    box_radius = positive(box_radius, "box_radius")
     K, M = topology.K, topology.M
-    if x.shape != (K,) or not np.all(np.isfinite(x) & (x >= 0)):
-        raise ValueError(f"state must be {K} finite nonnegative numbers, got x={x}")
-    if not (0 < grid_step < math.inf and 0 < box_radius < math.inf):
-        raise ValueError("grid step and box radius must be positive and finite, got "
-                         f"grid_step={grid_step}, box_radius={box_radius}")
     if K * M + M + 2 * K > 8:
         raise ValueError("dimension budget exceeded for brute-force oracle: "
                          f"K*M + M + 2K = {K * M + M + 2 * K} > 8")

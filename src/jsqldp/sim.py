@@ -26,7 +26,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .piecewise import PiecewisePath
-from .topology import Topology
+from .topology import Topology, count, positive, vector
 
 
 class TieRule(enum.Enum):
@@ -63,20 +63,16 @@ class SamplePath:
         return self.arrivals.shape[1]
 
 
-def _initial_queues(topology: Topology, n: int, T: float, q0_scaled) -> np.ndarray:
+def _initial_queues(topology: Topology, n: int, T: float, seed: int,
+                    q0_scaled) -> np.ndarray:
     """floor(n * q0_scaled), after checking the arguments of a run."""
-    if n < 1:
-        raise ValueError(f"scale must be >= 1, got n={n}")
+    count(n, "scale n")
+    count(seed, "seed", least=0)
     if not (math.isfinite(T) and T >= 0):
         raise ValueError(f"horizon must be finite and nonnegative, got T={T!r}")
     if q0_scaled is None:
         return np.zeros(topology.K, dtype=np.int64)
-    q0 = np.asarray(q0_scaled, dtype=float)
-    if q0.shape != (topology.K,):
-        raise ValueError(f"initial state must have {topology.K} entries, "
-                         f"got q0_scaled of shape {q0.shape}")
-    if not (np.all(np.isfinite(q0)) and np.all(q0 >= 0)):
-        raise ValueError(f"initial state must be finite and nonnegative, got q0_scaled={q0}")
+    q0 = vector(q0_scaled, topology.K, "initial state q0_scaled")
     return np.floor(n * q0).astype(np.int64)
 
 
@@ -176,12 +172,12 @@ def simulate(
     The initial queue vector is floor(n * q0_scaled).  Identical arguments
     reproduce identical paths.  Given its event count, a Poisson process's
     event times are sorted uniforms, so the times are drawn last, after the
-    events that ``terminal_statistics`` shares.  Raises ``ValueError`` for
-    n < 1, a negative or non-finite T, or a q0 that is negative, non-finite
-    or not one entry per queue.
+    events that ``terminal_statistics`` shares.  Raises ``ValueError``
+    unless n is an integer >= 1, seed an integer >= 0, T finite and
+    nonnegative, and q0 one finite nonnegative entry per queue.
     """
     K, M = topology.K, topology.M
-    q0 = _initial_queues(topology, n, T, q0_scaled)
+    q0 = _initial_queues(topology, n, T, seed, q0_scaled)
     counts, clocks, ties, rng = _draw(topology, n, T, seed, 0, 1, tie_rule)
     moves = _route(topology, q0, counts, clocks, ties)
     # one column per clock, per (server, stream) pair and per server: the
@@ -240,8 +236,7 @@ def audit(path: SamplePath, topology: Topology) -> None:
 def _grid(path: SamplePath, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
     """Uniform grid of scaled time over the run, and the index of the event
     row in force at each grid time."""
-    if not 0 < grid_step < math.inf:
-        raise ValueError(f"grid step must be positive and finite, got grid_step={grid_step}")
+    grid_step = positive(grid_step, "grid_step")
     ts = np.arange(0.0, path.horizon / path.n + grid_step / 2, grid_step)
     return ts, np.searchsorted(path.times, ts * path.n, side="right") - 1
 
@@ -318,7 +313,7 @@ def _replicate_statistics(
     ``walk[start:end+1]`` of the batch's ``_walk`` minus the slice's first
     entry; on one queue it is the reflected walk of ``_reflected_queue``.
     """
-    q0 = _initial_queues(topology, n, T, q0_scaled)
+    q0 = _initial_queues(topology, n, T, seed, q0_scaled)
     counts, clocks, ties, _ = _draw(topology, n, T, seed, batch, reps, tie_rule)
     if topology.K == 1:
         # every arrival joins the one queue, so no event needs routing: the

@@ -4,10 +4,17 @@ External formats use 1-based server/stream indices; everything internal is
 0-based.  Weights are kept as exact rationals so that tie detection in the
 simulator can use integer arithmetic; the float layers read them once, from
 ``Topology.routes``.
+
+This module also holds the argument contract every layer shares: ``vector``,
+``count`` and ``positive`` decide what a valid vector, integer count or
+positive number is, and raise a ValueError that names the parameter and its
+value.
 """
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -26,6 +33,49 @@ def tie_level(lo: float) -> float:
 
 class TopologyError(ValueError):
     pass
+
+
+def _quoted(name: str, value) -> str:
+    """``param=value`` for a ``name`` that may lead with a description, as in
+    'velocity y'; the parameter is its last word."""
+    return f"{name.rpartition(' ')[2]}={value}"
+
+
+def vector(v, length: int, name: str, nonnegative: bool = True) -> np.ndarray:
+    """``v`` as a float array of ``length`` finite entries, each nonnegative
+    unless ``nonnegative`` is False; otherwise a ValueError naming ``name``.
+
+    The entries are tested as Python floats: on vectors of K entries that is
+    several times faster than numpy reductions, and the rate program checks
+    a state and a velocity on every call.
+    """
+    try:
+        a = np.asarray(v, dtype=float)
+        xs = a.tolist()
+    except (TypeError, ValueError):
+        a, xs = None, repr(v)
+    if a is None or a.shape != (length,) or not all(
+            abs(x) < math.inf and (x >= 0.0 or not nonnegative) for x in xs):
+        sign = " and nonnegative" if nonnegative else ""
+        raise ValueError(f"{name} must have {length} entries, each finite{sign}, "
+                         f"got {_quoted(name, xs)}")
+    return a
+
+
+def count(v, name: str, least: int = 1) -> int:
+    """``v`` as an int of at least ``least``; a bool, a float (2.0 too) or
+    a smaller value raises a ValueError naming ``name``."""
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least:
+        return int(v)
+    raise ValueError(f"{name} must be an integer >= {least}, got {_quoted(name, repr(v))}")
+
+
+def positive(v, name: str) -> float:
+    """``v`` as a float, finite and > 0; a bool, a non-number or any other
+    value raises a ValueError naming ``name``."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf:
+        return float(v)
+    raise ValueError(f"{name} must be positive and finite, got {_quoted(name, repr(v))}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,14 +122,13 @@ class Topology:
                     raise TopologyError(
                         f"missing weight for (server {k + 1}, stream {m + 1})"
                     )
-        lam = np.asarray(self.lam, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        if lam.shape != (self.M,) or mu.shape != (self.K,):
-            raise TopologyError("rate vector dimensions do not match K, M")
-        if np.any(~np.isfinite(lam)) or np.any(lam < 0):
-            raise TopologyError("arrival rates must be finite and nonnegative")
-        if np.any(~np.isfinite(mu)) or np.any(mu <= 0):
-            raise TopologyError("service rates must be finite and positive")
+        try:
+            lam = vector(self.lam, self.M, "arrival rates lambda")
+            mu = vector(self.mu, self.K, "service rates mu")
+        except ValueError as exc:
+            raise TopologyError(str(exc)) from None
+        if 0.0 in mu.tolist():
+            raise TopologyError(f"service rates must be positive, got mu={mu.tolist()}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
         routes = []
@@ -160,14 +209,15 @@ def validate(raw: dict) -> Topology:
     Expected fields: K, M, admissible (list of server-index lists, one per
     stream), weights (list of {server: weight} maps, one per stream; may be
     omitted for all-ones), lambda (list of M rates), mu (list of K rates).
-    Raises TopologyError for any description that does not fit this shape.
+    K, M and server indices must be integers of at least 1.  Raises
+    TopologyError for any description that does not fit this shape.
     """
     if not isinstance(raw, dict):
         raise TopologyError(f"a topology must be an object, got {type(raw).__name__}")
-    K = _field(raw, "K", int)
-    M = _field(raw, "M", int)
+    K = _field(raw, "K", lambda v: count(v, "K"))
+    M = _field(raw, "M", lambda v: count(v, "M"))
     admissible = _field(raw, "admissible", lambda v: tuple(
-        frozenset(int(k) - 1 for k in s) for s in _list_of(list, v)))
+        frozenset(count(k, "server") - 1 for k in s) for s in _list_of(list, v)))
     lam = _field(raw, "lambda", lambda v: np.asarray(v, dtype=float))
     mu = _field(raw, "mu", lambda v: np.asarray(v, dtype=float))
     if raw.get("weights") is None:

@@ -48,7 +48,8 @@ class TestErrors:
         assert run(["rate", "--topology", topo_file(MM1),
                     "--x", "1 2", "--y", "1"]) == 2
 
-    @pytest.mark.parametrize("event", ["terminal:k=1,T=1", "terminal:k=1,c=abc,T=1"])
+    @pytest.mark.parametrize("event", ["terminal:k=1,T=1", "terminal:k=1,c=abc,T=1",
+                                       "terminal:k=1,c=1,t=5"])
     @pytest.mark.parametrize("command", ["optimize", "verify"])
     def test_malformed_event_is_exit_2(self, topo_file, tmp_path, capsys, event, command):
         argv = [command, "--topology", topo_file(MM1), "--event", event]
@@ -65,7 +66,7 @@ class TestErrors:
         ("fluid", json.dumps({k: v for k, v in FLUID_INPUTS.items() if k != "a"}), "lacks 'a'"),
         ("fluid", json.dumps({k: v for k, v in FLUID_INPUTS.items() if k != "b"}), "lacks 'b'"),
         ("fluid", json.dumps({k: v for k, v in FLUID_INPUTS.items() if k != "t"}), "lacks 't'"),
-        ("fluid", json.dumps(FLUID_INPUTS | {"b": [[0.0], [1.0]]}), "'b' must have 2 columns"),
+        ("fluid", json.dumps(FLUID_INPUTS | {"b": [[0.0], [1.0]]}), "b.dim=1"),
         ("fluid", '{"t": [0, 1], "a": ', "not valid JSON"),
         ("action", json.dumps({"t": [0.0, 1.0]}), "lacks 'q'"),
         ("action", json.dumps({"q": PATH["q"]}), "lacks 't'"),
@@ -107,7 +108,7 @@ class TestErrors:
          "grid_step=0.0"),
         (["rate", "--x", "1 1", "--y", "0 0", "--oracle", "--oracle-radius", "-1"],
          "box_radius=-1.0"),
-        (["rate", "--x", "1 1", "--y", "nan 0"], "--y"),
+        (["rate", "--x", "1 1", "--y", "nan 0"], "y=[nan, 0.0]"),
         (["optimize", "--event", "running_max:k=1,c=1,T=1"], "only terminal events"),
         (["verify", "--event", "running_max:k=1,c=1,T=1"], "only terminal events"),
         (["optimize", "--event", "terminal:k=1,c=1,T=1", "--starts", "-3"], "starts=-3"),
@@ -122,13 +123,18 @@ class TestErrors:
         (["verify", "--event", "terminal:k=1,c=0.2,T=1", "--scales", "5", "--reps", "0"],
          "reps=[0]"),
         (["optimize", "--event", "terminal:k=0,c=1,T=1"], "k=0"),
+        # used to be truncated to 2 replicates
+        (["verify", "--event", "terminal:k=1,c=0.2,T=1", "--scales", "5", "--reps", "2.5"],
+         "reps=[2.5]"),
+        (["verify", "--event", "terminal:k=1,c=0.2,T=1", "--scales", "5.5"], "scales=[5.5]"),
     ], ids=["simulate-n0", "simulate-T-negative", "simulate-q0-negative", "simulate-grid0",
             "verify-scales-unparsable", "verify-reps-count", "fluid-T0", "rate-x-negative",
             "optimize-queue-out-of-range", "optimize-segments0", "rate-tol0",
             "rate-oracle-step0", "rate-oracle-radius-negative", "rate-y-nan",
             "optimize-running-max", "verify-running-max", "optimize-starts-negative",
             "optimize-T-negative", "optimize-T0", "optimize-T-inf", "verify-c-nan",
-            "fluid-h-nan", "simulate-grid-nan", "verify-reps0", "optimize-k0"])
+            "fluid-h-nan", "simulate-grid-nan", "verify-reps0", "optimize-k0",
+            "verify-reps-fractional", "verify-scales-fractional"])
     def test_bad_argument_value_is_exit_2(self, topo_file, tmp_path, capsys, argv, message):
         inputs = tmp_path / "inputs.json"
         inputs.write_text(json.dumps(self.FLUID_INPUTS))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,12 +129,22 @@ class TestEventSpec:
         with pytest.raises(ValueError, match="event threshold c"):
             RareEventSpec("terminal", 0, c, 1.0)
 
+    def test_unknown_field_rejected(self):
+        # a lower-case t used to be ignored, leaving T at its default 1
+        with pytest.raises(ValueError, match="unknown field 't'"):
+            RareEventSpec.parse("terminal:k=1,c=1,t=5")
+
     def test_negative_queue_rejected(self):
         # k is 1-based, so k=0 is queue -1; no counter or search may see it
         with pytest.raises(ValueError, match="got k=0"):
             RareEventSpec("terminal", -1, 0.2, 1.0)
         with pytest.raises(ValueError, match="got k=0"):
             RareEventSpec.parse("terminal:k=0,c=1")
+
+    def test_fractional_queue_rejected(self):
+        # queue 0.5 used to reach the hit counter and fail there with an IndexError
+        with pytest.raises(ValueError, match="got k=1.5"):
+            RareEventSpec("terminal", 0.5, 0.2, 1.0)
 
 
 class TestWilson:
@@ -146,6 +157,14 @@ class TestWilson:
     def test_hits_must_lie_in_0_n(self, hits, n):
         with pytest.raises(ValueError, match=f"hits={hits}, n={n}"):
             wilson_interval(hits, n)
+
+    @pytest.mark.parametrize("hits,n,z,shown", [
+        (3.5, 10, 1.96, "hits=3.5"), (3, 10.0, 1.96, "n=10.0"), (True, 10, 1.96, "hits=True"),
+        (3, 10, -1.0, "z=-1.0"), (3, 10, 0.0, "z=0.0"), (3, 10, math.nan, "z=nan")])
+    def test_arguments_must_be_counts_and_positive_z(self, hits, n, z, shown):
+        # z=-1 returned (0.458, 0.179), a lower bound above the upper one
+        with pytest.raises(ValueError, match=shown):
+            wilson_interval(hits, n, z=z)
 
     def test_contains_the_point_estimate(self, rng):
         for _ in range(100):
@@ -204,6 +223,15 @@ class TestEstimate:
         event = RareEventSpec("terminal", 0, 1.0, 1.0)
         with pytest.raises(ValueError, match="at least 1"):
             estimate_rare_event(event, request.getfixturevalue(net), scales, reps, seed=0)
+
+
+    @pytest.mark.parametrize("scales,reps", [([2.5], [100]), ([5], [2.5]), ([5], [True]),
+                                             ([5.0], [100])])
+    def test_scales_and_reps_must_be_integers(self, mm1_stable, scales, reps):
+        # scales=[2.5] used to return hits; reps=[2.5] raised a TypeError
+        event = RareEventSpec("terminal", 0, 0.2, 1.0)
+        with pytest.raises(ValueError, match="must be integers"):
+            estimate_rare_event(event, mm1_stable, scales, reps, seed=0)
 
 
 class TestHitCounts:
@@ -316,8 +344,18 @@ class TestMinimizeAction:
     @pytest.mark.parametrize("starts", [0, -3])
     def test_needs_a_start(self, mm1_stable, starts):
         event = RareEventSpec("terminal", 0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="at least one start"):
+        with pytest.raises(ValueError, match=f"starts={starts}"):
             minimize_action(event, mm1_stable, PoissonCost(mm1_stable), starts=starts)
+
+    @pytest.mark.parametrize("kwargs,shown", [
+        ({"segments": 1.5}, "segments=1.5"), ({"segments": True}, "segments=True"),
+        ({"starts": 2.5}, "starts=2.5"), ({"seed": 1.5}, "seed=1.5"),
+        ({"q0": [-1.0]}, "q0=[-1.0]"), ({"q0": [0.0, 0.0]}, "q0=[0.0, 0.0]")])
+    def test_arguments_checked(self, mm1_stable, kwargs, shown):
+        # segments=1.5 and starts=2.5 used to raise a TypeError
+        event = RareEventSpec("terminal", 0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            minimize_action(event, mm1_stable, PoissonCost(mm1_stable), **kwargs)
 
     def test_event_queue_must_exist(self, two_queue):
         # queue 3 of a two-queue net; estimate_rare_event rejects it alike

@@ -251,7 +251,7 @@ class TestValidation:
     def test_bad_oracle_grid(self, mm1):
         cost = PoissonCost(mm1)
         for step, radius in [(0.0, 5.0), (-1e-3, 5.0), (1e-3, -1.0), (math.nan, 5.0)]:
-            with pytest.raises(ValueError, match="grid step"):
+            with pytest.raises(ValueError, match="grid_step=|box_radius="):
                 local_rate_bruteforce([1.0], [1.0], mm1, cost, grid_step=step, box_radius=radius)
 
     def test_cost_other_than_poisson(self, mm1):

@@ -239,6 +239,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             fn(two_queue, n, T, seed=0, q0_scaled=q0)
 
+    @pytest.mark.parametrize("fn", [simulate, terminal_statistics])
+    @pytest.mark.parametrize("n,seed,shown", [
+        (2.5, 0, "n=2.5"), (True, 0, "n=True"), (5, -1, "seed=-1"), (5, 1.5, "seed=1.5"),
+        (5, True, "seed=True")])
+    def test_counts_must_be_integers(self, two_queue, fn, n, seed, shown):
+        # n=2.5 used to run at a fractional scale; seed=1.5 raised a TypeError
+        with pytest.raises(ValueError, match=shown):
+            fn(two_queue, n, 1.0, seed=seed)
+
     @pytest.mark.parametrize("fn", [scale_path, scale_counters])
     @pytest.mark.parametrize("grid_step", [0.0, -1.0, float("nan")])
     def test_grid_step_must_be_positive_and_finite(self, two_queue, fn, grid_step):

@@ -83,6 +83,10 @@ def test_weighted_levels(weighted_net):
         {"K": 1, "M": 1, "admissible": 5, "lambda": [1], "mu": [1]},
         {"K": 1, "M": 1, "admissible": [[1]], "weights": [[1]], "lambda": [1], "mu": [1]},
         {"K": None, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [1]},
+        # int() truncated these to a one-queue net
+        {"K": 1.7, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [1]},
+        {"K": 1, "M": True, "admissible": [[1]], "lambda": [1], "mu": [1]},
+        {"K": 1, "M": 1, "admissible": [[1.9]], "lambda": [1], "mu": [1]},
     ],
 )
 def test_invalid_descriptions_rejected(raw):
