@@ -95,8 +95,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def cmd_simulate(args) -> int:
     topo = _load_topology(args.topology)
     q0 = _vector(args.q0, "--q0") if args.q0 else [0.0] * topo.K
-    tie = TieRule.LOWEST_INDEX if args.tie == "lowest" else TieRule.UNIFORM_RANDOM
-    path = simulate(topo, args.n, args.T, args.seed, tie, q0)
+    path = simulate(topo, args.n, args.T, args.seed, TieRule(args.tie), q0)
     sc = scale_counters(path, args.grid)
     header = (["t"]
               + [f"Q_{k+1}" for k in range(topo.K)]

@@ -5,8 +5,9 @@ trajectory, splitting each segment exactly where the domain of constant
 dynamics changes, so the integrand is constant on every evaluated piece.
 ``minimize_action`` searches piecewise-linear paths into a rare-event set;
 ``estimate_rare_event`` measures the same events by direct Monte Carlo and
-extrapolates the decay rate in 1/n.  Its replicates, on every net, are drawn
-and reduced by ``sim``: this module only counts their hits.
+extrapolates the decay rate in 1/n.  Its replicates, on every net, are laid
+out, drawn and counted by ``sim.count_hits``: this module keeps only the
+statistics of the hit counts.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ import numpy as np
 from .cost import INF, PoissonCost
 from .fluid import fluid_solve
 from .piecewise import PiecewisePath
-from .rate import DomainLabel, classify_domain, local_rate
-from .sim import _replicate_statistics
+from .rate import DomainLabel, local_rate
+from .sim import count_hits
 from .topology import Topology, count, positive, vector
 
 
@@ -189,28 +190,6 @@ def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _count_hits(event: RareEventSpec, topology: Topology, n: int, reps: int,
-                seed: int) -> int:
-    """Replicates whose event statistic reaches n * threshold.
-
-    Batches hold about 2**20 expected events, so memory does not grow with
-    n, and batch ``b`` is batch ``b`` of the simulator's stream at ``seed``.
-    """
-    rate = float(topology.lam.sum() + topology.mu.sum())
-    batch = max(1, int(2**20 // max(1.0, rate * (n * event.T))))
-    hits = 0
-    for batch_id, done in enumerate(range(0, reps, batch)):
-        (value,) = _replicate_statistics(topology, n, event.T, seed, batch_id,
-                                         min(batch, reps - done), (event.kind,))
-        hits += int((value[:, event.queue] >= n * event.threshold - 1e-9).sum())
-    return hits
-
-
-def _check_queue(event: RareEventSpec, topology: Topology) -> None:
-    if event.queue >= topology.K:
-        raise ValueError(f"event queue {event.queue + 1} is not one of the {topology.K} queues")
-
-
 def _check_counts(scales: list[int], reps: list[int]) -> None:
     """Raise ValueError unless there is one replication count per scale, at
     least one scale, and every scale and count is an integer >= 1."""
@@ -239,15 +218,15 @@ def estimate_rare_event(
     Zero-hit scales yield a one-sided Wilson bound and are excluded from the
     fit; the fitted intercept of rate = I + c/n is the reported empirical
     rate.  Raises ValueError unless there is one replication count per
-    scale, every scale and count is an integer >= 1 and the seed an integer
-    >= 0, and TooFewHitsError when the smallest scale gets fewer than 10
-    hits.
+    scale, every scale and count is an integer >= 1, the seed an integer
+    >= 0 and the event's queue one of the topology's, and TooFewHitsError
+    when the smallest scale gets fewer than 10 hits.
     """
     _check_counts(scales, reps)
-    _check_queue(event, topology)
     rows = []
     for n, R in zip(scales, reps):
-        hits = _count_hits(event, topology, n, R, seed)
+        hits = count_hits(topology, n, event.T, seed, R, event.kind, event.queue,
+                          n * event.threshold - 1e-9)
         lo, hi = wilson_interval(hits, R)
         phat = hits / R
         row = {
@@ -334,7 +313,8 @@ def minimize_action(
     """
     if event.kind != "terminal":
         raise ValueError(f"the path search supports only terminal events, got {event.kind!r}")
-    _check_queue(event, topology)
+    if event.queue >= topology.K:
+        raise ValueError(f"event queue {event.queue + 1} is not one of the {topology.K} queues")
     count(segments, "segments")
     count(starts, "starts")
     count(seed, "seed", least=0)

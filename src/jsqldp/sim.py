@@ -6,15 +6,18 @@ present, but is always counted.  By superposition the clocks are sampled as
 one uniformized stream, in place of one stream per clock: a run has
 Poisson(Λ n T) events with Λ = Σλ + Σμ, and each event belongs to clock c
 with probability rate_c / Λ.  The draws come from PCG64 streams seeded with
-``SeedSequence([seed, batch])``, batch 0 for ``simulate`` and
-``terminal_statistics``, so runs are reproducible bit-for-bit.  This module
-draws every run, including each replicate of the rare-event estimator.  One
-scalar loop routes the events of any number of replicates laid end to end;
-numpy observers turn its output into full paths (``simulate``) or
+``SeedSequence([seed, batch])``, so runs are reproducible bit-for-bit.
+
+This module draws every run, including each replicate of the rare-event
+estimator, and owns their layout: ``simulate`` and ``terminal_statistics``
+are replicate 0 of batch 0, and ``count_hits`` splits its replicates into
+batches of about 2**20 expected events, numbered 0, 1, ... from the seed.
+One scalar loop routes the events of any number of replicates laid end to
+end; numpy observers turn its output into full paths (``simulate``) or
 per-replicate terminal values or running maxima (``terminal_statistics``
-and the rare-event estimator).  A one-queue net needs no routing: every
-arrival joins the queue, so its replicates are reflected walks of +/-1
-jumps, reduced without a Python loop.
+and ``count_hits``).  A one-queue net needs no routing: every arrival joins
+the queue, so its replicates are reflected walks of +/-1 jumps, reduced
+without a Python loop.
 """
 from __future__ import annotations
 
@@ -64,12 +67,14 @@ class SamplePath:
 
 
 def _initial_queues(topology: Topology, n: int, T: float, seed: int,
-                    q0_scaled) -> np.ndarray:
+                    tie_rule: TieRule, q0_scaled) -> np.ndarray:
     """floor(n * q0_scaled), after checking the arguments of a run."""
     count(n, "scale n")
     count(seed, "seed", least=0)
     if not (math.isfinite(T) and T >= 0):
         raise ValueError(f"horizon must be finite and nonnegative, got T={T!r}")
+    if not isinstance(tie_rule, TieRule):
+        raise ValueError(f"tie rule must be a TieRule, got tie_rule={tie_rule!r}")
     if q0_scaled is None:
         return np.zeros(topology.K, dtype=np.int64)
     q0 = vector(q0_scaled, topology.K, "initial state q0_scaled")
@@ -174,10 +179,11 @@ def simulate(
     event times are sorted uniforms, so the times are drawn last, after the
     events that ``terminal_statistics`` shares.  Raises ``ValueError``
     unless n is an integer >= 1, seed an integer >= 0, T finite and
-    nonnegative, and q0 one finite nonnegative entry per queue.
+    nonnegative, tie_rule a ``TieRule``, and q0 one finite nonnegative entry
+    per queue.
     """
     K, M = topology.K, topology.M
-    q0 = _initial_queues(topology, n, T, seed, q0_scaled)
+    q0 = _initial_queues(topology, n, T, seed, tie_rule, q0_scaled)
     counts, clocks, ties, rng = _draw(topology, n, T, seed, 0, 1, tie_rule)
     moves = _route(topology, q0, counts, clocks, ties)
     # one column per clock, per (server, stream) pair and per server: the
@@ -284,12 +290,41 @@ def terminal_statistics(
     """(terminal queue vector, running max per queue), without recording.
 
     The run is the one ``simulate`` makes with the same arguments, and also
-    replicate 0 of the first batch the rare-event estimator draws at
-    ``seed``.  Raises ``ValueError`` on the arguments ``simulate`` rejects.
+    replicate 0 of batch 0 of ``count_hits`` at ``seed``.  Raises
+    ``ValueError`` on the arguments ``simulate`` rejects.
     """
     q_end, q_max = _replicate_statistics(topology, n, T, seed, 0, 1,
                                          ("terminal", "running_max"), tie_rule, q0_scaled)
     return q_end[0], q_max[0]
+
+
+def count_hits(topology: Topology, n: int, T: float, seed: int, reps: int, kind: str,
+               queue: int, level: float) -> int:
+    """How many of ``reps`` runs from an empty net have queue ``queue``'s
+    ``kind`` statistic at or above ``level``.
+
+    ``kind`` is 'terminal' (the queue length at n*T) or 'running_max' (its
+    largest value on [0, n*T]); ``queue`` is 0-based.  Batches hold about
+    2**20 expected events, so memory does not grow with n; batch b is drawn
+    from ``SeedSequence([seed, b])``, and replicate 0 of batch 0 is the run
+    of ``terminal_statistics``.  Raises ``ValueError`` on the arguments
+    ``simulate`` rejects, and unless reps is an integer >= 1, kind one of
+    the two above and queue in [0, K).
+    """
+    count(reps, "reps")
+    if kind not in ("terminal", "running_max"):
+        raise ValueError(f"kind must be 'terminal' or 'running_max', got kind={kind!r}")
+    if count(queue, "queue", least=0) >= topology.K:
+        raise ValueError(f"queue={queue} is not one of the {topology.K} queues, "
+                         "numbered from 0")
+    rate = float(topology.lam.sum() + topology.mu.sum())
+    batch = max(1, int(2**20 // max(1.0, rate * (n * T))))
+    hits = 0
+    for batch_id, done in enumerate(range(0, reps, batch)):
+        (value,) = _replicate_statistics(topology, n, T, seed, batch_id,
+                                         min(batch, reps - done), (kind,))
+        hits += int((value[:, queue] >= level).sum())
+    return hits
 
 
 def _replicate_statistics(
@@ -313,7 +348,7 @@ def _replicate_statistics(
     ``walk[start:end+1]`` of the batch's ``_walk`` minus the slice's first
     entry; on one queue it is the reflected walk of ``_reflected_queue``.
     """
-    q0 = _initial_queues(topology, n, T, seed, q0_scaled)
+    q0 = _initial_queues(topology, n, T, seed, tie_rule, q0_scaled)
     counts, clocks, ties, _ = _draw(topology, n, T, seed, batch, reps, tie_rule)
     if topology.K == 1:
         # every arrival joins the one queue, so no event needs routing: the

@@ -169,11 +169,9 @@ def _frac_str(f: Fraction) -> str:
 
 
 def _parse_weight(v) -> Fraction:
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
+    """A weight given as a string, int or float (not a bool), as an exact
+    rational: a float is read by its shortest repr, so 0.1 is 1/10."""
+    if isinstance(v, (str, int, float)) and not isinstance(v, bool):
         return Fraction(str(v))
     raise TopologyError(f"cannot parse weight {v!r}")
 

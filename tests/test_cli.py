@@ -243,6 +243,18 @@ class TestSimulate:
         assert man["seeds"] == [3]
         assert "run.csv" in man["outputs"]
 
+    def test_tie_flag_picks_the_tie_rule(self, topo_file, tmp_path):
+        # two empty queues: the first arrival ties, and 'uniform' may send it to queue 2
+        tops = set()
+        for seed in range(8):
+            out = tmp_path / f"{seed}.csv"
+            assert run(["simulate", "--topology", topo_file(TWO_QUEUE), "--n", "1",
+                        "--T", "5", "--seed", str(seed), "--tie", "uniform",
+                        "--out", str(out)]) == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            tops.add(next(tuple(r[1:3]) for r in rows if r[1:3] != ["0.0", "0.0"]))
+        assert tops == {("1.0", "0.0"), ("0.0", "1.0")}
+
     def test_reruns_are_byte_identical(self, topo_file, tmp_path):
         args = ["simulate", "--topology", topo_file(TWO_QUEUE),
                 "--n", "20", "--T", "1", "--seed", "3", "--q0", "1 0"]
@@ -313,3 +325,11 @@ class TestVerify:
         report = json.loads((tmp_path / "verify.csv.json").read_text())
         assert report["fit"] == printed["fit"]
         assert (tmp_path / "verify.csv.manifest.json").exists()
+
+
+class TestAcceptance:
+    def test_one_criterion_prints_one_pass_line(self, capsys):
+        assert run(["acceptance", "--only", "2-golden"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("2-golden-value  PASS  (")

@@ -7,6 +7,7 @@ import math
 import pytest
 
 import jsqldp as J
+from jsqldp.sim import count_hits
 
 NET = J.validate({"K": 2, "M": 1, "admissible": [[1, 2]], "lambda": [3], "mu": [1, 1]})
 COST = J.PoissonCost(NET)
@@ -54,6 +55,10 @@ COUNTS = [
     (lambda v: J.validate(NET.to_dict() | {"K": v}), "K", 1),
     (lambda v: J.validate(NET.to_dict() | {"M": v}), "M", 1),
     (lambda v: J.validate(NET.to_dict() | {"admissible": [[v, 2]]}), "server", 1),
+    (lambda v: count_hits(NET, v, 1.0, 0, 100, "terminal", 0, 5.0), "n", 1),
+    (lambda v: count_hits(NET, 5, 1.0, v, 100, "terminal", 0, 5.0), "seed", 0),
+    (lambda v: count_hits(NET, 5, 1.0, 0, v, "terminal", 0, 5.0), "reps", 1),
+    (lambda v: count_hits(NET, 5, 1.0, 0, 100, "terminal", v, 5.0), "queue", 0),
 ]
 
 # (entry point, parameter): finite and > 0
@@ -91,3 +96,14 @@ def _cases():
 def test_bad_argument_raises_value_error_naming_it(call, value, name):
     with pytest.raises(ValueError, match=rf"\b{name}="):
         call(value)
+
+
+@pytest.mark.parametrize("kind,queue,shown", [
+    ("bogus", 0, "kind='bogus'"),
+    ("Terminal", 0, "kind='Terminal'"),
+    ("terminal", 2, "queue=2 is not one of the 2 queues"),
+])
+def test_count_hits_names_the_event_it_rejects(kind, queue, shown):
+    # any kind but 'terminal' used to be reduced as a running maximum
+    with pytest.raises(ValueError, match=shown):
+        count_hits(NET, 5, 1.0, 0, 100, kind, queue, 5.0)

@@ -94,6 +94,10 @@ class TestPathAction:
                                              f"got {width}"):
             path_action(q, two_queue, PoissonCost(two_queue))
 
+    def test_infinite_when_the_path_dips_below_zero(self, mm1):
+        q = PiecewisePath(np.array([0.0, 0.5, 1.0]), np.array([[0.5], [-0.1], [0.5]]))
+        assert path_action(q, mm1, PoissonCost(mm1)).total == math.inf
+
     def test_infinite_when_domain_forbids_velocity(self, two_queue):
         # both queues climb from an untied state: impossible
         q = PiecewisePath.linear([2.0, 1.0], [2.5, 1.5], 1.0)
@@ -152,6 +156,9 @@ class TestWilson:
         lo, hi = wilson_interval(0, 100)
         assert lo == 0.0
         assert 0 < hi < 0.05
+
+    def test_no_trials_say_nothing(self):
+        assert wilson_interval(0, 0) == (0.0, 1.0)
 
     @pytest.mark.parametrize("hits,n", [(-1, 10), (11, 10), (1, 0), (0, -1)])
     def test_hits_must_lie_in_0_n(self, hits, n):

@@ -123,6 +123,16 @@ class TestInfeasibility:
         assert wit.certificate
         assert wit.a is None
 
+    def test_growth_only_a_zero_rate_stream_could_feed(self):
+        # stream 2 alone reaches queue 2 and has rate 0: the domain allows
+        # the growth, but no arrivals can pay for it
+        topo = validate({"K": 2, "M": 2, "admissible": [[1], [2]], "lambda": [1, 0],
+                         "mu": [1, 1]})
+        wit = local_rate([1.0, 1.0], [0.0, 0.5], topo, PoissonCost(topo))
+        assert wit.value == math.inf
+        assert wit.feasible is True
+        assert wit.certificate.endswith("zero-rate stream")
+
     def test_shrinking_is_always_feasible(self, two_queue):
         wit = local_rate([2.0, 1.0], [-0.5, -0.5], two_queue, PoissonCost(two_queue))
         assert math.isfinite(wit.value)

@@ -12,7 +12,7 @@ from jsqldp import (
     terminal_statistics,
     validate,
 )
-from jsqldp.sim import _draw, _replicate_statistics, _route
+from jsqldp.sim import _draw, _replicate_statistics, _route, count_hits
 
 
 class TestReproducibility:
@@ -200,6 +200,25 @@ class TestEngine:
                 assert np.array_equal(one_end, p.queues[-1])
                 assert np.array_equal(one_max, p.queues.max(axis=0))
 
+    def test_count_hits_replicate_zero_is_terminal_statistics(self, weighted_net):
+        for seed in range(5):
+            q_end, q_max = terminal_statistics(weighted_net, 10, 1.5, seed)
+            for kind, value in (("terminal", q_end), ("running_max", q_max)):
+                for k in range(weighted_net.K):
+                    assert count_hits(weighted_net, 10, 1.5, seed, 1, kind, k, value[k]) == 1
+                    assert count_hits(weighted_net, 10, 1.5, seed, 1, kind, k,
+                                      value[k] + 0.5) == 0
+
+    def test_count_hits_numbers_its_batches_from_the_seed(self, mm1):
+        # 2**19 expected events per replicate make batches of two, so five
+        # replicates are batches 0, 1 and 2 of the stream at seed 3
+        T = 2.0**18
+        tops = np.concatenate([
+            _replicate_statistics(mm1, 1, T, 3, batch, reps, ("running_max",))[0][:, 0]
+            for batch, reps in [(0, 2), (1, 2), (2, 1)]])
+        for level in tops.tolist():
+            assert count_hits(mm1, 1, T, 3, 5, "running_max", 0, level) == (tops >= level).sum()
+
     @pytest.mark.parametrize("T", [0.05, 2.0])
     def test_batch_observer_matches_replicate_loop(self, request, T):
         # at T=0.05 (n=10) most replicates have no event at all; the scalar
@@ -248,6 +267,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=shown):
             fn(two_queue, n, 1.0, seed=seed)
 
+    @pytest.mark.parametrize("fn", [simulate, terminal_statistics])
+    @pytest.mark.parametrize("tie_rule", ["uniform", "bogus"])
+    def test_tie_rule_must_be_a_tie_rule(self, two_queue, fn, tie_rule):
+        # 'uniform' used to run lowest-index ties without a word
+        with pytest.raises(ValueError, match=f"tie_rule='{tie_rule}'"):
+            fn(two_queue, 5, 1.0, seed=0, tie_rule=tie_rule)
+
     @pytest.mark.parametrize("fn", [scale_path, scale_counters])
     @pytest.mark.parametrize("grid_step", [0.0, -1.0, float("nan")])
     def test_grid_step_must_be_positive_and_finite(self, two_queue, fn, grid_step):
@@ -259,3 +285,6 @@ class TestValidation:
         p = simulate(two_queue, 5, 0.0, seed=0, q0_scaled=[1.0, 0.4])
         assert p.times.tolist() == [0.0]
         assert p.queues.tolist() == [[5, 2]]
+        # one grid time, repeated at scaled time 1 to make a path
+        assert scale_path(p).breakpoints.tolist() == [0.0, 1.0]
+        assert scale_path(p).values.tolist() == [[1.0, 0.4], [1.0, 0.4]]

@@ -36,6 +36,13 @@ def test_fractional_weight_parsing(weighted_net):
     assert weighted_net.weights[(1, 1)] == Fraction(1, 3)
 
 
+def test_decimal_weight_parsing():
+    topo = validate({"K": 2, "M": 1, "admissible": [[1, 2]], "weights": [{"1": 0.5, "2": 0.1}],
+                     "lambda": [1], "mu": [1, 1]})
+    assert topo.weights[(0, 0)] == Fraction(1, 2)
+    assert topo.weights[(1, 0)] == Fraction(1, 10)
+
+
 @pytest.mark.parametrize("fixture", ["mm1", "mm1_stable", "two_queue", "weighted_net",
                                      "shared_queues", "three_queue"])
 def test_routing_table(request, fixture):
@@ -87,6 +94,9 @@ def test_weighted_levels(weighted_net):
         {"K": 1.7, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [1]},
         {"K": 1, "M": True, "admissible": [[1]], "lambda": [1], "mu": [1]},
         {"K": 1, "M": 1, "admissible": [[1.9]], "lambda": [1], "mu": [1]},
+        # a bool weight loaded as 1
+        {"K": 2, "M": 1, "admissible": [[1, 2]],
+         "weights": [{"1": True, "2": 1}], "lambda": [1], "mu": [1, 1]},
     ],
 )
 def test_invalid_descriptions_rejected(raw):
