@@ -12,6 +12,7 @@ statistics of the hit counts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,7 +178,8 @@ def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for ``hits`` successes in ``n`` trials; (0, 1)
     when n == 0.  Raises ValueError unless hits and n are integers with
     0 <= hits <= n and z is positive and finite."""
-    if not 0 <= hits <= n:
+    # two integers are compared as a pair; ``count`` names anything else
+    if all(isinstance(v, numbers.Integral) for v in (hits, n)) and not 0 <= hits <= n:
         raise ValueError(f"hits must lie in [0, n], got hits={hits}, n={n}")
     hits, n = count(hits, "hits", least=0), count(n, "n", least=0)
     z = positive(z, "z")

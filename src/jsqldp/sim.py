@@ -5,8 +5,12 @@ Poisson processes; a service tick removes a customer only when one is
 present, but is always counted.  By superposition the clocks are sampled as
 one uniformized stream, in place of one stream per clock: a run has
 Poisson(Λ n T) events with Λ = Σλ + Σμ, and each event belongs to clock c
-with probability rate_c / Λ.  The draws come from PCG64 streams seeded with
-``SeedSequence([seed, batch])``, so runs are reproducible bit-for-bit.
+with probability rate_c / Λ.  One random byte picks an event's clock; only
+an event whose byte straddles a boundary between two clocks' shares (about
+1 in 256 per boundary) also draws a float64, so the law stays exact to
+2**-53.  The draws come from four PCG64 streams spawned from
+``SeedSequence([seed, batch])`` (``_draw``), so runs are reproducible
+bit-for-bit.
 
 This module draws every run, including each replicate of the rare-event
 estimator, and owns their layout: ``simulate`` and ``terminal_statistics``
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import islice, repeat
 
@@ -85,29 +90,50 @@ def _draw(topology: Topology, n: int, T: float, seed: int, batch: int, reps: int
           tie_rule: TieRule):
     """Event counts, clocks and tie uniforms of ``reps`` replicates on [0, nT].
 
-    Clocks 0..M-1 are the arrival streams and M..M+K-1 the servers; an event
-    takes the clock whose share of the cumulative rates its uniform falls in,
-    so a clock of rate 0 is never chosen.  The clock is the number of
-    normalized cumulative shares at or below the uniform, which a few array
-    comparisons count far faster than a binary search; clocks are stored in
-    the smallest unsigned dtype.  Tie uniforms (``UNIFORM_RANDOM`` only) are
-    interleaved with the clock uniforms.  Counts and events come from two
-    streams spawned from ``SeedSequence([seed, batch])``, so a replicate's
-    events do not depend on how many replicates follow it.  The event stream
-    is returned for callers that draw more from it.
+    Clocks 0..M-1 are the arrival streams and M..M+K-1 the servers.  An
+    event's clock is the number of normalized cumulative shares c_i (all but
+    the last, which is 1) at or below its uniform U = (b + v) / 256, so a
+    clock of rate 0 is never chosen.  The byte b alone decides cut i unless
+    256 c_i is not an integer and b is its floor (about 1 in 256 events per
+    cut): the cut counts when 256 c_i <= b and not when 256 c_i >= b + 1.
+    Only an undecided event draws its float64 v, one for all the cuts in its
+    byte, and counts cut i when v >= 256 c_i - b.  Both 256 c_i and that
+    difference are exact, so the law is exact to 2**-53.  Clocks are stored
+    in the smallest unsigned dtype.
+
+    ``SeedSequence([seed, batch])`` spawns four streams: the Poisson counts;
+    the bytes, raw 64-bit words read as 8 bytes each; the v of the undecided
+    events, in event order; and one tie uniform per event (``UNIFORM_RANDOM``
+    only).  So a replicate's events do not depend on how many follow it.
+    The byte stream is returned for callers that draw more (the event times).
     """
     rates = np.concatenate([topology.lam, topology.mu])
-    count_rng, event_rng = map(np.random.default_rng,
-                               np.random.SeedSequence([seed, batch]).spawn(2))
+    count_rng, event_rng, split_rng, tie_rng = map(
+        np.random.default_rng, np.random.SeedSequence([seed, batch]).spawn(4))
     counts = count_rng.poisson(rates.sum() * n * T, reps)
-    width = 2 if tie_rule is TieRule.UNIFORM_RANDOM else 1
-    u = event_rng.random((int(counts.sum()), width))
+    events = int(counts.sum())
+    b = event_rng.bit_generator.random_raw(-(-events // 8)).view(np.uint8)[:events]
     shares = np.cumsum(rates)
-    clocks = np.zeros(len(u), np.min_scalar_type(len(rates)))
-    # the last share is 1, which no uniform reaches
-    for cut in (shares[:-1] / shares[-1]).tolist():
-        clocks += u[:, 0] >= cut
-    return counts, clocks, (u[:, 1] if width == 2 else None), event_rng
+    cuts = (shares[:-1] / shares[-1] * 256).tolist()
+    # the first comparison's array becomes the clocks: one more 1 MB
+    # temporary per batch made the allocator trim and re-fault its heap on
+    # every batch of count_hits
+    clocks = (b >= math.ceil(cuts[0])).view(np.uint8).astype(
+        np.min_scalar_type(len(rates)), copy=False)
+    for cut in cuts[1:]:
+        clocks += b >= math.ceil(cut)
+    # (byte, 256 c_i - byte) of each cut that splits its byte
+    parts = [(math.floor(cut), cut % 1) for cut in cuts if cut % 1]
+    if parts:
+        hit = b == parts[0][0]
+        for byte, _ in parts[1:]:
+            hit |= b == byte
+        at = np.flatnonzero(hit)
+        v, at_byte = split_rng.random(len(at)), b[at]
+        for byte, frac in parts:
+            clocks[at] += (at_byte == byte) & (v >= frac)
+    ties = tie_rng.random(events) if tie_rule is TieRule.UNIFORM_RANDOM else None
+    return counts, clocks, ties, event_rng
 
 
 def _route(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks: np.ndarray,
@@ -309,7 +335,7 @@ def count_hits(topology: Topology, n: int, T: float, seed: int, reps: int, kind:
     from ``SeedSequence([seed, b])``, and replicate 0 of batch 0 is the run
     of ``terminal_statistics``.  Raises ``ValueError`` on the arguments
     ``simulate`` rejects, and unless reps is an integer >= 1, kind one of
-    the two above and queue in [0, K).
+    the two above, queue in [0, K) and level a finite real number.
     """
     count(reps, "reps")
     if kind not in ("terminal", "running_max"):
@@ -317,6 +343,8 @@ def count_hits(topology: Topology, n: int, T: float, seed: int, reps: int, kind:
     if count(queue, "queue", least=0) >= topology.K:
         raise ValueError(f"queue={queue} is not one of the {topology.K} queues, "
                          "numbered from 0")
+    if isinstance(level, bool) or not (isinstance(level, numbers.Real) and math.isfinite(level)):
+        raise ValueError(f"level must be a finite real number, got level={level!r}")
     rate = float(topology.lam.sum() + topology.mu.sum())
     batch = max(1, int(2**20 // max(1.0, rate * (n * T))))
     hits = 0
@@ -387,8 +415,8 @@ def _reflected_queue(counts: np.ndarray, jumps: np.ndarray, q0: int, kind: str) 
     starts = ends - counts
     bound = int(counts.max(initial=0)) + 1
     # int32 holds walk - r*bound below: a batch of 2**20 expected events
-    # keeps it under ~2**25 unless one replicate makes ~2**30 jumps (8 GB of
-    # uniforms)
+    # keeps it under ~2**25 unless one replicate makes ~2**30 jumps (7 GB:
+    # a random byte, a clock and a jump per event, and the walk itself)
     walk = np.zeros(len(jumps) + 1, dtype=np.int32)
     np.cumsum(jumps, dtype=np.int32, out=walk[1:])
     first, last = walk[starts], walk[ends]

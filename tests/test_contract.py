@@ -75,6 +75,11 @@ POSITIVES = [
     (lambda v: J.wilson_interval(3, 10, z=v), "z"),
 ]
 
+# (entry point, parameter): a finite real number, of any sign
+REALS = [
+    (lambda v: count_hits(NET, 5, 1.0, 0, 100, "terminal", 0, v), "level"),
+]
+
 
 def _cases():
     for i, (call, name, length, nonnegative) in enumerate(VECTORS):
@@ -90,6 +95,10 @@ def _cases():
     for i, (call, name) in enumerate(POSITIVES):
         for value in (0.0, -1.0, math.nan, math.inf, True):
             yield pytest.param(call, value, name, id=f"positive{i}-{name}-{value}")
+    for i, (call, name) in enumerate(REALS):
+        # level=nan counted no hit and level='x' raised numpy's UFuncTypeError
+        for value in (math.nan, math.inf, -math.inf, "x", None, True):
+            yield pytest.param(call, value, name, id=f"real{i}-{name}-{value}")
 
 
 @pytest.mark.parametrize("call,value,name", _cases())

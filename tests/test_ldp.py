@@ -173,6 +173,13 @@ class TestWilson:
         with pytest.raises(ValueError, match=shown):
             wilson_interval(hits, n, z=z)
 
+    @pytest.mark.parametrize("hits,n,shown", [
+        ("3", 10, "hits='3'"), (None, 10, "hits=None"), (3, "10", "n='10'")])
+    def test_non_integers_are_named_before_the_range_test(self, hits, n, shown):
+        # each raised a TypeError from the comparison 0 <= hits <= n
+        with pytest.raises(ValueError, match=shown):
+            wilson_interval(hits, n)
+
     def test_contains_the_point_estimate(self, rng):
         for _ in range(100):
             n = int(rng.integers(10, 10_000))
@@ -248,11 +255,11 @@ class TestHitCounts:
     # two batches each: 69905 replicates per batch on the drain net at n=5
     # and 43690 on the weighted net at n=4
     @pytest.mark.parametrize("net,kind,queue,c,n,reps,hits", [
-        ("mm1_stable", "terminal", 0, 0.6, 5, 75_000, 7910),
-        ("mm1_stable", "running_max", 0, 0.6, 5, 75_000, 25489),
-        ("weighted_net", "terminal", 0, 0.75, 4, 45_000, 19508),
-        ("weighted_net", "running_max", 1, 0.75, 4, 45_000, 11724),
-    ])
+        ("mm1_stable", "terminal", 0, 0.6, 5, 75_000, 7932),
+        ("mm1_stable", "running_max", 0, 0.6, 5, 75_000, 25804),
+        ("weighted_net", "terminal", 0, 0.75, 4, 45_000, 19480),
+        ("weighted_net", "running_max", 1, 0.75, 4, 45_000, 11835),
+    ], ids=["mm1-terminal", "mm1-running_max", "weighted-terminal", "weighted-running_max"])
     def test_hits_per_seed(self, request, net, kind, queue, c, n, reps, hits):
         event = RareEventSpec(kind, queue, c, 1.0)
         report = estimate_rare_event(event, request.getfixturevalue(net), [n], [reps], seed=9)

@@ -1,4 +1,6 @@
 import hashlib
+from fractions import Fraction
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from jsqldp import (
     simulate,
     terminal_statistics,
     validate,
+    wilson_interval,
 )
 from jsqldp.sim import _draw, _replicate_statistics, _route, count_hits
 
@@ -48,15 +51,15 @@ class TestReproducibility:
         assert np.array_equal(q_max, p.queues.max(axis=0))
 
     def test_pinned_path_digest(self, weighted_net):
-        # guards the stream layout: counts, interleaved clock and tie
-        # uniforms, then the event times
+        # guards the stream layout: counts, clock bytes then event times,
+        # split uniforms and tie uniforms, each from its own stream
         p = simulate(weighted_net, 20, 2.0, seed=7, tie_rule=TieRule.UNIFORM_RANDOM,
                      q0_scaled=[1.0, 0.3])
         h = hashlib.sha256()
         for arr in (p.times, p.queues, p.arrivals, p.services, p.departures, p.routed):
             h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest() == (
-            "c03679f2822ea55d11917abcb150dfd63e07c9e106f3cf304f9d8a3cb6ad8f66")
+            "ac46fe2579f3971618258345a76f1a3b95f2c560fad4246986743a3b0ac165e7")
 
 
 class TestAudit:
@@ -163,19 +166,56 @@ class TestEngine:
             first += int(p.routed[j + 1, 0, 0] - p.routed[j, 0, 0])
         assert abs(first - seeds / 2) <= 4.5 * np.sqrt(seeds / 4)
 
-    def test_clocks_match_a_binary_search(self):
-        # the comparison count must pick the clock searchsorted picked, also
-        # next to a zero-rate stream, whose share repeats the one before it
-        topo = validate({"K": 2, "M": 3, "admissible": [[1, 2], [2], [1]],
-                         "lambda": [0.3, 0, 2.2], "mu": [1, 0.7]})
-        for tie in TieRule:
-            counts, clocks, _, _ = _draw(topo, 50, 3.0, 8, 1, 20, tie)
-            _, event_rng = map(np.random.default_rng, np.random.SeedSequence([8, 1]).spawn(2))
-            u = event_rng.random((int(counts.sum()), 2 if tie is TieRule.UNIFORM_RANDOM else 1))
-            shares = np.cumsum(np.concatenate([topo.lam, topo.mu]))
+    # a cut on each of bytes 64 and 128 and none inside a byte; two cuts
+    # inside byte 85 and a share of 1/1000, below 1/256; a zero-rate stream,
+    # whose cut repeats the one before it
+    CLOCK_NETS = [
+        {"K": 2, "M": 1, "admissible": [[1, 2]], "lambda": [1], "mu": [1, 2]},
+        {"K": 2, "M": 2, "admissible": [[1, 2], [2]], "lambda": [1, 0.003],
+         "mu": [1, 0.997]},
+        {"K": 2, "M": 3, "admissible": [[1, 2], [2], [1]], "lambda": [0.3, 0, 2.2],
+         "mu": [1, 0.7]},
+    ]
+
+    def test_clocks_match_an_exact_reference(self):
+        # each clock is #{i : c_i <= (b + v) / 256} in exact arithmetic, with
+        # b and v re-drawn from the spawned streams and v drawn only by an
+        # event whose byte interval holds a non-integer 256 c_i
+        for spec, tie in product(self.CLOCK_NETS, TieRule):
+            topo = validate(spec)
+            counts, clocks, ties, _ = _draw(topo, 50, 3.0, 8, 1, 20, tie)
+            events = int(counts.sum())
+            _, byte_rng, split_rng, tie_rng = map(
+                np.random.default_rng, np.random.SeedSequence([8, 1]).spawn(4))
+            raw = byte_rng.bit_generator.random_raw(-(-events // 8)).tobytes()[:events]
+            v_stream = iter(split_rng.random(events).tolist())
+            rates = list(map(Fraction, [*topo.lam.tolist(), *topo.mu.tolist()]))
+            cuts = [share / sum(rates) for share in accumulate(rates[:-1])]
+            expected, splits = [], 0
+            for b in raw:
+                v = Fraction(0)
+                if any(b < 256 * c < b + 1 for c in cuts):
+                    v, splits = Fraction(next(v_stream)), splits + 1
+                expected.append(sum(c <= (b + v) / 256 for c in cuts))
             assert clocks.dtype == np.uint8
-            assert np.array_equal(clocks, np.searchsorted(shares / shares[-1], u[:, 0],
-                                                           side="right"))
+            assert clocks.tolist() == expected
+            assert (splits > 0) == (spec["lambda"] != [1])
+            if tie is TieRule.UNIFORM_RANDOM:
+                assert np.array_equal(ties, tie_rng.random(events))
+            else:
+                assert ties is None
+
+    @pytest.mark.parametrize("spec", CLOCK_NETS[1:], ids=["one-byte", "zero-rate"])
+    def test_clock_frequencies_match_the_rate_shares(self, spec):
+        topo = validate(spec)
+        counts, clocks, _, _ = _draw(topo, 1000, 1.0, 5, 0, 400, TieRule.LOWEST_INDEX)
+        rates = np.concatenate([topo.lam, topo.mu])
+        events = int(counts.sum())
+        assert events >= 10**6
+        for hits, share in zip(np.bincount(clocks, minlength=len(rates)).tolist(),
+                               (rates / rates.sum()).tolist()):
+            lo, hi = wilson_interval(hits, events, z=4.5)
+            assert lo <= share <= hi
 
     # the weighted net runs the scalar router, the one-queue nets (one and two
     # streams) the reflected walk
