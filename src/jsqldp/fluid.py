@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .piecewise import PiecewisePath
-from .topology import Topology, positive, tie_level, vector
+from .topology import Topology, finite, positive, tie_level, vector
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,7 @@ def water_fill(levels, widths, mass: float) -> np.ndarray:
         raise ValueError("levels and widths must be equally long nonempty vectors of "
                          f"finite numbers, widths positive, got levels={levels}, "
                          f"widths={widths}")
-    if not np.isfinite(mass):
-        raise ValueError(f"mass must be finite, got mass={mass}")
-    return np.array(_fill(levels.tolist(), widths.tolist(), float(mass)))
+    return np.array(_fill(levels.tolist(), widths.tolist(), finite(mass, "mass")))
 
 
 def _fill(levels: list, widths: list, mass: float) -> list:
@@ -81,14 +79,10 @@ def _fill(levels: list, widths: list, mass: float) -> list:
     for k in order[:i]:
         gap = level - levels[k]
         alloc[k] = (0.0 if gap < 0.0 else gap) * widths[k]
-    # exact mass conservation despite rounding; the total is the one numpy's
-    # sum gives, which adds fewer than 8 terms in order and more pairwise
-    if n < 8:
-        total = alloc[0]
-        for v in alloc[1:]:
-            total += v
-    else:
-        total = float(np.sum(alloc))
+    # exact mass conservation despite rounding
+    total = alloc[0]
+    for v in alloc[1:]:
+        total += v
     drift = mass - total
     if total > 0:
         alloc[alloc.index(max(alloc))] += drift

@@ -5,8 +5,9 @@ trajectory, splitting each segment exactly where the domain of constant
 dynamics changes, so the integrand is constant on every evaluated piece.
 ``minimize_action`` searches piecewise-linear paths into a rare-event set;
 ``estimate_rare_event`` measures the same events by direct Monte Carlo and
-extrapolates the decay rate in 1/n.  Its replicates, on every net, are laid
-out, drawn and counted by ``sim.count_hits``: this module keeps only the
+extrapolates the decay rate in 1/n.  The event, ``RareEventSpec``, is
+defined in ``sim`` (and re-exported here), whose ``count_hits`` lays out,
+draws and counts its replicates on every net: this module keeps only the
 statistics of the hit counts.
 """
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .cost import INF, PoissonCost
 from .fluid import fluid_solve
 from .piecewise import PiecewisePath
 from .rate import DomainLabel, local_rate
-from .sim import count_hits
+from .sim import RareEventSpec, count_hits
 from .topology import Topology, count, positive, vector
 
 
@@ -128,52 +129,6 @@ def path_action(
 # Rare events
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RareEventSpec:
-    """Threshold event on the scaled queue path over [0, T].
-
-    kind 'terminal': scaled queue ``queue`` at time T is >= threshold;
-    kind 'running_max': its running maximum over [0, T] is >= threshold.
-    ``queue`` is 0-based internally, a nonnegative integer.  T must be
-    positive and finite and the threshold finite.
-    """
-
-    kind: str
-    queue: int
-    threshold: float
-    T: float
-
-    def __post_init__(self):
-        if self.kind not in ("terminal", "running_max"):
-            raise ValueError(
-                f"event kind must be 'terminal' or 'running_max', got {self.kind!r}")
-        count(self.queue + 1, "event queue k")
-        positive(self.T, "event horizon T")
-        if not math.isfinite(self.threshold):
-            raise ValueError(f"event threshold c must be finite, got {self.threshold}")
-
-    @staticmethod
-    def parse(text: str) -> "RareEventSpec":
-        """Parse 'terminal:k=1,c=1,T=1' style event descriptions; k and T
-        may be left out, and any other field is an error."""
-        kind, _, rest = text.partition(":")
-        try:
-            fields = dict(part.split("=") for part in rest.split(",") if part)
-            unknown = sorted(fields.keys() - {"k", "c", "T"})
-            if unknown:
-                raise ValueError(f"unknown field {unknown[0]!r}; the fields are k, c and T")
-            return RareEventSpec(
-                kind=kind.strip(),
-                queue=int(fields.get("k", 1)) - 1,
-                threshold=float(fields["c"]),
-                T=float(fields.get("T", 1)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"event {text!r} lacks the field {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"invalid event {text!r}: {exc}") from exc
-
-
 def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for ``hits`` successes in ``n`` trials; (0, 1)
     when n == 0.  Raises ValueError unless hits and n are integers with
@@ -227,8 +182,7 @@ def estimate_rare_event(
     _check_counts(scales, reps)
     rows = []
     for n, R in zip(scales, reps):
-        hits = count_hits(topology, n, event.T, seed, R, event.kind, event.queue,
-                          n * event.threshold - 1e-9)
+        hits = count_hits(topology, event, n, seed, R)
         lo, hi = wilson_interval(hits, R)
         phat = hits / R
         row = {
@@ -315,8 +269,7 @@ def minimize_action(
     """
     if event.kind != "terminal":
         raise ValueError(f"the path search supports only terminal events, got {event.kind!r}")
-    if event.queue >= topology.K:
-        raise ValueError(f"event queue {event.queue + 1} is not one of the {topology.K} queues")
+    event.check_queue(topology)
     count(segments, "segments")
     count(starts, "starts")
     count(seed, "seed", least=0)
@@ -333,6 +286,7 @@ def minimize_action(
         return fl.queue, 0.0
 
     n_free = (segments - 1) * K + (K - 1)
+    others = [k for k in range(K) if k != event.queue]
 
     def build_path(z: np.ndarray) -> PiecewisePath:
         vals = np.empty((segments + 1, K))
@@ -341,7 +295,6 @@ def minimize_action(
         vals[1:segments] = interior
         term = np.empty(K)
         term[event.queue] = event.threshold
-        others = [k for k in range(K) if k != event.queue]
         term[others] = z[(segments - 1) * K:]
         vals[segments] = term
         return PiecewisePath(ts, np.maximum(vals, 0.0))
@@ -357,7 +310,6 @@ def minimize_action(
         straight = q0[None, :] * (1 - frac[:, None])
         straight[:, event.queue] += frac * event.threshold
         z0[: (segments - 1) * K] = straight.ravel()
-        others = [k for k in range(K) if k != event.queue]
         z0[(segments - 1) * K:] = q0[others]
         if s > 0:
             z0 = np.maximum(z0 + rng.normal(0, 0.3 * max(event.threshold, 1.0), n_free), 0.0)

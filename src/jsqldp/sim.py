@@ -13,15 +13,18 @@ an event whose byte straddles a boundary between two clocks' shares (about
 bit-for-bit.
 
 This module draws every run, including each replicate of the rare-event
-estimator, and owns their layout: ``simulate`` and ``terminal_statistics``
-are replicate 0 of batch 0, and ``count_hits`` splits its replicates into
+estimator, and owns their layout and the threshold event they are counted
+against (``RareEventSpec``): ``simulate`` and ``terminal_statistics`` are
+replicate 0 of batch 0, and ``count_hits`` splits its replicates into
 batches of about 2**20 expected events, numbered 0, 1, ... from the seed.
 One scalar loop routes the events of any number of replicates laid end to
 end; numpy observers turn its output into full paths (``simulate``) or
 per-replicate terminal values or running maxima (``terminal_statistics``
-and ``count_hits``).  A one-queue net needs no routing: every arrival joins
-the queue, so its replicates are reflected walks of +/-1 jumps, reduced
-without a Python loop.
+and ``count_hits``).  Those statistics come from one reduction of each
+queue's walk, ``_reflected_queue``.  A one-queue net needs no routing: every
+arrival joins the queue, so its walk is one of +/-1 jumps, which the
+reflection holds at 0.  A routed queue's walk never falls below its floor,
+so the reflection leaves it unchanged.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from itertools import islice, repeat
 import numpy as np
 
 from .piecewise import PiecewisePath
-from .topology import Topology, count, positive, vector
+from .topology import Topology, count, finite, positive, vector
 
 
 class TieRule(enum.Enum):
@@ -76,8 +79,7 @@ def _initial_queues(topology: Topology, n: int, T: float, seed: int,
     """floor(n * q0_scaled), after checking the arguments of a run."""
     count(n, "scale n")
     count(seed, "seed", least=0)
-    if not (math.isfinite(T) and T >= 0):
-        raise ValueError(f"horizon must be finite and nonnegative, got T={T!r}")
+    finite(T, "horizon T", least=0)
     if not isinstance(tie_rule, TieRule):
         raise ValueError(f"tie rule must be a TieRule, got tie_rule={tie_rule!r}")
     if q0_scaled is None:
@@ -204,8 +206,8 @@ def simulate(
     reproduce identical paths.  Given its event count, a Poisson process's
     event times are sorted uniforms, so the times are drawn last, after the
     events that ``terminal_statistics`` shares.  Raises ``ValueError``
-    unless n is an integer >= 1, seed an integer >= 0, T finite and
-    nonnegative, tie_rule a ``TieRule``, and q0 one finite nonnegative entry
+    unless n is an integer >= 1, seed an integer >= 0, T a finite real
+    number >= 0, tie_rule a ``TieRule``, and q0 one finite nonnegative entry
     per queue.
     """
     K, M = topology.K, topology.M
@@ -324,34 +326,81 @@ def terminal_statistics(
     return q_end[0], q_max[0]
 
 
-def count_hits(topology: Topology, n: int, T: float, seed: int, reps: int, kind: str,
-               queue: int, level: float) -> int:
-    """How many of ``reps`` runs from an empty net have queue ``queue``'s
-    ``kind`` statistic at or above ``level``.
+@dataclass(frozen=True)
+class RareEventSpec:
+    """Threshold event on the scaled queue path over [0, T].
 
-    ``kind`` is 'terminal' (the queue length at n*T) or 'running_max' (its
-    largest value on [0, n*T]); ``queue`` is 0-based.  Batches hold about
-    2**20 expected events, so memory does not grow with n; batch b is drawn
-    from ``SeedSequence([seed, b])``, and replicate 0 of batch 0 is the run
-    of ``terminal_statistics``.  Raises ``ValueError`` on the arguments
-    ``simulate`` rejects, and unless reps is an integer >= 1, kind one of
-    the two above, queue in [0, K) and level a finite real number.
+    kind 'terminal': scaled queue ``queue`` at time T is >= threshold;
+    kind 'running_max': its running maximum over [0, T] is >= threshold.
+    ``queue`` is 0-based internally and k = queue + 1 in messages and in
+    ``parse``.  Raises ValueError for any other kind, a queue that is not an
+    integer >= 0 (bools and floats included), a threshold that is not a
+    finite real number and a horizon T that is not positive and finite.
     """
+
+    kind: str
+    queue: int
+    threshold: float
+    T: float
+
+    def __post_init__(self):
+        if self.kind not in ("terminal", "running_max"):
+            raise ValueError(
+                f"event kind must be 'terminal' or 'running_max', got kind={self.kind!r}")
+        real = isinstance(self.queue, numbers.Real) and not isinstance(self.queue, bool)
+        count(self.queue + 1 if real else self.queue, "event queue k")
+        finite(self.threshold, "event threshold c")
+        positive(self.T, "event horizon T")
+
+    def check_queue(self, topology: Topology) -> None:
+        """Raise ValueError unless the event's queue is one of the topology's."""
+        if self.queue >= topology.K:
+            raise ValueError(f"event queue {self.queue + 1} is not one of the {topology.K} queues")
+
+    @staticmethod
+    def parse(text: str) -> "RareEventSpec":
+        """Parse 'terminal:k=1,c=1,T=1' style event descriptions; k and T
+        may be left out, and any other field is an error."""
+        kind, _, rest = text.partition(":")
+        try:
+            fields = dict(part.split("=") for part in rest.split(",") if part)
+            unknown = sorted(fields.keys() - {"k", "c", "T"})
+            if unknown:
+                raise ValueError(f"unknown field {unknown[0]!r}; the fields are k, c and T")
+            return RareEventSpec(
+                kind=kind.strip(),
+                queue=int(fields.get("k", 1)) - 1,
+                threshold=float(fields["c"]),
+                T=float(fields.get("T", 1)),
+            )
+        except KeyError as exc:
+            raise ValueError(f"event {text!r} lacks the field {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"invalid event {text!r}: {exc}") from exc
+
+
+def count_hits(topology: Topology, event: RareEventSpec, n: int, seed: int, reps: int) -> int:
+    """How many of ``reps`` runs at scale n from an empty net hit ``event``.
+
+    A run hits when the statistic of the event's kind, on its queue over
+    [0, n*T], is at least ``n * threshold - 1e-9`` (so a scaled level met
+    exactly counts despite rounding).  Batches hold about 2**20 expected
+    events, so memory does not grow with n; batch b is drawn from
+    ``SeedSequence([seed, b])``, and replicate 0 of batch 0 is the run of
+    ``terminal_statistics``.  Raises ``ValueError`` on the arguments
+    ``simulate`` rejects, unless reps is an integer >= 1, and when the
+    event's queue is not one of the topology's.
+    """
+    event.check_queue(topology)
     count(reps, "reps")
-    if kind not in ("terminal", "running_max"):
-        raise ValueError(f"kind must be 'terminal' or 'running_max', got kind={kind!r}")
-    if count(queue, "queue", least=0) >= topology.K:
-        raise ValueError(f"queue={queue} is not one of the {topology.K} queues, "
-                         "numbered from 0")
-    if isinstance(level, bool) or not (isinstance(level, numbers.Real) and math.isfinite(level)):
-        raise ValueError(f"level must be a finite real number, got level={level!r}")
+    level = count(n, "scale n") * event.threshold - 1e-9
     rate = float(topology.lam.sum() + topology.mu.sum())
-    batch = max(1, int(2**20 // max(1.0, rate * (n * T))))
+    batch = max(1, int(2**20 // max(1.0, rate * (n * event.T))))
     hits = 0
     for batch_id, done in enumerate(range(0, reps, batch)):
-        (value,) = _replicate_statistics(topology, n, T, seed, batch_id,
-                                         min(batch, reps - done), (kind,))
-        hits += int((value[:, queue] >= level).sum())
+        (value,) = _replicate_statistics(topology, n, event.T, seed, batch_id,
+                                         min(batch, reps - done), (event.kind,))
+        hits += int((value[:, event.queue] >= level).sum())
     return hits
 
 
@@ -371,54 +420,43 @@ def _replicate_statistics(
     One array of shape (reps, K) for each entry of ``kinds``, in order:
     'terminal' gives the terminal queue vectors and 'running_max' the
     running maxima, so a caller pays only for what it names.  The runs are
-    batch ``batch`` of the stream seeded by ``seed``.  On a net of two or
-    more queues, replicate r's queue path is ``q0`` plus the slice
-    ``walk[start:end+1]`` of the batch's ``_walk`` minus the slice's first
-    entry; on one queue it is the reflected walk of ``_reflected_queue``.
+    batch ``batch`` of the stream seeded by ``seed``.  Each queue's
+    statistics are ``_reflected_queue`` of its walk: a column of the
+    batch's ``_walk`` on a net of two or more queues, the +/-1 walk of every
+    event on one queue.
     """
     q0 = _initial_queues(topology, n, T, seed, tie_rule, q0_scaled)
     counts, clocks, ties, _ = _draw(topology, n, T, seed, batch, reps, tie_rule)
     if topology.K == 1:
         # every arrival joins the one queue, so no event needs routing: the
-        # queue is the reflected walk of +1 arrivals and -1 service ticks
+        # walk is the running sum of +1 arrivals and -1 service ticks
         jumps = (clocks < topology.M).view(np.int8)
         jumps *= 2
         jumps -= 1
-        return [_reflected_queue(counts, jumps, q0[0], kind)[:, None] for kind in kinds]
+        walk = np.zeros(len(jumps) + 1, dtype=np.int32)
+        np.cumsum(jumps, dtype=np.int32, out=walk[1:])
+        return [_reflected_queue(counts, walk, q0[0], kind)[:, None] for kind in kinds]
     walk = _walk(topology, clocks, _route(topology, q0, counts, clocks, ties))
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    first, last = walk[starts], walk[ends]
-    stats = []
-    for kind in kinds:
-        # reduceat over [start, next start) omits the end entry a replicate
-        # shares with the next one, and gives walk[start] for an empty one
-        top = (last if kind == "terminal"
-               else np.maximum(np.maximum.reduceat(walk, starts, axis=0), last))
-        stats.append(q0 + (top - first))
-    return stats
+    return [np.column_stack([_reflected_queue(counts, walk[:, k], q0[k], kind)
+                             for k in range(topology.K)]) for kind in kinds]
 
 
-def _reflected_queue(counts: np.ndarray, jumps: np.ndarray, q0: int, kind: str) -> np.ndarray:
-    """Per-replicate statistic of a queue that starts at ``q0`` and moves by
-    +/-1 jumps laid end to end, never going below 0.
+def _reflected_queue(counts: np.ndarray, walk: np.ndarray, q0: int, kind: str) -> np.ndarray:
+    """Per-replicate statistic of a queue that starts at ``q0`` and follows
+    ``walk``, held at 0 from below.
 
-    Replicate ``r`` owns the next ``counts[r]`` entries of ``jumps``.  The
-    walk is their cumulative sum with a leading 0, so the replicate owns the
-    slice ``walk[start:end+1]`` and shares its last entry with the next
-    replicate's first.  The queue is the Lindley reflection of that slice: at
-    entry j it is ``walk[j] - min(floor, min(walk[start:j+1]))`` with
-    ``floor = walk[start] - q0``.  ``kind`` is 'terminal' (its value at the
-    slice's end) or 'running_max' (its largest value over the slice).
+    ``walk`` is the running sum, with a leading 0, of steps of -1, 0 or +1
+    laid end to end: replicate ``r`` owns the next ``counts[r]`` steps, so
+    it owns the slice ``walk[start:end+1]`` and shares its last entry with
+    the next replicate's first.  The queue is the Lindley reflection of that
+    slice: at entry j it is ``walk[j] - min(floor, min(walk[start:j+1]))``
+    with ``floor = walk[start] - q0``.  A routed queue's walk never falls
+    below its floor, so there the reflection is ``q0`` plus the walk's rise
+    since ``start``.  ``kind`` is 'terminal' (its value at the slice's end)
+    or 'running_max' (its largest value over the slice).
     """
     ends = np.cumsum(counts)
     starts = ends - counts
-    bound = int(counts.max(initial=0)) + 1
-    # int32 holds walk - r*bound below: a batch of 2**20 expected events
-    # keeps it under ~2**25 unless one replicate makes ~2**30 jumps (7 GB:
-    # a random byte, a clock and a jump per event, and the walk itself)
-    walk = np.zeros(len(jumps) + 1, dtype=np.int32)
-    np.cumsum(jumps, dtype=np.int32, out=walk[1:])
     first, last = walk[starts], walk[ends]
     floor = first - np.int64(q0)
     # reduceat over [start, next start) omits the shared end entry
@@ -428,10 +466,19 @@ def _reflected_queue(counts: np.ndarray, jumps: np.ndarray, q0: int, kind: str) 
     # Subtracting r*bound on replicate r's entries puts each start below
     # everything before it (the walk climbs at most max(counts) within one
     # replicate), so one running minimum restarts at every replicate.
+    # int32 holds it: a batch of 2**20 expected events keeps it under ~2**25
+    # unless one replicate makes ~2**30 steps (7 GB: a random byte, a clock
+    # and a step per event, and the walk itself).  The temporaries are
+    # written in place: two more arrays the size of the walk per batch
+    # pushed the heap over glibc's trim threshold, to be trimmed and faulted
+    # in again on every batch.
+    bound = int(counts.max(initial=0)) + 1
     lengths = counts.copy()
     lengths[-1] += 1
-    shifted = walk - np.repeat(np.arange(len(counts), dtype=np.int32) * np.int32(bound), lengths)
-    rise = shifted - np.minimum.accumulate(shifted)
+    shifted = np.repeat(np.arange(len(counts), dtype=np.int32) * np.int32(bound), lengths)
+    np.subtract(walk, shifted, out=shifted)
+    low = np.minimum.accumulate(shifted)
+    rise = np.subtract(shifted, low, out=low)
     # entry j's queue is the larger of walk[j] - floor and its rise above
     # the running minimum; the end entry's rise belongs to the next replicate
     top = np.maximum(np.maximum.reduceat(walk, starts), last)

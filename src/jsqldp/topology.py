@@ -6,9 +6,9 @@ simulator can use integer arithmetic; the float layers read them once, from
 ``Topology.routes``.
 
 This module also holds the argument contract every layer shares: ``vector``,
-``count`` and ``positive`` decide what a valid vector, integer count or
-positive number is, and raise a ValueError that names the parameter and its
-value.
+``count``, ``positive`` and ``finite`` decide what a valid vector, integer
+count, positive number or finite number is, and raise a ValueError that
+names the parameter and its value.
 """
 from __future__ import annotations
 
@@ -76,6 +76,17 @@ def positive(v, name: str) -> float:
     if isinstance(v, numbers.Real) and not isinstance(v, bool) and 0 < v < math.inf:
         return float(v)
     raise ValueError(f"{name} must be positive and finite, got {_quoted(name, repr(v))}")
+
+
+def finite(v, name: str, least: float = -math.inf) -> float:
+    """``v`` as a float, finite and >= ``least``; a bool, a non-number or any
+    other value raises a ValueError naming ``name``."""
+    if (isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+            and v >= least):
+        return float(v)
+    bound = "" if least == -math.inf else f" >= {least:g}"
+    raise ValueError(f"{name} must be a finite real number{bound}, "
+                     f"got {_quoted(name, repr(v))}")
 
 
 @dataclass(frozen=True, eq=False)

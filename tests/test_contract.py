@@ -55,10 +55,11 @@ COUNTS = [
     (lambda v: J.validate(NET.to_dict() | {"K": v}), "K", 1),
     (lambda v: J.validate(NET.to_dict() | {"M": v}), "M", 1),
     (lambda v: J.validate(NET.to_dict() | {"admissible": [[v, 2]]}), "server", 1),
-    (lambda v: count_hits(NET, v, 1.0, 0, 100, "terminal", 0, 5.0), "n", 1),
-    (lambda v: count_hits(NET, 5, 1.0, v, 100, "terminal", 0, 5.0), "seed", 0),
-    (lambda v: count_hits(NET, 5, 1.0, 0, v, "terminal", 0, 5.0), "reps", 1),
-    (lambda v: count_hits(NET, 5, 1.0, 0, 100, "terminal", v, 5.0), "queue", 0),
+    (lambda v: count_hits(NET, EVENT, v, 0, 100), "n", 1),
+    (lambda v: count_hits(NET, EVENT, 5, v, 100), "seed", 0),
+    (lambda v: count_hits(NET, EVENT, 5, 0, v), "reps", 1),
+    # the queue is 0-based and named by its 1-based k, so queue -1 shows k=0
+    (lambda v: J.RareEventSpec("terminal", v, 1.0, 1.0), "k", 0),
 ]
 
 # (entry point, parameter): finite and > 0
@@ -75,9 +76,16 @@ POSITIVES = [
     (lambda v: J.wilson_interval(3, 10, z=v), "z"),
 ]
 
+# (entry point, parameter): finite and >= 0
+NONNEGATIVES = [
+    (lambda v: J.simulate(NET, 5, v, 0), "T"),
+    (lambda v: J.terminal_statistics(NET, 5, v, 0), "T"),
+]
+
 # (entry point, parameter): a finite real number, of any sign
 REALS = [
-    (lambda v: count_hits(NET, 5, 1.0, 0, 100, "terminal", 0, v), "level"),
+    (lambda v: J.RareEventSpec("terminal", 0, v, 1.0), "c"),
+    (lambda v: J.water_fill([0.0, 1.0], [1.0, 1.0], v), "mass"),
 ]
 
 
@@ -90,13 +98,18 @@ def _cases():
         for kind, value in bad.items():
             yield pytest.param(call, value, name, id=f"vector{i}-{name}-{kind}")
     for i, (call, name, least) in enumerate(COUNTS):
-        for value in (least - 1, 2.5, True):
+        # count_hits(n='x') raised a TypeError
+        for value in (least - 1, 2.5, True, "x"):
             yield pytest.param(call, value, name, id=f"count{i}-{name}-{value}")
     for i, (call, name) in enumerate(POSITIVES):
         for value in (0.0, -1.0, math.nan, math.inf, True):
             yield pytest.param(call, value, name, id=f"positive{i}-{name}-{value}")
+    for i, (call, name) in enumerate(NONNEGATIVES):
+        # T='x' and T=None raised a TypeError, and T=True ran with T=1
+        for value in (-1.0, math.nan, math.inf, "x", None, True):
+            yield pytest.param(call, value, name, id=f"nonnegative{i}-{name}-{value}")
     for i, (call, name) in enumerate(REALS):
-        # level=nan counted no hit and level='x' raised numpy's UFuncTypeError
+        # c=True was taken for 1, and c='1' and mass='x' raised a TypeError
         for value in (math.nan, math.inf, -math.inf, "x", None, True):
             yield pytest.param(call, value, name, id=f"real{i}-{name}-{value}")
 
@@ -110,9 +123,11 @@ def test_bad_argument_raises_value_error_naming_it(call, value, name):
 @pytest.mark.parametrize("kind,queue,shown", [
     ("bogus", 0, "kind='bogus'"),
     ("Terminal", 0, "kind='Terminal'"),
-    ("terminal", 2, "queue=2 is not one of the 2 queues"),
+    ("terminal", 2, "event queue 3 is not one of the 2 queues"),
 ])
 def test_count_hits_names_the_event_it_rejects(kind, queue, shown):
-    # any kind but 'terminal' used to be reduced as a running maximum
+    # any kind but 'terminal' used to be reduced as a running maximum; the
+    # event rejects a kind, and count_hits a queue the net lacks, in the
+    # wording minimize_action uses
     with pytest.raises(ValueError, match=shown):
-        count_hits(NET, 5, 1.0, 0, 100, kind, queue, 5.0)
+        count_hits(NET, J.RareEventSpec(kind, queue, 1.0, 1.0), 5, 0, 100)

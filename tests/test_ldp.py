@@ -271,12 +271,15 @@ class TestMM1Counter:
     ``estimate_rare_event``."""
 
     def test_reflection_matches_lindley_loop(self, rng):
-        for _ in range(200):
+        # a one-queue walk steps by +/-1; a routed queue's column of the walk
+        # also has steps of 0, for the events of the other queues
+        for steps in [[-1, 1], [-1, 0, 1]] * 100:
             counts = rng.poisson(rng.uniform(0.0, 6.0), int(rng.integers(1, 30)))
-            jumps = rng.choice(np.array([-1, 1], dtype=np.int8), int(counts.sum()))
+            jumps = rng.choice(np.array(steps, dtype=np.int32), int(counts.sum()))
+            walk = np.concatenate([[0], np.cumsum(jumps)]).astype(np.int32)
             q0 = int(rng.integers(0, 4))
-            q_end = _reflected_queue(counts, jumps, q0, "terminal")
-            q_max = _reflected_queue(counts, jumps, q0, "running_max")
+            q_end = _reflected_queue(counts, walk, q0, "terminal")
+            q_max = _reflected_queue(counts, walk, q0, "running_max")
             start = 0
             for r, c in enumerate(counts):
                 q = top = q0

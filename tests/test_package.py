@@ -43,3 +43,30 @@ def test_the_unused_import_check_finds_one():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# the top of the import order: each may import only those before it here,
+# and every other module none of them
+UPPER = ["ldp", "acceptance", "cli"]
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """The package modules (or names) a module imports with ``from .``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_sim_imports_only_topology_and_piecewise():
+    # sim owns the rare event and its hit counter, so it needs no ldp
+    sim = next(p for p in MODULES if p.stem == "sim")
+    assert _relative_imports(sim) == {"topology", "piecewise"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"],
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_layer_above_it(path):
+    above = UPPER[UPPER.index(path.stem) + 1:] if path.stem in UPPER else UPPER
+    assert _relative_imports(path) & set(above) == set()

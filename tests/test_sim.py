@@ -15,7 +15,7 @@ from jsqldp import (
     validate,
     wilson_interval,
 )
-from jsqldp.sim import _draw, _replicate_statistics, _route, count_hits
+from jsqldp.sim import RareEventSpec, _draw, _replicate_statistics, _route, count_hits
 
 
 class TestReproducibility:
@@ -241,13 +241,15 @@ class TestEngine:
                 assert np.array_equal(one_max, p.queues.max(axis=0))
 
     def test_count_hits_replicate_zero_is_terminal_statistics(self, weighted_net):
+        # the event's level is n * c - 1e-9: met at c = value / n, missed
+        # half a customer above it
         for seed in range(5):
             q_end, q_max = terminal_statistics(weighted_net, 10, 1.5, seed)
             for kind, value in (("terminal", q_end), ("running_max", q_max)):
                 for k in range(weighted_net.K):
-                    assert count_hits(weighted_net, 10, 1.5, seed, 1, kind, k, value[k]) == 1
-                    assert count_hits(weighted_net, 10, 1.5, seed, 1, kind, k,
-                                      value[k] + 0.5) == 0
+                    for top, hits in ((value[k], 1), (value[k] + 0.5, 0)):
+                        event = RareEventSpec(kind, k, top / 10, 1.5)
+                        assert count_hits(weighted_net, event, 10, seed, 1) == hits
 
     def test_count_hits_numbers_its_batches_from_the_seed(self, mm1):
         # 2**19 expected events per replicate make batches of two, so five
@@ -257,7 +259,8 @@ class TestEngine:
             _replicate_statistics(mm1, 1, T, 3, batch, reps, ("running_max",))[0][:, 0]
             for batch, reps in [(0, 2), (1, 2), (2, 1)]])
         for level in tops.tolist():
-            assert count_hits(mm1, 1, T, 3, 5, "running_max", 0, level) == (tops >= level).sum()
+            event = RareEventSpec("running_max", 0, level, T)
+            assert count_hits(mm1, event, 1, 3, 5) == (tops >= level).sum()
 
     @pytest.mark.parametrize("T", [0.05, 2.0])
     def test_batch_observer_matches_replicate_loop(self, request, T):
