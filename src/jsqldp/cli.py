@@ -1,38 +1,42 @@
 """Command-line interface: one binary, subcommand style.
 
-Every subcommand takes ``--topology`` (JSON network description) and writes a
-run manifest beside each output file.  The CLI parses text; the library
-checks every value.  Exit codes: 0 success, 2 bad input or missing file (any
-library ``ValueError``), 3 violated precondition (``NoFiniteStartError``,
-``TooFewHitsError``), 4 the rate solver failed (``SolverError``), 1 internal
-failure.  Failures past argument parsing print a JSON error to stderr.
+Every subcommand but ``acceptance`` takes ``--topology`` (JSON network
+description), which ``run`` loads once before dispatch, and each output file
+gets a run manifest beside it.  The CLI parses text; the library checks
+every value.  Exit codes: 0 success, 2 bad input, or a file that cannot be
+read or written (any library ``ValueError`` or ``OSError``), 3 violated
+precondition (``NoFiniteStartError``, ``TooFewHitsError``), 4 the rate
+solver failed (``SolverError``), 1 internal failure.  Failures past argument
+parsing print a JSON error to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
+from . import __version__
 from . import topology as topo_mod
 from .cost import PoissonCost
 from .fluid import fluid_solve
 from .ldp import (NoFiniteStartError, RareEventSpec, TooFewHitsError, _check_counts,
                   estimate_rare_event, minimize_action, path_action)
-from .manifest import RunManifest
 from .piecewise import PiecewisePath
 from .rate import SolverError, local_rate, local_rate_bruteforce
 from .sim import TieRule, scale_counters, simulate
 
 
 def _load_topology(path: str):
-    if not os.path.exists(path):
-        raise ValueError(f"topology not found: {path}")
     try:
         return topo_mod.load(path)
+    except FileNotFoundError as exc:
+        raise ValueError(f"topology not found: {path}") from exc
     except ValueError as exc:  # a TopologyError or a JSONDecodeError
         raise ValueError(f"invalid topology: {exc}") from exc
 
@@ -58,11 +62,11 @@ def _counts(text: str, what: str) -> list[int | float]:
 def _read_paths(path: str, what: str, keys: list[str]):
     """(raw JSON, paths) from a file holding breakpoints "t" and a value
     array under each of ``keys``."""
-    if not os.path.exists(path):
-        raise ValueError(f"{what} file not found: {path}")
     try:
         with open(path) as fh:
             raw = json.load(fh)
+    except FileNotFoundError as exc:
+        raise ValueError(f"{what} file not found: {path}") from exc
     except ValueError as exc:
         raise ValueError(f"{what} file {path} is not valid JSON: {exc}") from exc
     missing = [k for k in ["t", *keys] if not isinstance(raw, dict) or k not in raw]
@@ -83,42 +87,53 @@ def _print_json(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_table(path: str, columns: dict) -> None:
+    """A CSV with one column per entry of each array: ``t`` for a vector,
+    ``Q_1``, ``Q_2``, ... for a matrix, ``E_11``, ``E_12``, ... for a stack
+    of them, in row-major order."""
+    header, blocks = [], []
+    for name, values in columns.items():
+        a = np.asarray(values)
+        header += [name] if a.ndim == 1 else [
+            f"{name}_{''.join(str(i + 1) for i in ix)}" for ix in np.ndindex(a.shape[1:])]
+        blocks.append(a.reshape(len(a), -1).tolist())
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                        for v in row])
+        w.writerows(list(chain(*row)) for row in zip(*blocks))
+
+
+def _write_manifest(args, config: dict, outputs: list[str]) -> None:
+    """``<first output>.manifest.json``: the subcommand, its configuration
+    with the net, the seed, the package version and each output's SHA-256,
+    enough to reproduce the run exactly."""
+    digests = {}
+    for path in outputs:
+        h = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
+                h.update(chunk)
+        digests[os.path.basename(path)] = h.hexdigest()
+    body = {"subcommand": args.command, "config": {"topology": args.topology.to_dict(), **config},
+            "seeds": [args.seed] if "seed" in args else [], "version": __version__,
+            "outputs": digests}
+    with open(outputs[0] + ".manifest.json", "w") as fh:
+        json.dump(body, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_simulate(args) -> int:
-    topo = _load_topology(args.topology)
+    topo = args.topology
     q0 = _vector(args.q0, "--q0") if args.q0 else [0.0] * topo.K
     path = simulate(topo, args.n, args.T, args.seed, TieRule(args.tie), q0)
-    sc = scale_counters(path, args.grid)
-    header = (["t"]
-              + [f"Q_{k+1}" for k in range(topo.K)]
-              + [f"A_{m+1}" for m in range(topo.M)]
-              + [f"B_{k+1}" for k in range(topo.K)]
-              + [f"D_{k+1}" for k in range(topo.K)]
-              + [f"E_{k+1}{m+1}" for k in range(topo.K) for m in range(topo.M)])
-    rows = []
-    for i, t in enumerate(sc["t"]):
-        rows.append([t, *sc["Q"][i], *sc["A"][i], *sc["B"][i], *sc["D"][i],
-                     *sc["E"][i].ravel()])
-    _write_csv(args.out, header, rows)
-    man = RunManifest("simulate", {
-        "topology": topo.to_dict(), "n": args.n, "T": args.T,
-        "tie": args.tie, "q0": q0, "grid": args.grid,
-    }, seeds=[args.seed])
-    man.record_output(args.out)
-    man.write(args.out)
+    _write_table(args.out, scale_counters(path, args.grid))
+    _write_manifest(args, {"n": args.n, "T": args.T, "tie": args.tie, "q0": q0,
+                           "grid": args.grid}, [args.out])
     return 0
 
 
 def cmd_rate(args) -> int:
-    topo = _load_topology(args.topology)
+    topo = args.topology
     x = _vector(args.x, "--x")
     y = _vector(args.y, "--y")
     cost = PoissonCost(topo)
@@ -132,29 +147,19 @@ def cmd_rate(args) -> int:
 
 
 def cmd_fluid(args) -> int:
-    topo = _load_topology(args.topology)
+    topo = args.topology
     q0 = _vector(args.q0, "--q0")
     raw, (a, b) = _read_paths(args.inputs, "inputs", ["a", "b"])
     sol = fluid_solve(topo, q0, a, b, args.T, args.h)
-    header = (["t"] + [f"q_{k+1}" for k in range(topo.K)]
-              + [f"d_{k+1}" for k in range(topo.K)]
-              + [f"e_{k+1}{m+1}" for k in range(topo.K) for m in range(topo.M)])
-    rows = []
-    for i, t in enumerate(sol.queue.breakpoints):
-        rows.append([t, *sol.queue.values[i], *sol.departed.values[i],
-                     *sol.routed.values[i]])
-    _write_csv(args.out, header, rows)
-    man = RunManifest("fluid", {
-        "topology": topo.to_dict(), "q0": q0,
-        "T": args.T, "h": args.h, "inputs": raw,
-    })
-    man.record_output(args.out)
-    man.write(args.out)
+    _write_table(args.out, {"t": sol.queue.breakpoints, "q": sol.queue.values,
+                            "d": sol.departed.values,
+                            "e": sol.routed.values.reshape(-1, topo.K, topo.M)})
+    _write_manifest(args, {"q0": q0, "T": args.T, "h": args.h, "inputs": raw}, [args.out])
     return 0
 
 
 def cmd_action(args) -> int:
-    topo = _load_topology(args.topology)
+    topo = args.topology
     _, (q,) = _read_paths(args.path, "path", ["q"])
     report = path_action(q, topo, PoissonCost(topo), tol=args.tol)
     _print_json(report.to_dict())
@@ -162,7 +167,7 @@ def cmd_action(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    topo = _load_topology(args.topology)
+    topo = args.topology
     q0 = _vector(args.q0, "--q0") if args.q0 else None
     path, value = minimize_action(RareEventSpec.parse(args.event), topo, PoissonCost(topo),
                                   segments=args.segments, q0=q0, starts=args.starts,
@@ -176,7 +181,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    topo = _load_topology(args.topology)
+    topo = args.topology
     event = RareEventSpec.parse(args.event)
     scales = _counts(args.scales, "--scales")
     reps = _counts(args.reps, "--reps")
@@ -191,20 +196,15 @@ def cmd_verify(args) -> int:
     report = estimate_rare_event(event, topo, scales, reps, seed=args.seed)
     report["variational_value"] = value
     out = args.out
-    _write_csv(out, ["inv_n", "n", "reps", "hits", "p_hat", "rate"],
-               [[1.0 / r["n"], r["n"], r["reps"], r["hits"], r["p_hat"],
-                 r["rate"] if r["rate"] is not None else float("nan")]
-                for r in report["scales"]])
+    table = {key: [r[key] for r in report["scales"]]
+             for key in ("n", "reps", "hits", "p_hat", "rate")}
+    table["rate"] = np.array(table["rate"], dtype=float)  # no hits: None, written nan
+    _write_table(out, {"inv_n": 1.0 / np.array(table["n"])} | table)
     with open(out + ".json", "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    man = RunManifest("verify", {
-        "topology": topo.to_dict(), "event": args.event,
-        "scales": scales, "reps": reps, "segments": args.segments,
-    }, seeds=[args.seed])
-    man.record_output(out)
-    man.record_output(out + ".json")
-    man.write(out)
+    _write_manifest(args, {"event": args.event, "scales": scales, "reps": reps,
+                           "segments": args.segments}, [out, out + ".json"])
     _print_json({"fit": report["fit"], "variational_value": value})
     return 0
 
@@ -225,9 +225,10 @@ def cmd_acceptance(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="jsqldp")
     sub = p.add_subparsers(dest="command", required=True)
+    net = argparse.ArgumentParser(add_help=False)
+    net.add_argument("--topology", required=True)
 
-    s = sub.add_parser("simulate", help="discrete-event simulation at scale n")
-    s.add_argument("--topology", required=True)
+    s = sub.add_parser("simulate", help="discrete-event simulation at scale n", parents=[net])
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--T", type=float, required=True)
     s.add_argument("--seed", type=int, default=0)
@@ -237,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_simulate)
 
-    s = sub.add_parser("rate", help="local rate function L(x, y)")
-    s.add_argument("--topology", required=True)
+    s = sub.add_parser("rate", help="local rate function L(x, y)", parents=[net])
     s.add_argument("--x", required=True)
     s.add_argument("--y", required=True)
     s.add_argument("--tol", type=float, default=1e-8)
@@ -247,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--oracle-radius", type=float, default=5.0)
     s.set_defaults(func=cmd_rate)
 
-    s = sub.add_parser("fluid", help="fluid-model solve")
-    s.add_argument("--topology", required=True)
+    s = sub.add_parser("fluid", help="fluid-model solve", parents=[net])
     s.add_argument("--q0", required=True)
     s.add_argument("--inputs", required=True)
     s.add_argument("--T", type=float, required=True)
@@ -256,14 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_fluid)
 
-    s = sub.add_parser("action", help="action of a piecewise-linear path")
-    s.add_argument("--topology", required=True)
+    s = sub.add_parser("action", help="action of a piecewise-linear path", parents=[net])
     s.add_argument("--path", required=True)
     s.add_argument("--tol", type=float, default=1e-8)
     s.set_defaults(func=cmd_action)
 
-    s = sub.add_parser("optimize", help="variational path search")
-    s.add_argument("--topology", required=True)
+    s = sub.add_parser("optimize", help="variational path search", parents=[net])
     s.add_argument("--event", required=True)
     s.add_argument("--segments", type=int, default=1)
     s.add_argument("--starts", type=int, default=8)
@@ -271,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q0", default="")
     s.set_defaults(func=cmd_optimize)
 
-    s = sub.add_parser("verify", help="Monte Carlo decay rate vs variational value")
-    s.add_argument("--topology", required=True)
+    s = sub.add_parser("verify", help="Monte Carlo decay rate vs variational value", parents=[net])
     s.add_argument("--event", required=True)
     s.add_argument("--scales", default="10,20,40")
     s.add_argument("--reps", default="1e6")
@@ -291,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _exit_code(exc: Exception) -> int:
     if isinstance(exc, (NoFiniteStartError, TooFewHitsError)):
         return 3
-    if isinstance(exc, SolverError):
-        return 4
-    return 2 if isinstance(exc, ValueError) else 1
+    return 4 if isinstance(exc, SolverError) else 2
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "topology" in args:
+            args.topology = _load_topology(args.topology)
         return args.func(args)
     except (NoFiniteStartError, SolverError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

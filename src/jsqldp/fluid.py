@@ -189,13 +189,14 @@ def fluid_solve(
 def lyapunov_check(sol1: FluidSolution, sol2: FluidSolution) -> float:
     """Largest positive increment of the L1 distance between the two queues.
 
-    Both solutions must share the same time grid (same inputs and step); the
-    continuum result says the distance is nonincreasing, so the return value
-    should vanish with the step size.
+    Both solutions must share the same time grid (same inputs and step) and
+    queue count, or a ValueError is raised; the continuum result says the
+    distance is nonincreasing, so the return value should vanish with the
+    step size.
     """
-    t1, t2 = sol1.queue.breakpoints, sol2.queue.breakpoints
-    if len(t1) != len(t2) or not np.allclose(t1, t2):
-        raise ValueError("solutions have mismatched time grids")
-    V = np.abs(sol1.queue.values - sol2.queue.values).sum(axis=1)
+    q1, q2 = sol1.queue, sol2.queue
+    if q1.values.shape != q2.values.shape or not np.allclose(q1.breakpoints, q2.breakpoints):
+        raise ValueError("solutions have mismatched time grids or queue counts")
+    V = np.abs(q1.values - q2.values).sum(axis=1)
     inc = np.diff(V)
     return float(max(inc.max(initial=0.0), 0.0))

@@ -155,7 +155,7 @@ def _check_counts(scales: list[int], reps: list[int]) -> None:
     try:
         for v in [*scales, *reps]:
             count(v, "entry")
-        ok = bool(scales)
+        ok = len(scales) > 0
     except ValueError:
         ok = False
     if not ok:
@@ -181,7 +181,7 @@ def estimate_rare_event(
     """
     _check_counts(scales, reps)
     rows = []
-    for n, R in zip(scales, reps):
+    for n, R in zip(map(int, scales), map(int, reps)):
         hits = count_hits(topology, event, n, seed, R)
         lo, hi = wilson_interval(hits, R)
         phat = hits / R

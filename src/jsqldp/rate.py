@@ -95,6 +95,8 @@ def classify_domain(x: np.ndarray, topology: Topology) -> DomainLabel:
 
 def check_label(label: DomainLabel, topology: Topology) -> None:
     """Validate a domain label; raises ValueError on an invalid one."""
+    if not isinstance(label, DomainLabel):
+        raise ValueError(f"invalid label: must be a DomainLabel, got label={label!r}")
     if len(label.argmin_sets) != topology.M:
         raise ValueError("invalid label: wrong number of argmin sets")
     if any(k < 0 or k >= topology.K for k in label.zero_set):

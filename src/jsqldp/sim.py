@@ -85,6 +85,8 @@ def _initial_queues(topology: Topology, n: int, T: float, seed: int,
     if q0_scaled is None:
         return np.zeros(topology.K, dtype=np.int64)
     q0 = vector(q0_scaled, topology.K, "initial state q0_scaled")
+    if np.any(n * q0 >= 2.0**63):
+        raise ValueError(f"n * q0_scaled must fit an int64, got n={n}, q0_scaled={q0.tolist()}")
     return np.floor(n * q0).astype(np.int64)
 
 
@@ -240,8 +242,13 @@ def simulate(
 
 
 def audit(path: SamplePath, topology: Topology) -> None:
-    """Check the exact balance identities at every event; raises on failure."""
-    K = path.K
+    """Check the exact balance identities at every event, and that each
+    arrival joined a queue of least weighted level in its stream's
+    admissible set, compared exactly as ``Q_k * level_multipliers(m)[k]``;
+    raises AssertionError on failure."""
+    if (path.K, path.M) != (topology.K, topology.M):
+        raise AssertionError(f"path has K={path.K}, M={path.M}, the net "
+                             f"K={topology.K}, M={topology.M}")
     q0 = path.queues[0]
     routed_in = path.routed.sum(axis=2)  # incidence sums: off-support entries are 0
     recon = q0[None, :] + routed_in - path.departures
@@ -265,6 +272,17 @@ def audit(path: SamplePath, topology: Topology) -> None:
         raise AssertionError("departure from an empty queue")
     if np.any((dB == 1) & (pre > 0) & (dD == 0)):
         raise AssertionError("service jump with customer present must depart")
+    for m in range(topology.M):
+        mults = topology.level_multipliers(m)
+        S = sorted(mults)
+        routed = path.routed[:, :, m]
+        if np.any(np.delete(routed, S, axis=1)):
+            raise AssertionError(f"stream {m + 1} routed outside its admissible set")
+        # the (event, position in S) of each arrival, and the levels before it
+        event, j = np.nonzero(np.diff(routed[:, S], axis=0))
+        levels = pre[event[:, None], S] * np.array([mults[k] for k in S])
+        if np.any(levels[np.arange(len(event)), j] != levels.min(axis=1)):
+            raise AssertionError(f"stream {m + 1} joined a queue above its least level")
 
 
 def _grid(path: SamplePath, grid_step: float) -> tuple[np.ndarray, np.ndarray]:

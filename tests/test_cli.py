@@ -4,7 +4,6 @@ import pytest
 
 import jsqldp
 from jsqldp.cli import run
-from jsqldp.manifest import RunManifest
 
 MM1 = {"K": 1, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [1]}
 MM1_STABLE = {"K": 1, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [2]}
@@ -146,6 +145,20 @@ class TestErrors:
         assert message in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["rate", "action", "fluid", "simulate"])
+    def test_unreadable_or_unwritable_path_is_exit_2(self, topo_file, tmp_path, capsys,
+                                                     command):
+        # a directory where a file is read, or an output in a missing directory
+        net = topo_file(TWO_QUEUE)
+        argv = {"rate": ["rate", "--topology", str(tmp_path), "--x", "1 1", "--y", "0 0"],
+                "action": ["action", "--topology", net, "--path", str(tmp_path)],
+                "fluid": ["fluid", "--topology", net, "--q0", "1 0", "--inputs", str(tmp_path),
+                          "--T", "1", "--out", str(tmp_path / "fluid.csv")],
+                "simulate": ["simulate", "--topology", net, "--n", "5", "--T", "1",
+                             "--out", str(tmp_path / "missing" / "run.csv")]}[command]
+        assert run(argv) == 2
+        assert "error" in json.loads(capsys.readouterr().err)
+
     def test_oracle_beyond_budget_is_exit_2(self, topo_file, capsys):
         code = run(["rate", "--topology", topo_file(WEIGHTED), "--x", "1 1", "--y", "0 0",
                     "--oracle"])
@@ -226,8 +239,12 @@ def math_inf_json():
     return float("inf")
 
 
-def test_manifest_carries_package_version():
-    assert RunManifest("rate", {}).version == jsqldp.__version__
+def test_manifest_carries_package_version(topo_file, tmp_path):
+    out = tmp_path / "run.csv"
+    assert run(["simulate", "--topology", topo_file(TWO_QUEUE),
+                "--n", "20", "--T", "1", "--seed", "3", "--out", str(out)]) == 0
+    man = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert man["version"] == jsqldp.__version__
 
 
 class TestSimulate:

@@ -2,8 +2,10 @@
 or positive scalar with a ValueError whose message names the parameter and
 its value (``x=[...]``, ``n=2.5``); a topology file's fields raise the
 TopologyError subclass."""
+import json
 import math
 
+import numpy as np
 import pytest
 
 import jsqldp as J
@@ -95,6 +97,9 @@ def _cases():
                "inf": [0.5] * (length - 1) + [math.inf]}
         if nonnegative:
             bad["negative"] = [-0.5] + [0.5] * (length - 1)
+        if name == "q0_scaled":
+            # n * q0 beyond int64 was cast to -2**63
+            bad["huge"] = [1e30] + [0.5] * (length - 1)
         for kind, value in bad.items():
             yield pytest.param(call, value, name, id=f"vector{i}-{name}-{kind}")
     for i, (call, name, least) in enumerate(COUNTS):
@@ -118,6 +123,14 @@ def _cases():
 def test_bad_argument_raises_value_error_naming_it(call, value, name):
     with pytest.raises(ValueError, match=rf"\b{name}="):
         call(value)
+
+
+def test_array_scales_give_the_list_report():
+    # an array of scales was refused: bool() of it raised inside the count check
+    event = J.RareEventSpec("terminal", 0, 0.2, 1.0)
+    as_list = J.estimate_rare_event(event, NET, [2, 3], [1000, 1000])
+    as_array = J.estimate_rare_event(event, NET, np.array([2, 3]), np.array([1000, 1000]))
+    assert json.dumps(as_array) == json.dumps(as_list)
 
 
 @pytest.mark.parametrize("kind,queue,shown", [

@@ -286,3 +286,11 @@ class TestLyapunov:
         s2 = fluid_solve(two_queue, [1.0, 0.0], a, b, 1.0, 1e-3)
         with pytest.raises(ValueError, match="grids"):
             lyapunov_check(s1, s2)
+
+    def test_mismatched_queue_counts_rejected(self, two_queue, mm1):
+        # a K=2 and a K=1 solution on one grid used to broadcast to a number
+        s1, s2 = (fluid_solve(net, [1.0] * net.K, PiecewisePath.cumulative_linear(net.lam, 1.0),
+                              PiecewisePath.cumulative_linear(net.mu, 1.0), 1.0, 1e-2)
+                  for net in (two_queue, mm1))
+        with pytest.raises(ValueError, match="queue counts"):
+            lyapunov_check(s1, s2)

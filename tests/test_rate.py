@@ -196,6 +196,11 @@ class TestDomains:
                 DomainLabel(frozenset({0}), (frozenset({0, 1}),)), two_queue
             )
 
+    def test_a_label_that_is_no_label_is_rejected(self, two_queue):
+        # used to raise an AttributeError
+        with pytest.raises(ValueError, match="label=None"):
+            psi_ij(None, [0.0, 0.0], two_queue, PoissonCost(two_queue))
+
     def test_label_matches_own_domain(self, two_queue, rng):
         for _ in range(200):
             x = rng.uniform(0, 3, 2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jsqldp import (
+    SamplePath,
     TieRule,
     audit,
     scale_counters,
@@ -74,6 +75,42 @@ class TestAudit:
         p.queues[-1, 0] += 1
         with pytest.raises(AssertionError):
             audit(p, mm1)
+
+    @staticmethod
+    def _one_arrival(q0, queue, stream, M):
+        """A one-event path from ``q0``: an arrival of ``stream`` joins ``queue``."""
+        K = len(q0)
+        queues = np.array([q0, q0])
+        queues[1, queue] += 1
+        arrivals = np.zeros((2, M), dtype=np.int64)
+        arrivals[1, stream] = 1
+        routed = np.zeros((2, K, M), dtype=np.int64)
+        routed[1, queue, stream] = 1
+        zeros = np.zeros((2, K), dtype=np.int64)
+        return SamplePath(n=1, seed=0, times=np.array([0.0, 0.5]), queues=queues,
+                          arrivals=arrivals, services=zeros, departures=zeros.copy(),
+                          routed=routed, horizon=1.0)
+
+    def test_audit_accepts_a_least_level_arrival(self, two_queue, weighted_net):
+        audit(self._one_arrival([0, 1], 0, 0, 1), two_queue)
+        # stream 2 compares Q_1 / (1/2) = 2 with Q_2 / (1/3) = 3 and joins queue 1
+        audit(self._one_arrival([1, 1], 0, 1, 2), weighted_net)
+
+    def test_audit_detects_an_arrival_above_the_least_level(self, two_queue, weighted_net):
+        # at (0, 1) queue 2 is not the shortest; used to pass
+        with pytest.raises(AssertionError, match="least level"):
+            audit(self._one_arrival([0, 1], 1, 0, 1), two_queue)
+        with pytest.raises(AssertionError, match="least level"):
+            audit(self._one_arrival([1, 1], 1, 1, 2), weighted_net)
+
+    def test_audit_detects_routing_outside_the_admissible_set(self, weighted_net):
+        # stream 1 may use only queue 1; used to pass
+        with pytest.raises(AssertionError, match="admissible"):
+            audit(self._one_arrival([0, 0], 1, 0, 2), weighted_net)
+
+    def test_audit_detects_a_path_of_another_net(self, two_queue, weighted_net):
+        with pytest.raises(AssertionError, match="M=1"):
+            audit(simulate(two_queue, 5, 1.0, seed=0), weighted_net)
 
     def test_initial_state_is_floor_of_scaled(self, two_queue):
         p = simulate(two_queue, 7, 0.1, seed=0, q0_scaled=[0.5, 0.99])
