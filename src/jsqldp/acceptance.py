@@ -5,49 +5,45 @@ is used both by the CLI subcommand and by the test suite.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import time
 
 import numpy as np
 
 from .cost import PoissonCost, pi
-from .fluid import fluid_solve, lyapunov_check
+from .fluid import FluidSolution, fluid_solve, lyapunov_check
 from .ldp import RareEventSpec, estimate_rare_event, minimize_action, path_action
 from .piecewise import PiecewisePath
 from .rate import (
-    DomainLabel,
     classify_domain,
+    domain_labels,
     label_matches,
     local_rate,
     local_rate_bruteforce,
     psi_ij,
 )
 from .sim import TieRule, audit, scale_path, simulate
-from .topology import Topology, validate
+from .topology import validate
 
 GOLDEN_L = 0.245122
 
+# the reference nets: one queue with lambda = mu = 1, two symmetric queues fed
+# at rate 3, and one queue drained at mu = 2 against lambda = 1
+SINGLE = validate({"K": 1, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [1]})
+PAIR = validate({"K": 2, "M": 1, "admissible": [[1, 2]], "lambda": [3], "mu": [1, 1]})
+DRAIN = validate({"K": 1, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [2]})
 
-def topo_single() -> Topology:
-    return validate({"K": 1, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [1]})
+# worked pair-net fluid solution from (1, 0): queue 2 catches up at t = 1/3,
+# then both rise at slope 1/2
+HAND_FLUID = PiecewisePath(np.array([0.0, 1.0 / 3.0, 1.0]),
+                           np.array([[1.0, 0.0], [2.0 / 3.0, 2.0 / 3.0], [1.0, 1.0]]))
 
 
-def topo_pair() -> Topology:
-    return validate({"K": 2, "M": 1, "admissible": [[1, 2]], "lambda": [3], "mu": [1, 1]})
-
-
-def topo_pair_drain() -> Topology:
-    return validate({"K": 1, "M": 1, "admissible": [[1]], "lambda": [1], "mu": [2]})
-
-
-def _hand_fluid_path() -> PiecewisePath:
-    # worked two-queue solution: queue 2 catches up at t = 1/3, then both
-    # rise at slope 1/2
-    return PiecewisePath(
-        np.array([0.0, 1.0 / 3.0, 1.0]),
-        np.array([[1.0, 0.0], [2.0 / 3.0, 2.0 / 3.0], [1.0, 1.0]]),
-    )
+def _pair_fluid(h: float) -> FluidSolution:
+    """The pair net's nominal fluid path from (1, 0) over [0, 1] at step h."""
+    a = PiecewisePath.cumulative_linear(PAIR.lam, 1.0)
+    b = PiecewisePath.cumulative_linear(PAIR.mu, 1.0)
+    return fluid_solve(PAIR, [1.0, 0.0], a, b, 1.0, h)
 
 
 def criterion_oracle_equivalence():
@@ -55,7 +51,7 @@ def criterion_oracle_equivalence():
     step = 1e-3
     count = 25
     worst = 0.0
-    for topo in (topo_single(), topo_pair()):
+    for topo in (SINGLE, PAIR):
         cost = PoissonCost(topo)
         for _ in range(count):
             x = rng.uniform(0, 3, topo.K)
@@ -72,8 +68,7 @@ def criterion_oracle_equivalence():
 
 
 def criterion_golden_value():
-    topo = topo_single()
-    wit = local_rate([1.0], [1.0], topo, PoissonCost(topo), tol=1e-8)
+    wit = local_rate([1.0], [1.0], SINGLE, PoissonCost(SINGLE), tol=1e-8)
     err = abs(wit.value - GOLDEN_L)
     return err <= 1e-4, f"L(1,1) = {wit.value:.6f}, |err| = {err:.2e}"
 
@@ -85,7 +80,7 @@ def criterion_domain_consistency():
     worst = 0.0
     tol = 1e-8
     while done < goal:
-        topo = topo_single() if done % 2 == 0 else topo_pair()
+        topo = SINGLE if done % 2 == 0 else PAIR
         cost = PoissonCost(topo)
         x = rng.uniform(0, 3, topo.K)
         if rng.random() < 0.2:
@@ -104,75 +99,47 @@ def criterion_domain_consistency():
     return True, f"max |local_rate - psi_ij| = {worst:.2e} over {goal} finite points"
 
 
-def _all_labels(topo: Topology):
-    per_stream = [
-        [frozenset(c) for r in range(1, len(ks) + 1) for c in itertools.combinations(ks, r)]
-        for ks, _ in topo.routes
-    ]
-    for zero_bits in itertools.product([False, True], repeat=topo.K):
-        I = frozenset(k for k in range(topo.K) if zero_bits[k])
-        for J in itertools.product(*per_stream):
-            if all(j <= I or not (j & I) for j in J):
-                yield DomainLabel(zero_set=I, argmin_sets=tuple(J))
-
-
 def criterion_domain_partition():
     rng = np.random.default_rng(3)
-    topo = topo_pair()
-    labels = list(_all_labels(topo))
+    labels = domain_labels(PAIR)
     n = 10_000
     for _ in range(n):
-        x = rng.uniform(0, 3, topo.K)
+        x = rng.uniform(0, 3, PAIR.K)
         u = rng.random()
         if u < 0.2:
-            x[rng.integers(topo.K)] = 0.0
+            x[rng.integers(PAIR.K)] = 0.0
         elif u < 0.4:
             x[1] = x[0]  # weighted tie (weights are 1)
-        lab = classify_domain(x, topo)
-        if not label_matches(lab, x, topo):
+        if not label_matches(classify_domain(x, PAIR), x, PAIR):
             return False, f"classification disagrees with domain definition at x={x}"
-        matches = sum(1 for cand in labels if label_matches(cand, x, topo))
+        matches = sum(1 for cand in labels if label_matches(cand, x, PAIR))
         if matches != 1:
             return False, f"x={x} lies in {matches} domains"
     return True, f"{n} states each in exactly one domain"
 
 
 def criterion_fluid_worked_example():
-    topo = topo_pair()
-    T = 1.0
     details = []
-    grid = np.linspace(0, T, 1001)
-    hand = _hand_fluid_path()(grid)
+    grid = np.linspace(0, 1.0, 1001)
+    hand = HAND_FLUID(grid)
     for h in (1e-2, 1e-3):
-        a = PiecewisePath.cumulative_linear(topo.lam, T)
-        b = PiecewisePath.cumulative_linear(topo.mu, T)
-        sol = fluid_solve(topo, [1.0, 0.0], a, b, T, h)
-        err = float(np.abs(sol.queue(grid) - hand).max())
+        err = float(np.abs(_pair_fluid(h).queue(grid) - hand).max())
         details.append(f"h={h:g}: sup err {err:.2e}")
         if err > 3 * h:
             return False, f"sup error {err:.3g} > 3h at h={h}"
     # step-halving order probe: successive differences fall by ~2 per halving
-    errs = _halving_errors(topo, [1.0, 0.0], T)
-    ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1) if errs[i + 1] > 0]
+    grid = np.linspace(0, 1.0, 401)
+    sols = [_pair_fluid(h).queue(grid) for h in (1e-2, 5e-3, 2.5e-3)]
+    errs = [float(np.abs(s0 - s1).max()) for s0, s1 in zip(sols, sols[1:])]
+    ratios = [e0 / e1 for e0, e1 in zip(errs, errs[1:]) if e1 > 0]
     if ratios and min(ratios) < 1.8:
         return False, f"halving ratio {min(ratios):.2f} < 1.8"
     details.append(f"halving ratios {[f'{r:.2f}' for r in ratios]}")
     return True, "; ".join(details)
 
 
-def _halving_errors(topo, q0, T):
-    grid = np.linspace(0, T, 401)
-    sols = []
-    for h in (1e-2, 5e-3, 2.5e-3):
-        a = PiecewisePath.cumulative_linear(topo.lam, T)
-        b = PiecewisePath.cumulative_linear(topo.mu, T)
-        sols.append(fluid_solve(topo, q0, a, b, T, h).queue(grid))
-    return [float(np.abs(sols[i] - sols[i + 1]).max()) for i in range(len(sols) - 1)]
-
-
 def criterion_lyapunov():
     rng = np.random.default_rng(11)
-    topo = topo_pair()
     h = 1e-3
     pairs = 20
     worst = 0.0
@@ -184,42 +151,33 @@ def criterion_lyapunov():
         )
         a = PiecewisePath(knots, a_vals)
         b = PiecewisePath(knots, b_vals)
-        s1 = fluid_solve(topo, rng.uniform(0, 2, 2), a, b, 1.0, h)
-        s2 = fluid_solve(topo, rng.uniform(0, 2, 2), a, b, 1.0, h)
+        s1 = fluid_solve(PAIR, rng.uniform(0, 2, 2), a, b, 1.0, h)
+        s2 = fluid_solve(PAIR, rng.uniform(0, 2, 2), a, b, 1.0, h)
         worst = max(worst, lyapunov_check(s1, s2))
     return worst <= 5 * h, f"max positive L1 increment {worst:.2e} (bound {5 * h:g})"
 
 
 def criterion_fluid_limit():
-    topo = topo_pair()
-    T = 1.0
-    a = PiecewisePath.cumulative_linear(topo.lam, T)
-    b = PiecewisePath.cumulative_linear(topo.mu, T)
-    fl = fluid_solve(topo, [1.0, 0.0], a, b, T, 1e-3)
-    grid = np.linspace(0, T, 1001)
-    fl_vals = fl.queue(grid)
-    seeds = range(20)
-    n = 10_000
+    grid = np.linspace(0, 1.0, 1001)
+    fl_vals = _pair_fluid(1e-3).queue(grid)
+    seeds = 20
     good = 0
-    for s in seeds:
-        p = simulate(topo, n, T, seed=s, q0_scaled=[1.0, 0.0])
-        err = float(np.abs(scale_path(p, 1e-3)(grid) - fl_vals).max())
-        good += err <= 0.05
-    need = len(list(seeds)) - 2
-    if good < need:
+    for s in range(seeds):
+        p = simulate(PAIR, 10_000, 1.0, seed=s, q0_scaled=[1.0, 0.0])
+        good += float(np.abs(scale_path(p, 1e-3)(grid) - fl_vals).max()) <= 0.05
+    if good < seeds - 2:
         return False, f"only {good} seeds within 0.05"
-    report = path_action(_hand_fluid_path(), topo, PoissonCost(topo), tol=1e-9)
+    report = path_action(HAND_FLUID, PAIR, PoissonCost(PAIR), tol=1e-9)
     if report.total > 1e-6:
         return False, f"fluid-path action {report.total:.2e} > 1e-6"
     return True, f"{good} seeds within 0.05; fluid-path action {report.total:.2e}"
 
 
 def criterion_ldp_sanity():
-    topo = topo_pair_drain()
     event = RareEventSpec("terminal", 0, 1.0, 1.0)
-    _, value = minimize_action(event, topo, PoissonCost(topo), segments=1, seed=0)
+    _, value = minimize_action(event, DRAIN, PoissonCost(DRAIN), segments=1, seed=0)
     scales, reps = [10, 20, 40], [2_000_000, 100_000_000, 2_000_000]
-    report = estimate_rare_event(event, topo, scales, reps, seed=7)
+    report = estimate_rare_event(event, DRAIN, scales, reps, seed=7)
     fit = report["fit"]
     if fit is None:
         return False, "fewer than two scales produced point estimates"
@@ -235,7 +193,7 @@ def criterion_ldp_sanity():
 def criterion_simulator_audit():
     rng = np.random.default_rng(5)
     runs = 100
-    topos = [topo_single(), topo_pair(),
+    topos = [SINGLE, PAIR,
              validate({"K": 2, "M": 2, "admissible": [[1], [1, 2]],
                        "weights": [{"1": 1}, {"1": 2, "2": 1}],
                        "lambda": [1, 2], "mu": [2, 1]})]
@@ -247,8 +205,8 @@ def criterion_simulator_audit():
                      q0_scaled=rng.uniform(0, 2, topo.K))
         audit(p, topo)
     for s in (0, 1, 2):
-        p1 = simulate(topo_pair(), 50, 2.0, seed=s, q0_scaled=[1.0, 0.0])
-        p2 = simulate(topo_pair(), 50, 2.0, seed=s, q0_scaled=[1.0, 0.0])
+        p1 = simulate(PAIR, 50, 2.0, seed=s, q0_scaled=[1.0, 0.0])
+        p2 = simulate(PAIR, 50, 2.0, seed=s, q0_scaled=[1.0, 0.0])
         same = (np.array_equal(p1.times, p2.times)
                 and np.array_equal(p1.queues, p2.queues)
                 and np.array_equal(p1.routed, p2.routed))
@@ -268,28 +226,15 @@ def criterion_cost_properties():
         rhs = th * pi(al) + (1 - th) * pi(be)
         if lhs > rhs + 1e-12:
             return False, f"convexity violated at ({al}, {be}, {th})"
-    topo = topo_pair()
-    cost = PoissonCost(topo)
-    eps = 1e-6
+    M, cost, eps = PAIR.M, PoissonCost(PAIR), 1e-6
     worst = 0.0
     for _ in range(100):
-        a = rng.uniform(0.5, 5, topo.M)
-        b = rng.uniform(0.5, 5, topo.K)
-        g = cost.subgradient(a, b)
-        for i in range(topo.M + topo.K):
-            da = a.copy()
-            db = b.copy()
-            if i < topo.M:
-                da[i] += eps
-                lo = a.copy()
-                lo[i] -= eps
-                fd = (cost.eval(da, b) - cost.eval(lo, b)) / (2 * eps)
-            else:
-                db[i - topo.M] += eps
-                lo = b.copy()
-                lo[i - topo.M] -= eps
-                fd = (cost.eval(a, db) - cost.eval(a, lo)) / (2 * eps)
-            rel = abs(g[i] - fd) / max(abs(fd), 1.0)
+        z = rng.uniform(0.5, 5, M + PAIR.K)  # the rates (a, b), stacked
+        g = cost.subgradient(z[:M], z[M:])
+        for gi, step in zip(g, eps * np.eye(len(z))):
+            up, down = z + step, z - step
+            fd = (cost.eval(up[:M], up[M:]) - cost.eval(down[:M], down[M:])) / (2 * eps)
+            rel = abs(gi - fd) / max(abs(fd), 1.0)
             worst = max(worst, rel)
             if rel > 1e-6:
                 return False, f"subgradient mismatch {rel:.2e}"

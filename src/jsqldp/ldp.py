@@ -149,7 +149,8 @@ def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
 
 def _check_counts(scales: list[int], reps: list[int]) -> None:
     """Raise ValueError unless there is one replication count per scale, at
-    least one scale, and every scale and count is an integer >= 1."""
+    least one scale, every scale and count is an integer >= 1, and no scale
+    repeats (a repeated scale reruns the same replicates)."""
     if len(reps) != len(scales):
         raise ValueError(f"one replication count per scale required, got reps={reps}")
     try:
@@ -161,6 +162,8 @@ def _check_counts(scales: list[int], reps: list[int]) -> None:
     if not ok:
         raise ValueError("scales and replication counts must be integers, at least 1, "
                          f"got scales={scales}, reps={reps}")
+    if len(set(map(int, scales))) < len(scales):
+        raise ValueError(f"each scale must appear once, got scales={scales}")
 
 
 def estimate_rare_event(
@@ -175,11 +178,12 @@ def estimate_rare_event(
     Zero-hit scales yield a one-sided Wilson bound and are excluded from the
     fit; the fitted intercept of rate = I + c/n is the reported empirical
     rate.  Raises ValueError unless there is one replication count per
-    scale, every scale and count is an integer >= 1, the seed an integer
-    >= 0 and the event's queue one of the topology's, and TooFewHitsError
-    when the smallest scale gets fewer than 10 hits.
+    scale, every scale and count is an integer >= 1 and no scale repeats,
+    the seed an integer >= 0 and the event's queue one of the topology's,
+    and TooFewHitsError when the smallest scale gets fewer than 10 hits.
     """
     _check_counts(scales, reps)
+    seed = count(seed, "seed", least=0)
     rows = []
     for n, R in zip(map(int, scales), map(int, reps)):
         hits = count_hits(topology, event, n, seed, R)

@@ -9,8 +9,8 @@ lies in no stream's argmin set or an empty queue shrinks.  ``local_rate``
 solves the program exactly in its K-dimensional dual, the Legendre transform
 of the domain Hamiltonian, by an active-set method whose multipliers are the
 routed rates; ``local_rate_bruteforce`` is the independent grid oracle;
-``classify_domain`` and ``psi_ij`` expose the piecewise-constant structure of
-L over the domains of constant dynamics.
+``classify_domain``, ``domain_labels`` and ``psi_ij`` expose the
+piecewise-constant structure of L over the domains of constant dynamics.
 """
 from __future__ import annotations
 
@@ -93,23 +93,50 @@ def classify_domain(x: np.ndarray, topology: Topology) -> DomainLabel:
     return DomainLabel(zero_set=zero, argmin_sets=tuple(argmins))
 
 
+def _subsets(ks, least: int) -> list[frozenset[int]]:
+    return [frozenset(c) for r in range(least, len(ks) + 1) for c in itertools.combinations(ks, r)]
+
+
+def _label_fault(label: DomainLabel, topology: Topology) -> str | None:
+    """Why ``label`` is no domain label of the net, or None when it is one."""
+    if not isinstance(label, DomainLabel):
+        return f"must be a DomainLabel, got label={label!r}"
+    I, Js = label.zero_set, label.argmin_sets
+    if not isinstance(Js, tuple) or not all(isinstance(S, frozenset) for S in (I, *Js)):
+        return f"sets must be frozensets in a tuple, got label={label!r}"
+    if len(Js) != topology.M:
+        return "wrong number of argmin sets"
+    if not I <= frozenset(range(topology.K)):
+        return "zero-set index out of range"
+    for J, admissible in zip(Js, topology.admissible):
+        if not J:
+            return "empty argmin set"
+        if not J <= admissible:
+            return "argmin set outside admissible set"
+        if not (J <= I or not J & I):
+            return "argmin set must lie inside or outside the zero set"
+    return None
+
+
+def domain_labels(topology: Topology) -> list[DomainLabel]:
+    """Every label ``check_label`` accepts: a zero set and, for each stream,
+    a nonempty subset of its admissible set inside the zero set or outside it.
+
+    Not every label is attained by a state: the sets may ask for levels no
+    state has, such as an empty queue outside the argmin set of a stream
+    that admits it.  The count grows as 2^K times a product over streams,
+    so this is for small nets; ``check_label`` does not call it.
+    """
+    streams = [_subsets(ks, 1) for ks, _ in topology.routes]
+    candidates = (DomainLabel(zero_set=I, argmin_sets=J)
+                  for I in _subsets(range(topology.K), 0) for J in itertools.product(*streams))
+    return [label for label in candidates if _label_fault(label, topology) is None]
+
+
 def check_label(label: DomainLabel, topology: Topology) -> None:
     """Validate a domain label; raises ValueError on an invalid one."""
-    if not isinstance(label, DomainLabel):
-        raise ValueError(f"invalid label: must be a DomainLabel, got label={label!r}")
-    if len(label.argmin_sets) != topology.M:
-        raise ValueError("invalid label: wrong number of argmin sets")
-    if any(k < 0 or k >= topology.K for k in label.zero_set):
-        raise ValueError("invalid label: zero-set index out of range")
-    for m, J in enumerate(label.argmin_sets):
-        if not J:
-            raise ValueError("invalid label: empty argmin set")
-        if not J <= topology.admissible[m]:
-            raise ValueError("invalid label: argmin set outside admissible set")
-        if not (J <= label.zero_set or not (J & label.zero_set)):
-            raise ValueError(
-                "invalid label: argmin set must lie inside or outside the zero set"
-            )
+    if fault := _label_fault(label, topology):
+        raise ValueError(f"invalid label: {fault}")
 
 
 def label_matches(label: DomainLabel, x: np.ndarray, topology: Topology) -> bool:
@@ -357,8 +384,7 @@ def local_rate(
     that is not K finite numbers, a ``tol`` that is not positive and finite,
     or a cost other than a ``PoissonCost`` built at the topology's rates.
     """
-    label = classify_domain(x, topology)
-    return _rate_on_domain(label, y, topology, cost, tol)
+    return _rate_on_domain(classify_domain(x, topology), y, topology, cost, tol)
 
 
 def psi_ij(
@@ -412,10 +438,8 @@ def local_rate_bruteforce(
     grid = np.arange(0.0, box_radius + grid_step / 2, grid_step)
     n_g = len(grid)
 
-    def suffix_min(vals):
-        return np.minimum.accumulate(vals[::-1])[::-1]
-
-    srv_sm = [suffix_min(price_vec(cost.mu[k], grid)) for k in range(K)]
+    # suffix minima: the least idle service cost at or beyond each grid point
+    srv_sm = [np.minimum.accumulate(price_vec(cost.mu[k], grid)[::-1])[::-1] for k in range(K)]
 
     def lookup(sm, c):
         # min over grid points >= c; +inf when c exceeds the search box

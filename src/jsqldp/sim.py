@@ -303,9 +303,9 @@ def scale_path(path: SamplePath, grid_step: float = 1e-3) -> PiecewisePath:
     T = path.horizon / path.n
     ts, idx = _grid(path, grid_step)
     vals = path.queues[idx] / path.n
-    if len(ts) < 2:
+    if len(ts) < 2:  # a step beyond T: the states at 0 and at T
         ts = np.array([0.0, T if T > 0 else 1.0])
-        vals = np.vstack([vals, vals])
+        vals = np.vstack([vals, path.queues[-1] / path.n])
     return PiecewisePath(ts, vals)
 
 
@@ -354,6 +354,8 @@ class RareEventSpec:
     ``parse``.  Raises ValueError for any other kind, a queue that is not an
     integer >= 0 (bools and floats included), a threshold that is not a
     finite real number and a horizon T that is not positive and finite.
+    The checked values are stored, so an int queue and float threshold and
+    T (numpy scalars included) come back as Python numbers.
     """
 
     kind: str
@@ -366,9 +368,10 @@ class RareEventSpec:
             raise ValueError(
                 f"event kind must be 'terminal' or 'running_max', got kind={self.kind!r}")
         real = isinstance(self.queue, numbers.Real) and not isinstance(self.queue, bool)
-        count(self.queue + 1 if real else self.queue, "event queue k")
-        finite(self.threshold, "event threshold c")
-        positive(self.T, "event horizon T")
+        k = count(self.queue + 1 if real else self.queue, "event queue k")
+        object.__setattr__(self, "queue", k - 1)
+        object.__setattr__(self, "threshold", finite(self.threshold, "event threshold c"))
+        object.__setattr__(self, "T", positive(self.T, "event horizon T"))
 
     def check_queue(self, topology: Topology) -> None:
         """Raise ValueError unless the event's queue is one of the topology's."""

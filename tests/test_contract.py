@@ -128,9 +128,19 @@ def test_bad_argument_raises_value_error_naming_it(call, value, name):
 def test_array_scales_give_the_list_report():
     # an array of scales was refused: bool() of it raised inside the count check
     event = J.RareEventSpec("terminal", 0, 0.2, 1.0)
-    as_list = J.estimate_rare_event(event, NET, [2, 3], [1000, 1000])
-    as_array = J.estimate_rare_event(event, NET, np.array([2, 3]), np.array([1000, 1000]))
+    as_list = J.estimate_rare_event(event, NET, [2, 3], [1000, 1000], seed=3)
+    as_array = J.estimate_rare_event(event, NET, np.array([2, 3]), np.array([1000, 1000]),
+                                     seed=3)
     assert json.dumps(as_array) == json.dumps(as_list)
+    # numpy scalars in the event and the seed gave reports json.dumps refused
+    # with "int64 is not JSON serializable"
+    numpy_event = J.RareEventSpec("terminal", np.int64(0), np.float64(0.2), np.float32(1.0))
+    assert numpy_event == event
+    assert [type(v) for v in (numpy_event.queue, numpy_event.threshold, numpy_event.T)] == [
+        int, float, float]
+    as_numpy = J.estimate_rare_event(numpy_event, NET, np.array([2, 3]),
+                                     np.array([1000, 1000]), seed=np.int64(3))
+    assert json.dumps(as_numpy) == json.dumps(as_list)
 
 
 @pytest.mark.parametrize("kind,queue,shown", [

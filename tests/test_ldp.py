@@ -239,6 +239,16 @@ class TestEstimate:
             estimate_rare_event(event, request.getfixturevalue(net), scales, reps, seed=0)
 
 
+    @pytest.mark.parametrize("scales,shown", [([5, 5], "[5, 5]"), ([10, 5, 10], "[10, 5, 10]"),
+                                              (np.array([5, 5]), "[5 5]")],
+                             ids=["pair", "triple", "array"])
+    def test_a_repeated_scale_is_refused(self, mm1_stable, scales, shown):
+        # two rows of the same replicates gave a rank-deficient fit:
+        # intercept 0.434 on the drain net with scales_used [5, 5]
+        event = RareEventSpec("terminal", 0, 0.6, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"scales={shown}")):
+            estimate_rare_event(event, mm1_stable, scales, [100_000] * len(scales), seed=1)
+
     @pytest.mark.parametrize("scales,reps", [([2.5], [100]), ([5], [2.5]), ([5], [True]),
                                              ([5.0], [100])])
     def test_scales_and_reps_must_be_integers(self, mm1_stable, scales, reps):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from jsqldp import (
     psi_ij,
     validate,
 )
-from jsqldp.rate import check_label
+from jsqldp.rate import check_label, domain_labels
 
 GOLDEN_L11 = 0.24514384755981367  # frozen solver value, oracle-confirmed
 # drain net (lambda = 1, mu = 2) at y = -2: a = sqrt(3) - 1, b = a + 2, ab = 2
@@ -186,15 +188,80 @@ class TestDomains:
             classify_domain(np.array([1.0]), two_queue)
 
     def test_invalid_labels_rejected(self, two_queue):
-        with pytest.raises(ValueError, match="invalid label"):
+        with pytest.raises(ValueError, match="^invalid label: wrong number of argmin sets"):
             check_label(DomainLabel(frozenset(), ()), two_queue)
-        with pytest.raises(ValueError, match="invalid label"):
+        with pytest.raises(ValueError, match="^invalid label: empty argmin set"):
             check_label(DomainLabel(frozenset(), (frozenset(),)), two_queue)
-        with pytest.raises(ValueError, match="invalid label"):
+        with pytest.raises(ValueError, match="^invalid label: zero-set index out of range"):
+            check_label(DomainLabel(frozenset({2}), (frozenset({0}),)), two_queue)
+        with pytest.raises(ValueError, match="^invalid label: argmin set outside admissible"):
+            check_label(DomainLabel(frozenset(), (frozenset({2}),)), two_queue)
+        with pytest.raises(ValueError, match="^invalid label: argmin set must lie inside"):
             # argmin set straddles the zero set
             check_label(
                 DomainLabel(frozenset({0}), (frozenset({0, 1}),)), two_queue
             )
+
+    @pytest.mark.parametrize("net,size", [("mm1", 2), ("two_queue", 10), ("weighted_net", 10),
+                                          ("three_queue", 98)])
+    def test_domain_labels_are_the_labels_check_label_accepts(self, request, net, size):
+        topo = request.getfixturevalue(net)
+        labels = domain_labels(topo)
+        assert len(labels) == size == len(set(labels))
+        # the rule written out: each argmin set nonempty, inside its
+        # stream's admissible set, and inside the zero set or disjoint from it
+        queues = range(topo.K)
+        subsets = [frozenset(k for k in queues if bits >> k & 1) for bits in range(2 ** topo.K)]
+        valid = set()
+        for I in subsets:
+            for J in itertools.product(subsets, repeat=topo.M):
+                label = DomainLabel(I, J)
+                if all(j and j <= a and (j <= I or not j & I)
+                       for j, a in zip(J, topo.admissible)):
+                    valid.add(label)
+                    check_label(label, topo)
+                else:
+                    with pytest.raises(ValueError, match="^invalid label"):
+                        check_label(label, topo)
+        assert set(labels) == valid
+
+    def test_psi_ij_does_not_enumerate_the_net(self):
+        # 32 zero sets times 31^5 argmin candidates: enumerating the labels
+        # of this net to check one would not finish
+        topo = validate({"K": 5, "M": 5, "admissible": [[1, 2, 3, 4, 5]] * 5,
+                         "lambda": [1] * 5, "mu": [2] * 5})
+        label = classify_domain(np.array([0.0, 1.0, 1.0, 2.0, 3.0]), topo)
+        start = time.perf_counter()
+        value = psi_ij(label, [0.5, -0.5, -0.5, -0.5, -0.5], topo, PoissonCost(topo))
+        assert time.perf_counter() - start < 1.0
+        assert value == local_rate([0.0, 1.0, 1.0, 2.0, 3.0], [0.5, -0.5, -0.5, -0.5, -0.5],
+                                   topo, PoissonCost(topo)).value
+
+    def test_every_state_has_an_enumerated_label(self, three_queue, rng):
+        labels = domain_labels(three_queue)
+        for _ in range(200):
+            x = rng.uniform(0, 3, 3)
+            if rng.random() < 0.5:
+                x[rng.integers(3)] = 0.0
+            if rng.random() < 0.5:
+                x[2] = x[1]
+            assert classify_domain(x, three_queue) in labels
+
+    @pytest.mark.parametrize("label", [
+        DomainLabel([0], (frozenset({0, 1}),)),
+        DomainLabel(frozenset(), [frozenset({0})]),
+        DomainLabel(frozenset(), ({0},)),
+        DomainLabel(frozenset(), ((0,),)),
+        DomainLabel(frozenset({2}), (frozenset({0}),)),
+        (frozenset(), (frozenset({0}),)),
+    ], ids=["list-zero-set", "list-argmin-sets", "set-argmin-set", "tuple-argmin-set",
+            "queue-out-of-range", "plain-tuple"])
+    def test_malformed_labels_are_invalid(self, two_queue, label):
+        # a field of the wrong type raised a TypeError, or passed as a set
+        with pytest.raises(ValueError, match="^invalid label"):
+            check_label(label, two_queue)
+        with pytest.raises(ValueError, match="^invalid label"):
+            psi_ij(label, [0.0, 0.0], two_queue, PoissonCost(two_queue))
 
     def test_a_label_that_is_no_label_is_rejected(self, two_queue):
         # used to raise an AttributeError
@@ -328,6 +395,12 @@ def legendre_rate(x, y, topo) -> float:
     weighted levels x_k / w_km.  Only for points where the program is
     feasible: elsewhere the supremum is +inf.
 
+    A busy queue k in no J_m enters no max term, so its theta_k separates:
+    sup of theta y_k - mu_k (exp(-theta) - 1) is mu_k pi(-y_k / mu_k), with
+    pi(u) = u log u - u + 1, and reads mu_k at y_k = 0, where it is reached
+    only as theta_k -> inf and a simplex stops short of it.  Those queues
+    are priced in closed form and left out of the search.
+
     The max over J_m has kinks where coordinates are equal, and the maximizer
     often sits on one, where a simplex stalls.  So the search also runs with
     theta held constant on the blocks of every partition of the queues: on
@@ -341,16 +414,20 @@ def legendre_rate(x, y, topo) -> float:
         lo = min(levels.values())
         J.append(sorted(k for k, v in levels.items() if v <= lo + 1e-12 * max(1.0, lo)))
     busy = x > 0
+    lone = busy & ~np.isin(np.arange(topo.K), sum(J, []))
+    assert np.all(y[lone] <= 0), "a busy queue in no argmin set cannot grow"
+    closed = sum(mu if v == 0 else mu + v - v * math.log(-v / mu)
+                 for mu, v in zip(topo.mu[lone], y[lone]))
 
     def hamiltonian_gap(theta):
         s = np.array([theta[j].max() for j in J])
-        t = np.where(busy, -theta, np.maximum(-theta, 0.0))
+        t = np.where(busy, -theta, np.maximum(-theta, 0.0))[~lone]
         with np.errstate(over="ignore"):
-            return topo.lam @ np.expm1(s) + topo.mu @ np.expm1(t) - theta @ y
+            return topo.lam @ np.expm1(s) + topo.mu[~lone] @ np.expm1(t) - theta[~lone] @ y[~lone]
 
     best = -math.inf
-    for blocks in _set_partitions(list(range(topo.K))):
-        block_of = np.empty(topo.K, dtype=int)
+    for blocks in _set_partitions([k for k in range(topo.K) if not lone[k]]):
+        block_of = np.zeros(topo.K, dtype=int)  # a lone queue's theta is unused
         for b, ks in enumerate(blocks):
             block_of[ks] = b
         z = np.zeros(len(blocks))
@@ -362,7 +439,7 @@ def legendre_rate(x, y, topo) -> float:
             )
             z = res.x
         best = max(best, -float(res.fun))
-    return best
+    return best + closed
 
 
 @st.composite
@@ -421,6 +498,19 @@ class TestLegendreOracle:
         bf = local_rate_bruteforce([1.0], [-2.0], mm1_stable, cost)
         assert DRAIN_L_MINUS_2 - 1e-9 <= bf <= DRAIN_L_MINUS_2 + 1e-5
         assert wit.a == pytest.approx([math.sqrt(3) - 1], abs=1e-6)
+
+    def test_busy_queue_outside_every_argmin_set(self, three_queue):
+        # Queue 1 is empty and grows for free: arrivals 2 less departures
+        # 0.984 < mu_1.  Queue 2 adds theta y_2 - 2 cosh(theta) + 2 at
+        # theta = asinh(y_2 / 2).  Queue 3 is busy, in no argmin set and
+        # still, so it adds mu_3 = 2, a supremum reached only as theta_3 ->
+        # inf: a simplex over theta_3 stopped 1.9e-9 short of it.
+        x, y = [0.0, 1.0, 2.0], [1.01607468, 0.64648438, -0.0]
+        theta = math.asinh(y[1] / 2)
+        closed = 2.0 + theta * y[1] - 2 * math.cosh(theta) + 2
+        wit = local_rate(x, y, three_queue, PoissonCost(three_queue))
+        assert wit.value == pytest.approx(closed, abs=1e-12)
+        assert legendre_rate(x, y, three_queue) == pytest.approx(closed, abs=1e-9)
 
     @pytest.mark.parametrize("net", NETS)
     @LEGENDRE_SETTINGS

@@ -361,6 +361,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="grid_step"):
             fn(path, grid_step)
 
+    def test_a_step_beyond_the_horizon_keeps_the_final_state(self, two_queue):
+        # the one-point grid was padded with the t = 0 state: (0, 0) at t = 1
+        p = simulate(two_queue, 20, 1.0, seed=3)
+        sp = scale_path(p, 2.0)
+        assert sp.breakpoints.tolist() == [0.0, 1.0]
+        assert sp.values.tolist() == [[0.0, 0.0], (p.queues[-1] / 20).tolist()]
+        assert sp(1.0).tolist() == [0.85, 0.7]
+
     def test_zero_horizon_is_the_initial_state(self, two_queue):
         p = simulate(two_queue, 5, 0.0, seed=0, q0_scaled=[1.0, 0.4])
         assert p.times.tolist() == [0.0]
