@@ -17,14 +17,19 @@ estimator, and owns their layout and the threshold event they are counted
 against (``RareEventSpec``): ``simulate`` and ``terminal_statistics`` are
 replicate 0 of batch 0, and ``count_hits`` splits its replicates into
 batches of about 2**20 expected events, numbered 0, 1, ... from the seed.
-One scalar loop routes the events of any number of replicates laid end to
-end; numpy observers turn its output into full paths (``simulate``) or
-per-replicate terminal values or running maxima (``terminal_statistics``
-and ``count_hits``).  Those statistics come from one reduction of each
-queue's walk, ``_reflected_queue``.  A one-queue net needs no routing: every
-arrival joins the queue, so its walk is one of +/-1 jumps, which the
-reflection holds at 0.  A routed queue's walk never falls below its floor,
-so the reflection leaves it unchanged.
+The events of the replicates are laid end to end, and routing gives each
+one the queue it joins or leaves.  The scalar loop ``_route`` routes one
+run (``simulate`` and ``terminal_statistics``).  A batch of replicates is
+routed in lock step by ``_route_batch``: one event of every replicate per
+step, looked up in a destination table over the grid of queue vectors the
+batch can reach; a batch whose table would pass ``TABLE_ENTRIES`` goes to
+``_route``.  Both give the same moves, and numpy observers turn them into
+full paths (``simulate``) or per-replicate terminal values or running
+maxima (``terminal_statistics`` and ``count_hits``).  Those statistics come
+from one reduction of each queue's walk, ``_reflected_queue``.  A one-queue
+net needs no routing: every arrival joins the queue, so its walk is one of
++/-1 jumps, which the reflection holds at 0.  A routed queue's walk never
+falls below its floor, so the reflection leaves it unchanged.
 """
 from __future__ import annotations
 
@@ -181,6 +186,105 @@ def _route(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks: np.nd
     return np.array(moves, dtype=np.intp)
 
 
+# Most entries a destination table may hold: 6 bytes each (an int8 move,
+# an int32 next state and a uint8 tie count), so at most 12.6 MB.  A batch
+# whose queue grid needs a larger table is routed by ``_route``.
+TABLE_ENTRIES = 2**21
+
+
+def _destinations(topology: Topology, side: int, width: int):
+    """Destination table of every clock at every queue vector of [0, side)^K.
+
+    States are the queue vectors in C order, ``np.ravel_multi_index``'s.
+    Entry ``(s * C + c) * width + p``, for the C = M + K clocks c and the
+    tie positions p < ``width``, holds the queue the event joins or leaves
+    (-1 for a tick at an empty server) and the next state's first entry
+    ``s' * C * width``.  An arrival joins the p-th of the queues of least
+    weighted level (``Topology.least_levels``) in index order; ``tied``
+    holds their number, 1 for a service tick.  Entries past the last tied
+    queue are never read.  An arrival at the grid's edge keeps the state: no
+    run of at most ``side - 1 - max(q0)`` events gets there.
+    """
+    K, M = topology.K, topology.M
+    C = M + K
+    queues = np.indices((side,) * K, dtype=np.int32).reshape(K, -1)
+    states = np.arange(queues.shape[1], dtype=np.int32)
+    move = np.zeros((len(states), C, width), dtype=np.min_scalar_type(-K))
+    to = np.zeros((len(states), C, width), dtype=np.int32)
+    tied = np.ones((len(states), C, width), dtype=np.min_scalar_type(width))
+    stride = [side ** (K - 1 - k) for k in range(K)]
+    for k in range(K):
+        busy = queues[k] > 0
+        move[:, M + k] = np.where(busy, k, -1)[:, None]
+        to[:, M + k] = (states - busy * np.int32(stride[k]))[:, None]
+    up = [np.where(queues[k] < side - 1, states + np.int32(stride[k]), states) for k in range(K)]
+    for m, (ks, _) in enumerate(topology.routes):
+        least = topology.least_levels(m, queues.T)
+        for p in range(width):
+            # the p-th tied queue: the one with p tied queues before it
+            k_p, to_p = np.zeros_like(states), np.zeros_like(states)
+            before = np.zeros(len(states), dtype=tied.dtype)
+            for j, k in enumerate(ks):
+                at = least[:, j] & (before == p)
+                k_p, to_p = np.where(at, k, k_p), np.where(at, up[k], to_p)
+                before += least[:, j]
+            move[:, m, p], to[:, m, p] = k_p, to_p
+        tied[:, m, 0] = before  # by now, every tied queue
+    to *= C * width
+    return move.ravel(), to.ravel(), tied.ravel()
+
+
+def _route_batch(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks: np.ndarray,
+                 ties: np.ndarray | None) -> np.ndarray:
+    """``_route``'s moves, found by advancing every replicate in lock step.
+
+    Replicate r's t-th event is looked up in the destination table at its
+    current state: entry ``state + clock * width``, plus the tie position
+    floor(u * #tied) under ``UNIFORM_RANDOM``, the IEEE product ``_route``
+    takes.  The replicates run in decreasing order of their event counts, so
+    the ones still running at step t are a prefix.  A batch of one replicate,
+    or one whose table would pass ``TABLE_ENTRIES``, goes to ``_route``.
+    """
+    K, C = topology.K, topology.M + topology.K
+    reps, steps = len(counts), int(counts.max(initial=0))
+    side = int(q0.max()) + steps + 1
+    width = 1 if ties is None else max(len(ks) for ks, _ in topology.routes)
+    if reps < 2 or side**K * C * width > TABLE_ENTRIES:
+        return _route(topology, q0, counts, clocks, ties)
+    move, to, tied = _destinations(topology, side, width)
+    order = np.argsort(-counts, kind="stable")
+    active = reps - np.searchsorted(np.sort(counts), np.arange(steps), side="right")
+    own = np.arange(steps) < counts[:, None]
+
+    def lay(flat: np.ndarray, dtype) -> np.ndarray:
+        """(step, replicate) array of one value per event, replicates in ``order``."""
+        padded = np.zeros((reps, steps), dtype=dtype)
+        padded[own] = flat
+        return np.take(padded.T, order, axis=1)
+
+    # each event's clock offset in the table
+    events = lay(clocks, np.min_scalar_type((C - 1) * width))
+    if width > 1:
+        events *= np.asarray(width, dtype=events.dtype)
+        draws, share = lay(ties, ties.dtype), np.empty(reps)
+        count = np.empty(reps, dtype=tied.dtype)
+    out = np.empty((steps, reps), dtype=move.dtype)
+    state = np.full(reps, np.ravel_multi_index(q0, (side,) * K) * C * width, dtype=np.int32)
+    entry = np.empty(reps, dtype=np.int32)
+    for t, a in enumerate(active.tolist()):
+        i, s = entry[:a], state[:a]
+        np.add(s, events[t, :a], out=i)
+        if width > 1:
+            u = tied.take(i, out=count[:a], mode="clip")
+            u = np.multiply(draws[t, :a], u, out=share[:a])
+            np.add(i, np.trunc(u, out=u), out=i, casting="unsafe")
+        move.take(i, out=out[t, :a], mode="clip")
+        to.take(i, out=s, mode="clip")
+    moves = np.empty((reps, steps), dtype=move.dtype)
+    moves[order] = out.T
+    return moves[own]
+
+
 def _walk(topology: Topology, clocks: np.ndarray, moves: np.ndarray) -> np.ndarray:
     """Running sum of the events' queue changes, with a leading zero row.
 
@@ -188,9 +292,14 @@ def _walk(topology: Topology, clocks: np.ndarray, moves: np.ndarray) -> np.ndarr
     arrival adds one customer to the queue it joined and a departure removes
     one.
     """
-    changed = np.flatnonzero(moves >= 0)
+    # +1 for an arrival, -1 for a service tick, written one queue's column
+    # at a time: a scatter by (event, queue) cost 5-8 times as much
+    sign = (clocks < topology.M).view(np.int8)
+    sign *= 2
+    sign -= 1
     step = np.zeros((len(moves) + 1, topology.K), dtype=np.int32)
-    step[changed + 1, moves[changed]] = np.where(clocks[changed] < topology.M, 1, -1)
+    for k in range(topology.K):
+        np.multiply(moves == k, sign, out=step[1:, k])
     return np.cumsum(step, axis=0, out=step)
 
 
@@ -244,8 +353,8 @@ def simulate(
 def audit(path: SamplePath, topology: Topology) -> None:
     """Check the exact balance identities at every event, and that each
     arrival joined a queue of least weighted level in its stream's
-    admissible set, compared exactly as ``Q_k * level_multipliers(m)[k]``;
-    raises AssertionError on failure."""
+    admissible set, compared exactly by ``Topology.least_levels``; raises
+    AssertionError on failure."""
     if (path.K, path.M) != (topology.K, topology.M):
         raise AssertionError(f"path has K={path.K}, M={path.M}, the net "
                              f"K={topology.K}, M={topology.M}")
@@ -273,23 +382,28 @@ def audit(path: SamplePath, topology: Topology) -> None:
     if np.any((dB == 1) & (pre > 0) & (dD == 0)):
         raise AssertionError("service jump with customer present must depart")
     for m in range(topology.M):
-        mults = topology.level_multipliers(m)
-        S = sorted(mults)
+        S = list(topology.routes[m][0])
         routed = path.routed[:, :, m]
         if np.any(np.delete(routed, S, axis=1)):
             raise AssertionError(f"stream {m + 1} routed outside its admissible set")
-        # the (event, position in S) of each arrival, and the levels before it
+        # the (event, position in S) of each arrival
         event, j = np.nonzero(np.diff(routed[:, S], axis=0))
-        levels = pre[event[:, None], S] * np.array([mults[k] for k in S])
-        if np.any(levels[np.arange(len(event)), j] != levels.min(axis=1)):
+        if not topology.least_levels(m, pre[event])[np.arange(len(event)), j].all():
             raise AssertionError(f"stream {m + 1} joined a queue above its least level")
 
 
 def _grid(path: SamplePath, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform grid of scaled time over the run, and the index of the event
-    row in force at each grid time."""
+    """Uniform grid of scaled time over the run, ending at its horizon T, and
+    the index of the event row in force at each grid time.
+
+    The grid is 0, step, 2 step, ...; when the step does not divide T, its
+    multiples below T are followed by T itself.
+    """
     grid_step = positive(grid_step, "grid_step")
-    ts = np.arange(0.0, path.horizon / path.n + grid_step / 2, grid_step)
+    T = path.horizon / path.n
+    ts = np.arange(0.0, T + grid_step / 2, grid_step)
+    if not math.isclose(ts[-1], T, rel_tol=1e-9):
+        ts = np.append(ts[ts < T], T)
     return ts, np.searchsorted(path.times, ts * path.n, side="right") - 1
 
 
@@ -300,12 +414,10 @@ def scale_path(path: SamplePath, grid_step: float = 1e-3) -> PiecewisePath:
     in force at each grid time.  Raises ValueError unless ``grid_step`` is
     positive and finite.
     """
-    T = path.horizon / path.n
     ts, idx = _grid(path, grid_step)
     vals = path.queues[idx] / path.n
-    if len(ts) < 2:  # a step beyond T: the states at 0 and at T
-        ts = np.array([0.0, T if T > 0 else 1.0])
-        vals = np.vstack([vals, path.queues[-1] / path.n])
+    if len(ts) < 2:  # a zero horizon: the initial state, held to t = 1
+        ts, vals = np.array([0.0, 1.0]), np.vstack([vals, vals])
     return PiecewisePath(ts, vals)
 
 
@@ -457,7 +569,7 @@ def _replicate_statistics(
         walk = np.zeros(len(jumps) + 1, dtype=np.int32)
         np.cumsum(jumps, dtype=np.int32, out=walk[1:])
         return [_reflected_queue(counts, walk, q0[0], kind)[:, None] for kind in kinds]
-    walk = _walk(topology, clocks, _route(topology, q0, counts, clocks, ties))
+    walk = _walk(topology, clocks, _route_batch(topology, q0, counts, clocks, ties))
     return [np.column_stack([_reflected_queue(counts, walk[:, k], q0[k], kind)
                              for k in range(topology.K)]) for kind in kinds]
 

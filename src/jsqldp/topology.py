@@ -160,6 +160,22 @@ class Topology:
             for k in self.admissible[m]
         }
 
+    def least_levels(self, m: int, queues: np.ndarray) -> np.ndarray:
+        """Which queues of S_m hold the least weighted level in each row of
+        ``queues``, an (N, K) array of nonnegative integer queue lengths.
+
+        Returns an (N, |S_m|) boolean array whose columns are S_m in index
+        order.  Levels are compared exactly as ``Q_k * level_multipliers(m)[k]``:
+        in int64 while ``max(Q) * max(c) < 2**63``, in Python integers past
+        that, where int64 would wrap.
+        """
+        mults = self.level_multipliers(m)
+        q = np.asarray(queues)
+        exact = np.int64 if max(int(q.max(initial=0)), 1) * max(mults.values()) < 2**63 else object
+        levels = [q[:, k].astype(exact) * mults[k] for k in self.routes[m][0]]
+        low = np.minimum.reduce(levels)
+        return np.column_stack([level == low for level in levels])
+
     def to_dict(self) -> dict:
         """External (1-based) representation."""
         return {

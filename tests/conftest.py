@@ -1,7 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from jsqldp import validate
+
+# a property over random nets runs the same examples on every run
+NET_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+@st.composite
+def small_nets(draw):
+    """(net, q0): K, M <= 3, each stream's admissible set a nonempty subset
+    of the queues, weights from {1, 1/2, 2, 1/3, 3/2}, arrival rates that
+    may be 0, positive service rates, and an initial queue vector of
+    integers below 4."""
+    K, M = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    admissible = [draw(st.lists(st.integers(1, K), min_size=1, max_size=K, unique=True))
+                  for _ in range(M)]
+    net = validate({
+        "K": K,
+        "M": M,
+        "admissible": admissible,
+        "weights": [{str(k): draw(st.sampled_from(["1", "1/2", "2", "1/3", "3/2"]))
+                     for k in s} for s in admissible],
+        "lambda": draw(st.lists(st.sampled_from([0, 0.5, 1, 2]), min_size=M, max_size=M)),
+        "mu": draw(st.lists(st.sampled_from([0.5, 1, 2]), min_size=K, max_size=K)),
+    })
+    return net, np.array(draw(st.lists(st.integers(0, 3), min_size=K, max_size=K)))
 
 
 @pytest.fixture

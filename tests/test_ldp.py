@@ -260,7 +260,7 @@ class TestEstimate:
 
 class TestHitCounts:
     """Per-seed hits of the one batch loop, pinned: the one-queue rows pin the
-    reflected walk, the weighted rows the scalar router."""
+    reflected walk, the weighted rows the lock-step batch router."""
 
     # two batches each: 69905 replicates per batch on the drain net at n=5
     # and 43690 on the weighted net at n=4

@@ -416,7 +416,9 @@ def legendre_rate(x, y, topo) -> float:
     busy = x > 0
     lone = busy & ~np.isin(np.arange(topo.K), sum(J, []))
     assert np.all(y[lone] <= 0), "a busy queue in no argmin set cannot grow"
-    closed = sum(mu if v == 0 else mu + v - v * math.log(-v / mu)
+    # log(-v) - log(mu), not log(-v / mu): the quotient underflows to 0 at
+    # a subnormal v such as -5e-324
+    closed = sum(mu if v == 0 else mu + v - v * (math.log(-v) - math.log(mu))
                  for mu, v in zip(topo.mu[lone], y[lone]))
 
     def hamiltonian_gap(theta):

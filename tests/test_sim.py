@@ -1,9 +1,13 @@
 import hashlib
 from fractions import Fraction
 from itertools import accumulate, product
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import NET_SETTINGS, small_nets
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jsqldp import (
     SamplePath,
@@ -16,7 +20,15 @@ from jsqldp import (
     validate,
     wilson_interval,
 )
-from jsqldp.sim import RareEventSpec, _draw, _replicate_statistics, _route, count_hits
+from jsqldp import sim
+from jsqldp.sim import (
+    RareEventSpec,
+    _draw,
+    _replicate_statistics,
+    _route,
+    _route_batch,
+    count_hits,
+)
 
 
 class TestReproducibility:
@@ -111,6 +123,19 @@ class TestAudit:
     def test_audit_detects_a_path_of_another_net(self, two_queue, weighted_net):
         with pytest.raises(AssertionError, match="M=1"):
             audit(simulate(two_queue, 5, 1.0, seed=0), weighted_net)
+
+    def test_audit_compares_levels_past_int64_exactly(self):
+        # the level multipliers are 10**16 and 10**16 + 1 and the queues pass
+        # 922, so Q_k * c_k passes 2**63; int64 levels wrapped and this path
+        # of the router failed the least-level check
+        net = validate({"K": 2, "M": 1, "admissible": [[1, 2]],
+                        "weights": [{"1": "1/10000000000000000", "2": "1/10000000000000001"}],
+                        "lambda": [3], "mu": [1, 1]})
+        p = simulate(net, 2000, 1.0, seed=1)
+        assert int(p.queues.max()) * 10**16 >= 2**63
+        audit(p, net)
+        with pytest.raises(AssertionError, match="least level"):
+            audit(self._one_arrival([943, 944], 1, 0, 1), net)
 
     def test_initial_state_is_floor_of_scaled(self, two_queue):
         p = simulate(two_queue, 7, 0.1, seed=0, q0_scaled=[0.5, 0.99])
@@ -254,7 +279,7 @@ class TestEngine:
             lo, hi = wilson_interval(hits, events, z=4.5)
             assert lo <= share <= hi
 
-    # the weighted net runs the scalar router, the one-queue nets (one and two
+    # the weighted net runs the batch router, the one-queue nets (one and two
     # streams) the reflected walk
     NETS = [("weighted_net", [0.3, 0.1]), ("mm1_stable", [0.3]), ("two_stream_queue", [0.7])]
 
@@ -299,28 +324,59 @@ class TestEngine:
             event = RareEventSpec("running_max", 0, level, T)
             assert count_hits(mm1, event, 1, 3, 5) == (tops >= level).sum()
 
+    @staticmethod
+    def _check_replicate_loop(topo, n, T, reps, tie, q0_scaled):
+        """``_replicate_statistics`` against a loop over each replicate's
+        events as the scalar router moves them."""
+        q0 = np.floor(n * np.array(q0_scaled)).astype(np.int64)
+        counts, clocks, ties, _ = _draw(topo, n, T, 4, 2, reps, tie)
+        moves = _route(topo, q0, counts, clocks, ties)
+        q_end, q_max = _replicate_statistics(topo, n, T, 4, 2, reps,
+                                             ("terminal", "running_max"), tie, q0_scaled)
+        events = iter(zip(clocks.tolist(), moves.tolist()))
+        for r, count in enumerate(counts):
+            q, top = q0.copy(), q0.copy()
+            for _ in range(count):
+                c, k = next(events)
+                if k >= 0:
+                    q[k] += 1 if c < topo.M else -1
+                    assert q[k] >= 0
+                top = np.maximum(top, q)
+            assert np.array_equal(q_end[r], q) and np.array_equal(q_max[r], top)
+
     @pytest.mark.parametrize("T", [0.05, 2.0])
     def test_batch_observer_matches_replicate_loop(self, request, T):
         # at T=0.05 (n=10) most replicates have no event at all; the scalar
         # router is the reference for every net
         for net, q0_scaled in self.NETS:
-            topo = request.getfixturevalue(net)
-            q0 = np.floor(10 * np.array(q0_scaled)).astype(np.int64)
             for tie in TieRule:
-                counts, clocks, ties, _ = _draw(topo, 10, T, 4, 2, 300, tie)
-                moves = _route(topo, q0, counts, clocks, ties)
-                q_end, q_max = _replicate_statistics(topo, 10, T, 4, 2, 300,
-                                                     ("terminal", "running_max"), tie, q0_scaled)
-                events = iter(zip(clocks.tolist(), moves.tolist()))
-                for r, count in enumerate(counts):
-                    q, top = q0.copy(), q0.copy()
-                    for _ in range(count):
-                        c, k = next(events)
-                        if k >= 0:
-                            q[k] += 1 if c < topo.M else -1
-                            assert q[k] >= 0
-                        top = np.maximum(top, q)
-                    assert np.array_equal(q_end[r], q) and np.array_equal(q_max[r], top)
+                self._check_replicate_loop(request.getfixturevalue(net), 10, T, 300, tie,
+                                           q0_scaled)
+
+    @pytest.mark.parametrize("net,n,reps,scalar", [
+        ("three_queue", 40, 3, True), ("weighted_net", 10, 50, False)],
+        ids=["over-budget", "under-budget"])
+    def test_a_batch_over_the_table_budget_takes_the_scalar_router(
+            self, request, monkeypatch, net, n, reps, scalar):
+        # three queues with about 280 events per replicate need a grid of
+        # over 300**3 states, far past TABLE_ENTRIES
+        topo, calls = request.getfixturevalue(net), []
+        monkeypatch.setattr(sim, "_route", lambda *args: calls.append(1) or _route(*args))
+        for tie in TieRule:
+            self._check_replicate_loop(topo, n, 1.0, reps, tie, [0.1] * topo.K)
+        assert calls == ([1, 1] if scalar else [])
+
+    @NET_SETTINGS
+    @given(net=small_nets(), seed=st.integers(0, 2**16), tie=st.sampled_from(TieRule))
+    def test_batch_router_matches_the_scalar_router(self, net, seed, tie):
+        # at n=2, T=0.5 every drawn net's table fits TABLE_ENTRIES, so a
+        # call of _route from the batch router is a failure
+        topo, q0 = net
+        counts, clocks, ties, _ = _draw(topo, 2, 0.5, seed, 0, 40, tie)
+        expected = _route(topo, q0, counts, clocks, ties)
+        with mock.patch.object(sim, "_route", side_effect=AssertionError("_route called")):
+            moves = _route_batch(topo, q0, counts, clocks, ties)
+        assert moves.tolist() == expected.tolist()
 
 
 class TestValidation:
@@ -360,6 +416,19 @@ class TestValidation:
         path = simulate(two_queue, 5, 1.0, seed=0)
         with pytest.raises(ValueError, match="grid_step"):
             fn(path, grid_step)
+
+    @pytest.mark.parametrize("grid_step,ends", [(0.3, 0.9), (0.6, 0.6)])
+    def test_a_step_that_does_not_divide_the_horizon_ends_at_it(
+            self, two_queue, grid_step, ends):
+        # the grid ended at 0.9, short of T = 1, or at 1.2, where the path
+        # read (0.667, 0.55) at T against a final state of (0.85, 0.7)
+        p = simulate(two_queue, 20, 1.0, seed=3)
+        sp = scale_path(p, grid_step)
+        assert sp.breakpoints[-2:].tolist() == [pytest.approx(ends), 1.0]
+        assert sp(1.0).tolist() == (p.queues[-1] / 20).tolist() == [0.85, 0.7]
+        counters = scale_counters(p, grid_step)
+        assert counters["t"].tolist() == sp.breakpoints.tolist()
+        assert counters["A"][-1].tolist() == (p.arrivals[-1] / 20).tolist()
 
     def test_a_step_beyond_the_horizon_keeps_the_final_state(self, two_queue):
         # the one-point grid was padded with the t = 0 state: (0, 0) at t = 1
