@@ -5,6 +5,7 @@ is used both by the CLI subcommand and by the test suite.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 
@@ -74,29 +75,36 @@ def criterion_golden_value():
 
 
 def criterion_domain_consistency():
+    # the states of {0, 1, 2}^2 take every label a pair-net state can have:
+    # each queue empty or busy, and each order of the two levels
+    states = {}
+    for x in itertools.product([0.0, 1.0, 2.0], repeat=PAIR.K):
+        states.setdefault(classify_domain(x, PAIR), np.array(x))
+    labels = domain_labels(PAIR)
+    if not states.keys() <= set(labels):
+        return False, "a state's label is not among the domain labels"
     rng = np.random.default_rng(7)
-    goal = 100
-    done = 0
-    worst = 0.0
-    tol = 1e-8
-    while done < goal:
-        topo = SINGLE if done % 2 == 0 else PAIR
-        cost = PoissonCost(topo)
-        x = rng.uniform(0, 3, topo.K)
-        if rng.random() < 0.2:
-            x[rng.integers(topo.K)] = 0.0
-        y = rng.uniform(-2, 2, topo.K)
-        wit = local_rate(x, y, topo, cost, tol=tol)
-        value = psi_ij(classify_domain(x, topo), y, topo, cost, tol=tol)
-        if math.isfinite(wit.value) != math.isfinite(value):
-            return False, f"finiteness disagrees at x={x}, y={y}"
-        if not math.isfinite(wit.value):
-            continue
-        worst = max(worst, abs(wit.value - value))
-        if abs(wit.value - value) > 2 * tol:
-            return False, f"diff {abs(wit.value - value):.3g} at x={x}, y={y}"
-        done += 1
-    return True, f"max |local_rate - psi_ij| = {worst:.2e} over {goal} finite points"
+    cost, per_label, worst = PoissonCost(PAIR), 4, 0.0
+    for label, x in states.items():
+        finite = 0
+        for _ in range(100):
+            y = rng.uniform(-2, 2, PAIR.K)
+            value = psi_ij(label, y, PAIR, cost, tol=1e-8)
+            bf = local_rate_bruteforce(x, y, PAIR, cost, grid_step=5e-3, box_radius=5.0)
+            if math.isfinite(value) != math.isfinite(bf):
+                return False, f"finiteness disagrees on {label.to_dict()} at x={x}, y={y}"
+            if not math.isfinite(value):
+                continue
+            worst = max(worst, abs(value - bf))
+            if abs(value - bf) > 1e-2:
+                return False, f"|psi_ij - oracle|={abs(value - bf):.3g} at x={x}, y={y}"
+            finite += 1
+            if finite == per_label:
+                break
+        if finite < per_label:
+            return False, f"only {finite} finite values on {label.to_dict()} at x={x}"
+    return True, (f"max |psi_ij - oracle| = {worst:.2e} over {per_label} velocities on each "
+                  f"of the {len(states)} attained labels (of {len(labels)})")
 
 
 def criterion_domain_partition():

@@ -18,18 +18,20 @@ against (``RareEventSpec``): ``simulate`` and ``terminal_statistics`` are
 replicate 0 of batch 0, and ``count_hits`` splits its replicates into
 batches of about 2**20 expected events, numbered 0, 1, ... from the seed.
 The events of the replicates are laid end to end, and routing gives each
-one the queue it joins or leaves.  The scalar loop ``_route`` routes one
-run (``simulate`` and ``terminal_statistics``).  A batch of replicates is
-routed in lock step by ``_route_batch``: one event of every replicate per
-step, looked up in a destination table over the grid of queue vectors the
-batch can reach; a batch whose table would pass ``TABLE_ENTRIES`` goes to
-``_route``.  Both give the same moves, and numpy observers turn them into
-full paths (``simulate``) or per-replicate terminal values or running
-maxima (``terminal_statistics`` and ``count_hits``).  Those statistics come
-from one reduction of each queue's walk, ``_reflected_queue``.  A one-queue
-net needs no routing: every arrival joins the queue, so its walk is one of
-+/-1 jumps, which the reflection holds at 0.  A routed queue's walk never
-falls below its floor, so the reflection leaves it unchanged.
+one a queue: the queue an arrival joins, or the server of a service tick.
+The scalar loop ``_route`` routes one run (``simulate`` and
+``terminal_statistics``).  A batch of replicates is routed in lock step by
+``_route_batch``: one event of every replicate per step, looked up in a
+destination table over the grid of queue vectors the batch can reach; a
+batch whose table would pass ``TABLE_ENTRIES`` goes to ``_route``, and on a
+net where no stream has a choice of queue the clocks alone fix the moves.
+Both give the same moves.  Every queue then follows one rule: its raw walk
+(``_walk``) is +1 for each arrival it receives and -1 for each tick of its
+server, and the queue is that walk from its initial content reflected at
+0.  The reflection counts the ticks at an empty server, which depart no
+one.  ``simulate`` records full paths from it, and ``_reflected_queue``
+reduces it to per-replicate terminal values or running maxima
+(``terminal_statistics`` and ``count_hits``).
 """
 from __future__ import annotations
 
@@ -147,9 +149,11 @@ def _draw(topology: Topology, n: int, T: float, seed: int, batch: int, reps: int
 
 def _route(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks: np.ndarray,
            ties: np.ndarray | None) -> np.ndarray:
-    """The queue each event joins or leaves; -1 for a tick at an empty server.
+    """The queue of each event: the one an arrival joins, the server that ticks.
 
     Replicate r owns the next ``counts[r]`` events and starts from ``q0``.
+    The queue vector is tracked, because arrivals compare its levels; a tick
+    at an empty server leaves it as it is.
     An arrival of stream m joins a queue of least weighted level in S_m,
     compared exactly as Q_k * level_multiplier; among the tied queues, in
     index order, it takes position floor(u * #tied) for the event's tie
@@ -169,9 +173,7 @@ def _route(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks: np.nd
                 k = c - M
                 if q[k]:
                     q[k] -= 1
-                    emit(k)
-                else:
-                    emit(-1)
+                emit(k)
                 continue
             k = -1
             for j, mult in choices[c]:
@@ -186,7 +188,7 @@ def _route(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks: np.nd
     return np.array(moves, dtype=np.intp)
 
 
-# Most entries a destination table may hold: 6 bytes each (an int8 move,
+# Most entries a destination table may hold: 6 bytes each (a uint8 move,
 # an int32 next state and a uint8 tie count), so at most 12.6 MB.  A batch
 # whose queue grid needs a larger table is routed by ``_route``.
 TABLE_ENTRIES = 2**21
@@ -197,9 +199,9 @@ def _destinations(topology: Topology, side: int, width: int):
 
     States are the queue vectors in C order, ``np.ravel_multi_index``'s.
     Entry ``(s * C + c) * width + p``, for the C = M + K clocks c and the
-    tie positions p < ``width``, holds the queue the event joins or leaves
-    (-1 for a tick at an empty server) and the next state's first entry
-    ``s' * C * width``.  An arrival joins the p-th of the queues of least
+    tie positions p < ``width``, holds the event's queue (``_route``'s move)
+    and the next state's first entry ``s' * C * width``; a tick at an empty
+    server keeps the state.  An arrival joins the p-th of the queues of least
     weighted level (``Topology.least_levels``) in index order; ``tied``
     holds their number, 1 for a service tick.  Entries past the last tied
     queue are never read.  An arrival at the grid's edge keeps the state: no
@@ -209,14 +211,13 @@ def _destinations(topology: Topology, side: int, width: int):
     C = M + K
     queues = np.indices((side,) * K, dtype=np.int32).reshape(K, -1)
     states = np.arange(queues.shape[1], dtype=np.int32)
-    move = np.zeros((len(states), C, width), dtype=np.min_scalar_type(-K))
+    move = np.zeros((len(states), C, width), dtype=np.min_scalar_type(K - 1))
     to = np.zeros((len(states), C, width), dtype=np.int32)
     tied = np.ones((len(states), C, width), dtype=np.min_scalar_type(width))
     stride = [side ** (K - 1 - k) for k in range(K)]
     for k in range(K):
-        busy = queues[k] > 0
-        move[:, M + k] = np.where(busy, k, -1)[:, None]
-        to[:, M + k] = (states - busy * np.int32(stride[k]))[:, None]
+        move[:, M + k] = k
+        to[:, M + k] = (states - (queues[k] > 0) * np.int32(stride[k]))[:, None]
     up = [np.where(queues[k] < side - 1, states + np.int32(stride[k]), states) for k in range(K)]
     for m, (ks, _) in enumerate(topology.routes):
         least = topology.least_levels(m, queues.T)
@@ -238,14 +239,25 @@ def _route_batch(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks:
                  ties: np.ndarray | None) -> np.ndarray:
     """``_route``'s moves, found by advancing every replicate in lock step.
 
-    Replicate r's t-th event is looked up in the destination table at its
-    current state: entry ``state + clock * width``, plus the tie position
-    floor(u * #tied) under ``UNIFORM_RANDOM``, the IEEE product ``_route``
-    takes.  The replicates run in decreasing order of their event counts, so
-    the ones still running at step t are a prefix.  A batch of one replicate,
-    or one whose table would pass ``TABLE_ENTRIES``, goes to ``_route``.
+    Only an arrival of a stream with a choice of queues needs the state: on
+    a net with no such stream (one queue, say) each event's clock fixes its
+    move, and no replicate is stepped.  Otherwise replicate r's t-th event
+    is looked up in the destination table at its current state: entry
+    ``state + clock * width``, plus the tie position floor(u * #tied) under
+    ``UNIFORM_RANDOM``, the IEEE product ``_route`` takes.  The replicates
+    run in decreasing order of their event counts, so the ones still running
+    at step t are a prefix.  A batch of one replicate, or one whose table
+    would pass ``TABLE_ENTRIES``, goes to ``_route``.
     """
     K, C = topology.K, topology.M + topology.K
+    if all(len(ks) == 1 for ks, _ in topology.routes):
+        # moves start at queue 0: on one queue none is written, and _walk
+        # reads none
+        moves = np.zeros(len(clocks), dtype=np.min_scalar_type(K - 1))
+        for c, k in enumerate([ks[0] for ks, _ in topology.routes] + list(range(K))):
+            if k:
+                moves[clocks == c] = k
+        return moves
     reps, steps = len(counts), int(counts.max(initial=0))
     side = int(q0.max()) + steps + 1
     width = 1 if ties is None else max(len(ks) for ks, _ in topology.routes)
@@ -286,20 +298,27 @@ def _route_batch(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks:
 
 
 def _walk(topology: Topology, clocks: np.ndarray, moves: np.ndarray) -> np.ndarray:
-    """Running sum of the events' queue changes, with a leading zero row.
+    """Each queue's raw walk: a running sum with a leading zero row.
 
-    Row j is the change of the queue vector over the first j events: an
-    arrival adds one customer to the queue it joined and a departure removes
-    one.
+    Row j counts, for each queue, the arrivals it received over the first j
+    events minus the ticks of its server, busy or not.  The queue vector is
+    this walk from the initial content reflected at 0 (``simulate`` and
+    ``_reflected_queue``).
     """
     # +1 for an arrival, -1 for a service tick, written one queue's column
-    # at a time: a scatter by (event, queue) cost 5-8 times as much
+    # at a time: a scatter by (event, queue) cost 5-8 times as much.  Every
+    # event is one queue's, so queue 0's column is the signs less the other
+    # columns.  On one queue that reads no moves and builds no mask: one
+    # more array the size of the events per batch made count_hits re-fault
+    # its heap.
     sign = (clocks < topology.M).view(np.int8)
     sign *= 2
     sign -= 1
     step = np.zeros((len(moves) + 1, topology.K), dtype=np.int32)
-    for k in range(topology.K):
-        np.multiply(moves == k, sign, out=step[1:, k])
+    rest = step[1:, 0]
+    rest[:] = sign
+    for k in range(1, topology.K):
+        rest -= np.multiply(moves == k, sign, out=step[1:, k])
     return np.cumsum(step, axis=0, out=step)
 
 
@@ -325,27 +344,31 @@ def simulate(
     q0 = _initial_queues(topology, n, T, seed, tie_rule, q0_scaled)
     counts, clocks, ties, rng = _draw(topology, n, T, seed, 0, 1, tie_rule)
     moves = _route(topology, q0, counts, clocks, ties)
-    # one column per clock, per (server, stream) pair and per server: the
-    # cumulative sums of one-hot event rows are A and B, E and D
+    # one column per clock and per (server, stream) pair: the cumulative
+    # sums of one-hot event rows are A and B, and E
     rows = np.arange(1, len(moves) + 1)
     arrival = clocks < M
-    departure = ~arrival & (moves >= 0)
-    ticks = np.zeros((len(rows) + 1, M + K + K * M + K), dtype=np.int64)
+    ticks = np.zeros((len(rows) + 1, M + K + K * M), dtype=np.int64)
     ticks[rows, clocks] = 1
     ticks[rows[arrival], M + K + moves[arrival] * M + clocks[arrival]] = 1
-    ticks[rows[departure], M + K + K * M + moves[departure]] = 1
     totals = np.cumsum(ticks, axis=0)
-    routed = totals[:, M + K:M + K + K * M].reshape(-1, K, M)
-    departures = totals[:, M + K + K * M:]
+    services = totals[:, M:M + K]
+    # the queues are the raw walk q0 + W reflected at 0: the regulator
+    # Y = max(0, -(running min of q0 + W)) counts the ticks at an empty
+    # server, Q = q0 + W + Y and D = B - Y; -Y is kept, and Q and D are
+    # written in place over q0 + W and -Y
+    queues = q0 + _walk(topology, clocks, moves)
+    idle = np.minimum.accumulate(queues, axis=0)
+    np.minimum(idle, 0, out=idle)
     return SamplePath(
         n=n,
         seed=seed,
         times=np.concatenate([[0.0], np.sort(rng.random(len(moves))) * (n * T)]),
-        queues=q0 + _walk(topology, clocks, moves),
+        queues=np.subtract(queues, idle, out=queues),
         arrivals=totals[:, :M],
-        services=totals[:, M:M + K],
-        departures=departures,
-        routed=routed,
+        services=services,
+        departures=np.add(services, idle, out=idle),
+        routed=totals[:, M + K:].reshape(-1, K, M),
         horizon=n * T,
     )
 
@@ -554,21 +577,11 @@ def _replicate_statistics(
     'terminal' gives the terminal queue vectors and 'running_max' the
     running maxima, so a caller pays only for what it names.  The runs are
     batch ``batch`` of the stream seeded by ``seed``.  Each queue's
-    statistics are ``_reflected_queue`` of its walk: a column of the
-    batch's ``_walk`` on a net of two or more queues, the +/-1 walk of every
-    event on one queue.
+    statistics are ``_reflected_queue`` of its column of the batch's
+    ``_walk``.
     """
     q0 = _initial_queues(topology, n, T, seed, tie_rule, q0_scaled)
     counts, clocks, ties, _ = _draw(topology, n, T, seed, batch, reps, tie_rule)
-    if topology.K == 1:
-        # every arrival joins the one queue, so no event needs routing: the
-        # walk is the running sum of +1 arrivals and -1 service ticks
-        jumps = (clocks < topology.M).view(np.int8)
-        jumps *= 2
-        jumps -= 1
-        walk = np.zeros(len(jumps) + 1, dtype=np.int32)
-        np.cumsum(jumps, dtype=np.int32, out=walk[1:])
-        return [_reflected_queue(counts, walk, q0[0], kind)[:, None] for kind in kinds]
     walk = _walk(topology, clocks, _route_batch(topology, q0, counts, clocks, ties))
     return [np.column_stack([_reflected_queue(counts, walk[:, k], q0[k], kind)
                              for k in range(topology.K)]) for kind in kinds]
@@ -583,10 +596,8 @@ def _reflected_queue(counts: np.ndarray, walk: np.ndarray, q0: int, kind: str) -
     it owns the slice ``walk[start:end+1]`` and shares its last entry with
     the next replicate's first.  The queue is the Lindley reflection of that
     slice: at entry j it is ``walk[j] - min(floor, min(walk[start:j+1]))``
-    with ``floor = walk[start] - q0``.  A routed queue's walk never falls
-    below its floor, so there the reflection is ``q0`` plus the walk's rise
-    since ``start``.  ``kind`` is 'terminal' (its value at the slice's end)
-    or 'running_max' (its largest value over the slice).
+    with ``floor = walk[start] - q0``.  ``kind`` is 'terminal' (its value at
+    the slice's end) or 'running_max' (its largest value over the slice).
     """
     ends = np.cumsum(counts)
     starts = ends - counts

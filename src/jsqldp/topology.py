@@ -27,8 +27,13 @@ TIE_RTOL = 1e-12
 
 
 def tie_level(lo: float) -> float:
-    """Highest level that still ties with the lowest level ``lo``."""
-    return lo + TIE_RTOL * max(1.0, abs(lo))
+    """Highest level that still ties with the lowest level ``lo``.
+
+    The band is relative, so only 0 ties with an empty queue's level 0: an
+    absolute floor there tied a tiny positive level with it, and put an
+    empty and a busy queue in one argmin set, which no domain label allows.
+    """
+    return lo + TIE_RTOL * abs(lo)
 
 
 class TopologyError(ValueError):

@@ -105,7 +105,8 @@ def _agrees_with_oracle(topology, case):
 
 # the topology fixtures are immutable, so sharing one across examples is safe
 ORACLE_SETTINGS = settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 
 

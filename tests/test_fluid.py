@@ -244,7 +244,7 @@ FLUID_NETS = {"single": "mm1", "drain": "mm1_stable", "pair": "two_queue",
 
 class TestSolveMatchesSteps:
     @pytest.mark.parametrize("net", FLUID_NETS)
-    @settings(max_examples=30, deadline=None,
+    @settings(max_examples=30, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_rows_equal_repeated_steps_bitwise(self, request, net, data):

@@ -279,8 +279,9 @@ class TestEngine:
             lo, hi = wilson_interval(hits, events, z=4.5)
             assert lo <= share <= hi
 
-    # the weighted net runs the batch router, the one-queue nets (one and two
-    # streams) the reflected walk
+    # two queues and two streams, routed in lock step, and one queue fed by
+    # one or by two streams, whose clocks fix every move; every queue is its
+    # walk reflected at 0
     NETS = [("weighted_net", [0.3, 0.1]), ("mm1_stable", [0.3]), ("two_stream_queue", [0.7])]
 
     @pytest.mark.parametrize("reps", [1, 7, 50])
@@ -327,7 +328,7 @@ class TestEngine:
     @staticmethod
     def _check_replicate_loop(topo, n, T, reps, tie, q0_scaled):
         """``_replicate_statistics`` against a loop over each replicate's
-        events as the scalar router moves them."""
+        events as the scalar router moves them, each queue held at 0."""
         q0 = np.floor(n * np.array(q0_scaled)).astype(np.int64)
         counts, clocks, ties, _ = _draw(topo, n, T, 4, 2, reps, tie)
         moves = _route(topo, q0, counts, clocks, ties)
@@ -338,9 +339,7 @@ class TestEngine:
             q, top = q0.copy(), q0.copy()
             for _ in range(count):
                 c, k = next(events)
-                if k >= 0:
-                    q[k] += 1 if c < topo.M else -1
-                    assert q[k] >= 0
+                q[k] = max(q[k] + (1 if c < topo.M else -1), 0)
                 top = np.maximum(top, q)
             assert np.array_equal(q_end[r], q) and np.array_equal(q_max[r], top)
 
@@ -352,6 +351,33 @@ class TestEngine:
             for tie in TieRule:
                 self._check_replicate_loop(request.getfixturevalue(net), 10, T, 300, tie,
                                            q0_scaled)
+
+    def test_a_net_without_choice_is_routed_by_its_clocks(self):
+        # each stream has one queue (stream 1 queue 2, stream 2 queue 1), so
+        # a clock fixes its event's queue and no destination table is built
+        topo = validate({"K": 2, "M": 2, "admissible": [[2], [1]], "lambda": [1, 0.5],
+                         "mu": [2, 1]})
+        for tie in TieRule:
+            counts, clocks, ties, _ = _draw(topo, 10, 1.0, 5, 0, 50, tie)
+            expected = _route(topo, np.array([1, 0]), counts, clocks, ties)
+            with mock.patch.object(sim, "_destinations", side_effect=AssertionError("table")):
+                moves = _route_batch(topo, np.array([1, 0]), counts, clocks, ties)
+                self._check_replicate_loop(topo, 10, 1.0, 300, tie, [0.1, 0.0])
+            assert moves.tolist() == expected.tolist()
+            assert set(moves.tolist()) == {0, 1}
+
+    @NET_SETTINGS
+    @given(net=small_nets(), seed=st.integers(0, 2**16), tie=st.sampled_from(TieRule))
+    def test_a_service_tick_moves_its_server(self, net, seed, tie):
+        # at an empty server too: the routers emit no sentinel, and the
+        # reflection of the walk keeps the queue at 0
+        topo, q0 = net
+        counts, clocks, ties, _ = _draw(topo, 2, 0.5, seed, 0, 40, tie)
+        ticks = clocks >= topo.M
+        for router in (_route, _route_batch):
+            moves = router(topo, q0, counts, clocks, ties)
+            assert moves.dtype.kind in "ui" and moves.min(initial=0) >= 0
+            assert moves[ticks].tolist() == (clocks[ticks] - topo.M).tolist()
 
     @pytest.mark.parametrize("net,n,reps,scalar", [
         ("three_queue", 40, 3, True), ("weighted_net", 10, 50, False)],
