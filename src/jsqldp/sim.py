@@ -15,23 +15,30 @@ bit-for-bit.
 This module draws every run, including each replicate of the rare-event
 estimator, and owns their layout and the threshold event they are counted
 against (``RareEventSpec``): ``simulate`` and ``terminal_statistics`` are
-replicate 0 of batch 0, and ``count_hits`` splits its replicates into
+the one replicate of batch 0, and ``count_hits`` splits its replicates into
 batches of about 2**20 expected events, numbered 0, 1, ... from the seed.
-The events of the replicates are laid end to end, and routing gives each
-one a queue: the queue an arrival joins, or the server of a service tick.
-The scalar loop ``_route`` routes one run (``simulate`` and
-``terminal_statistics``).  A batch of replicates is routed in lock step by
-``_route_batch``: one event of every replicate per step, looked up in a
-destination table over the grid of queue vectors the batch can reach; a
-batch whose table would pass ``TABLE_ENTRIES`` goes to ``_route``, and on a
-net where no stream has a choice of queue the clocks alone fix the moves.
-Both give the same moves.  Every queue then follows one rule: its raw walk
-(``_walk``) is +1 for each arrival it receives and -1 for each tick of its
-server, and the queue is that walk from its initial content reflected at
-0.  The reflection counts the ticks at an empty server, which depart no
-one.  ``simulate`` records full paths from it, and ``_reflected_queue``
-reduces it to per-replicate terminal values or running maxima
-(``terminal_statistics`` and ``count_hits``).
+A batch is read step by step: its replicates are ranked by decreasing
+event count, so the ones still running at step t are a prefix, and their
+t-th events are one contiguous slice of the draw (``_offsets``).  A batch
+of one replicate reads its events in draw order.
+
+Routing gives each event a queue: the queue an arrival joins, or the
+server of a service tick.  Every queue follows one rule: its raw walk is
++1 for each arrival it receives and -1 for each tick of its server, and
+the queue is that walk from its initial content reflected at 0.  The
+reflection counts the ticks at an empty server, which depart no one.  One
+run (``simulate``) is routed by ``_route``, which reads the moves from the
+clocks on a net where no stream has a choice of queue and otherwise runs a
+scalar loop; ``_walk`` gives its raw walk and ``_reflect`` the queues.  A
+batch is reduced to per-replicate terminal values or running maxima
+(``terminal_statistics`` and ``count_hits``) by one of two engines, chosen
+by its shape.  A wide batch, with at least as many replicates as steps,
+runs in lock step (``_lock_step``): each step looks up the events of every
+running replicate in a destination table over the grid of queue vectors
+the batch can reach, whose state is the reflected queue vector itself.  A
+narrow batch, or one whose table would pass ``TABLE_ENTRIES``, goes
+replicate by replicate through the path of one run (``_by_replicate``).
+Both give the same statistics.
 """
 from __future__ import annotations
 
@@ -39,7 +46,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -115,186 +122,91 @@ def _draw(topology: Topology, n: int, T: float, seed: int, batch: int, reps: int
     ``SeedSequence([seed, batch])`` spawns four streams: the Poisson counts;
     the bytes, raw 64-bit words read as 8 bytes each; the v of the undecided
     events, in event order; and one tie uniform per event (``UNIFORM_RANDOM``
-    only).  So a replicate's events do not depend on how many follow it.
-    The byte stream is returned for callers that draw more (the event times).
+    only).  The counts are returned in decreasing order, and replicate r's
+    t-th event is event ``_offsets(counts)[t] + r``, so a batch is laid out
+    step by step; one replicate owns the events in draw order.  The byte
+    stream is returned for callers that draw more (the event times).
     """
     rates = np.concatenate([topology.lam, topology.mu])
     count_rng, event_rng, split_rng, tie_rng = map(
         np.random.default_rng, np.random.SeedSequence([seed, batch]).spawn(4))
     counts = count_rng.poisson(rates.sum() * n * T, reps)
+    counts.sort()
+    counts = counts[::-1]
     events = int(counts.sum())
     b = event_rng.bit_generator.random_raw(-(-events // 8)).view(np.uint8)[:events]
     shares = np.cumsum(rates)
     cuts = (shares[:-1] / shares[-1] * 256).tolist()
-    # the first comparison's array becomes the clocks: one more 1 MB
-    # temporary per batch made the allocator trim and re-fault its heap on
-    # every batch of count_hits
-    clocks = (b >= math.ceil(cuts[0])).view(np.uint8).astype(
-        np.min_scalar_type(len(rates)), copy=False)
-    for cut in cuts[1:]:
-        clocks += b >= math.ceil(cut)
     # (byte, 256 c_i - byte) of each cut that splits its byte
     parts = [(math.floor(cut), cut % 1) for cut in cuts if cut % 1]
-    if parts:
-        hit = b == parts[0][0]
-        for byte, _ in parts[1:]:
-            hit |= b == byte
-        at = np.flatnonzero(hit)
-        v, at_byte = split_rng.random(len(at)), b[at]
-        for byte, frac in parts:
-            clocks[at] += (at_byte == byte) & (v >= frac)
+    # The clocks overwrite the bytes a chunk at a time, after the chunk's
+    # undecided events are found.  Temporaries the size of the batch made
+    # the allocator trim and re-fault its heap on every batch of count_hits.
+    dtype = np.min_scalar_type(len(rates))
+    clocks = b if dtype == np.uint8 else np.empty(events, dtype)
+    at, at_byte = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.uint8)]
+    for start in range(0, events, 2**16):
+        chunk = b[start:start + 2**16]
+        if parts:
+            hit = chunk == parts[0][0]
+            for byte, _ in parts[1:]:
+                hit |= chunk == byte
+            found = np.flatnonzero(hit)
+            at.append(found + start)
+            at_byte.append(chunk[found])
+        clock = (chunk >= math.ceil(cuts[0])).view(np.uint8)
+        for cut in cuts[1:]:
+            clock += chunk >= math.ceil(cut)
+        clocks[start:start + len(chunk)] = clock
+    at, at_byte = np.concatenate(at), np.concatenate(at_byte)
+    v = split_rng.random(len(at))
+    for byte, frac in parts:
+        clocks[at] += (at_byte == byte) & (v >= frac)
     ties = tie_rng.random(events) if tie_rule is TieRule.UNIFORM_RANDOM else None
     return counts, clocks, ties, event_rng
 
 
-def _route(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks: np.ndarray,
+def _route(topology: Topology, q0: np.ndarray, clocks: np.ndarray,
            ties: np.ndarray | None) -> np.ndarray:
-    """The queue of each event: the one an arrival joins, the server that ticks.
+    """The queue of each event of one run: the one an arrival joins, the
+    server that ticks.
 
-    Replicate r owns the next ``counts[r]`` events and starts from ``q0``.
-    The queue vector is tracked, because arrivals compare its levels; a tick
-    at an empty server leaves it as it is.
-    An arrival of stream m joins a queue of least weighted level in S_m,
-    compared exactly as Q_k * level_multiplier; among the tied queues, in
-    index order, it takes position floor(u * #tied) for the event's tie
-    uniform u, which is 0 (the lowest index) when ``ties`` is None.
+    On a net where no stream has a choice of queue (one queue, say) each
+    event's clock fixes its queue.  Otherwise the queue vector is tracked
+    from ``q0``, because arrivals compare its levels; a tick at an empty
+    server leaves it as it is.  An arrival of stream m joins a queue of
+    least weighted level in S_m, compared exactly as Q_k * level_multiplier;
+    among the tied queues, in index order, it takes position
+    floor(u * #tied) for the event's tie uniform u, which is 0 (the lowest
+    index) when ``ties`` is None.
     """
-    M = topology.M
+    K, M = topology.K, topology.M
+    dtype = np.min_scalar_type(K - 1)
+    if all(len(ks) == 1 for ks, _ in topology.routes):
+        return np.array([ks[0] for ks, _ in topology.routes] + list(range(K)),
+                        dtype=dtype).take(clocks)
     choices = [sorted(topology.level_multipliers(m).items()) for m in range(M)]
     moves: list[int] = []
     emit = moves.append
-    events = iter(clocks.tolist())
-    draws = repeat(0.0) if ties is None else iter(ties.tolist())
-    start = q0.tolist()
-    for count in counts.tolist():
-        q = start.copy()
-        for c, u in zip(islice(events, count), islice(draws, count)):
-            if c >= M:
-                k = c - M
-                if q[k]:
-                    q[k] -= 1
-                emit(k)
-                continue
-            k = -1
-            for j, mult in choices[c]:
-                v = q[j] * mult
-                if k < 0 or v < best:
-                    k, best = j, v
-            if u:  # position 0 is the lowest index, found above
-                tied = [j for j, mult in choices[c] if q[j] * mult == best]
-                k = tied[int(u * len(tied))]
-            q[k] += 1
+    q = q0.tolist()
+    for c, u in zip(clocks.tolist(), repeat(0.0) if ties is None else ties.tolist()):
+        if c >= M:
+            k = c - M
+            if q[k]:
+                q[k] -= 1
             emit(k)
-    return np.array(moves, dtype=np.intp)
-
-
-# Most entries a destination table may hold: 6 bytes each (a uint8 move,
-# an int32 next state and a uint8 tie count), so at most 12.6 MB.  A batch
-# whose queue grid needs a larger table is routed by ``_route``.
-TABLE_ENTRIES = 2**21
-
-
-def _destinations(topology: Topology, side: int, width: int):
-    """Destination table of every clock at every queue vector of [0, side)^K.
-
-    States are the queue vectors in C order, ``np.ravel_multi_index``'s.
-    Entry ``(s * C + c) * width + p``, for the C = M + K clocks c and the
-    tie positions p < ``width``, holds the event's queue (``_route``'s move)
-    and the next state's first entry ``s' * C * width``; a tick at an empty
-    server keeps the state.  An arrival joins the p-th of the queues of least
-    weighted level (``Topology.least_levels``) in index order; ``tied``
-    holds their number, 1 for a service tick.  Entries past the last tied
-    queue are never read.  An arrival at the grid's edge keeps the state: no
-    run of at most ``side - 1 - max(q0)`` events gets there.
-    """
-    K, M = topology.K, topology.M
-    C = M + K
-    queues = np.indices((side,) * K, dtype=np.int32).reshape(K, -1)
-    states = np.arange(queues.shape[1], dtype=np.int32)
-    move = np.zeros((len(states), C, width), dtype=np.min_scalar_type(K - 1))
-    to = np.zeros((len(states), C, width), dtype=np.int32)
-    tied = np.ones((len(states), C, width), dtype=np.min_scalar_type(width))
-    stride = [side ** (K - 1 - k) for k in range(K)]
-    for k in range(K):
-        move[:, M + k] = k
-        to[:, M + k] = (states - (queues[k] > 0) * np.int32(stride[k]))[:, None]
-    up = [np.where(queues[k] < side - 1, states + np.int32(stride[k]), states) for k in range(K)]
-    for m, (ks, _) in enumerate(topology.routes):
-        least = topology.least_levels(m, queues.T)
-        for p in range(width):
-            # the p-th tied queue: the one with p tied queues before it
-            k_p, to_p = np.zeros_like(states), np.zeros_like(states)
-            before = np.zeros(len(states), dtype=tied.dtype)
-            for j, k in enumerate(ks):
-                at = least[:, j] & (before == p)
-                k_p, to_p = np.where(at, k, k_p), np.where(at, up[k], to_p)
-                before += least[:, j]
-            move[:, m, p], to[:, m, p] = k_p, to_p
-        tied[:, m, 0] = before  # by now, every tied queue
-    to *= C * width
-    return move.ravel(), to.ravel(), tied.ravel()
-
-
-def _route_batch(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks: np.ndarray,
-                 ties: np.ndarray | None) -> np.ndarray:
-    """``_route``'s moves, found by advancing every replicate in lock step.
-
-    Only an arrival of a stream with a choice of queues needs the state: on
-    a net with no such stream (one queue, say) each event's clock fixes its
-    move, and no replicate is stepped.  Otherwise replicate r's t-th event
-    is looked up in the destination table at its current state: entry
-    ``state + clock * width``, plus the tie position floor(u * #tied) under
-    ``UNIFORM_RANDOM``, the IEEE product ``_route`` takes.  The replicates
-    run in decreasing order of their event counts, so the ones still running
-    at step t are a prefix.  A batch of one replicate, or one whose table
-    would pass ``TABLE_ENTRIES``, goes to ``_route``.
-    """
-    K, C = topology.K, topology.M + topology.K
-    if all(len(ks) == 1 for ks, _ in topology.routes):
-        # moves start at queue 0: on one queue none is written, and _walk
-        # reads none
-        moves = np.zeros(len(clocks), dtype=np.min_scalar_type(K - 1))
-        for c, k in enumerate([ks[0] for ks, _ in topology.routes] + list(range(K))):
-            if k:
-                moves[clocks == c] = k
-        return moves
-    reps, steps = len(counts), int(counts.max(initial=0))
-    side = int(q0.max()) + steps + 1
-    width = 1 if ties is None else max(len(ks) for ks, _ in topology.routes)
-    if reps < 2 or side**K * C * width > TABLE_ENTRIES:
-        return _route(topology, q0, counts, clocks, ties)
-    move, to, tied = _destinations(topology, side, width)
-    order = np.argsort(-counts, kind="stable")
-    active = reps - np.searchsorted(np.sort(counts), np.arange(steps), side="right")
-    own = np.arange(steps) < counts[:, None]
-
-    def lay(flat: np.ndarray, dtype) -> np.ndarray:
-        """(step, replicate) array of one value per event, replicates in ``order``."""
-        padded = np.zeros((reps, steps), dtype=dtype)
-        padded[own] = flat
-        return np.take(padded.T, order, axis=1)
-
-    # each event's clock offset in the table
-    events = lay(clocks, np.min_scalar_type((C - 1) * width))
-    if width > 1:
-        events *= np.asarray(width, dtype=events.dtype)
-        draws, share = lay(ties, ties.dtype), np.empty(reps)
-        count = np.empty(reps, dtype=tied.dtype)
-    out = np.empty((steps, reps), dtype=move.dtype)
-    state = np.full(reps, np.ravel_multi_index(q0, (side,) * K) * C * width, dtype=np.int32)
-    entry = np.empty(reps, dtype=np.int32)
-    for t, a in enumerate(active.tolist()):
-        i, s = entry[:a], state[:a]
-        np.add(s, events[t, :a], out=i)
-        if width > 1:
-            u = tied.take(i, out=count[:a], mode="clip")
-            u = np.multiply(draws[t, :a], u, out=share[:a])
-            np.add(i, np.trunc(u, out=u), out=i, casting="unsafe")
-        move.take(i, out=out[t, :a], mode="clip")
-        to.take(i, out=s, mode="clip")
-    moves = np.empty((reps, steps), dtype=move.dtype)
-    moves[order] = out.T
-    return moves[own]
+            continue
+        k = -1
+        for j, mult in choices[c]:
+            v = q[j] * mult
+            if k < 0 or v < best:
+                k, best = j, v
+        if u:  # position 0 is the lowest index, found above
+            tied = [j for j, mult in choices[c] if q[j] * mult == best]
+            k = tied[int(u * len(tied))]
+        q[k] += 1
+        emit(k)
+    return np.array(moves, dtype=dtype)
 
 
 def _walk(topology: Topology, clocks: np.ndarray, moves: np.ndarray) -> np.ndarray:
@@ -302,15 +214,12 @@ def _walk(topology: Topology, clocks: np.ndarray, moves: np.ndarray) -> np.ndarr
 
     Row j counts, for each queue, the arrivals it received over the first j
     events minus the ticks of its server, busy or not.  The queue vector is
-    this walk from the initial content reflected at 0 (``simulate`` and
-    ``_reflected_queue``).
+    this walk from the initial content reflected at 0 (``_reflect``).
     """
     # +1 for an arrival, -1 for a service tick, written one queue's column
     # at a time: a scatter by (event, queue) cost 5-8 times as much.  Every
     # event is one queue's, so queue 0's column is the signs less the other
-    # columns.  On one queue that reads no moves and builds no mask: one
-    # more array the size of the events per batch made count_hits re-fault
-    # its heap.
+    # columns, and on one queue no move is read.
     sign = (clocks < topology.M).view(np.int8)
     sign *= 2
     sign -= 1
@@ -320,6 +229,18 @@ def _walk(topology: Topology, clocks: np.ndarray, moves: np.ndarray) -> np.ndarr
     for k in range(1, topology.K):
         rest -= np.multiply(moves == k, sign, out=step[1:, k])
     return np.cumsum(step, axis=0, out=step)
+
+
+def _reflect(q0: np.ndarray, walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The queues: the raw walk ``q0 + walk`` reflected at 0, and -Y.
+
+    The regulator Y = max(0, -(running min of q0 + W)) counts the ticks at
+    an empty server, so Q = q0 + W + Y.  Q is written over q0 + W.
+    """
+    queues = q0 + walk
+    idle = np.minimum.accumulate(queues, axis=0)
+    np.minimum(idle, 0, out=idle)
+    return np.subtract(queues, idle, out=queues), idle
 
 
 def simulate(
@@ -342,29 +263,24 @@ def simulate(
     """
     K, M = topology.K, topology.M
     q0 = _initial_queues(topology, n, T, seed, tie_rule, q0_scaled)
-    counts, clocks, ties, rng = _draw(topology, n, T, seed, 0, 1, tie_rule)
-    moves = _route(topology, q0, counts, clocks, ties)
+    _, clocks, ties, rng = _draw(topology, n, T, seed, 0, 1, tie_rule)
+    moves = _route(topology, q0, clocks, ties)
     # one column per clock and per (server, stream) pair: the cumulative
     # sums of one-hot event rows are A and B, and E
     rows = np.arange(1, len(moves) + 1)
     arrival = clocks < M
     ticks = np.zeros((len(rows) + 1, M + K + K * M), dtype=np.int64)
     ticks[rows, clocks] = 1
-    ticks[rows[arrival], M + K + moves[arrival] * M + clocks[arrival]] = 1
+    ticks[rows[arrival], M + K + moves[arrival].astype(np.intp) * M + clocks[arrival]] = 1
     totals = np.cumsum(ticks, axis=0)
     services = totals[:, M:M + K]
-    # the queues are the raw walk q0 + W reflected at 0: the regulator
-    # Y = max(0, -(running min of q0 + W)) counts the ticks at an empty
-    # server, Q = q0 + W + Y and D = B - Y; -Y is kept, and Q and D are
-    # written in place over q0 + W and -Y
-    queues = q0 + _walk(topology, clocks, moves)
-    idle = np.minimum.accumulate(queues, axis=0)
-    np.minimum(idle, 0, out=idle)
+    # D = B - Y, written over -Y
+    queues, idle = _reflect(q0, _walk(topology, clocks, moves))
     return SamplePath(
         n=n,
         seed=seed,
         times=np.concatenate([[0.0], np.sort(rng.random(len(moves))) * (n * T)]),
-        queues=np.subtract(queues, idle, out=queues),
+        queues=queues,
         arrivals=totals[:, :M],
         services=services,
         departures=np.add(services, idle, out=idle),
@@ -470,9 +386,11 @@ def terminal_statistics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(terminal queue vector, running max per queue), without recording.
 
-    The run is the one ``simulate`` makes with the same arguments, and also
-    replicate 0 of batch 0 of ``count_hits`` at ``seed``.  Raises
-    ``ValueError`` on the arguments ``simulate`` rejects.
+    The run is the one ``simulate`` makes with the same arguments: a batch
+    of one replicate reads its events in draw order.  It is also the one
+    run of ``count_hits`` at ``seed`` with ``reps=1``; with more replicates
+    a batch is laid out step by step, and its first replicate is another
+    run.  Raises ``ValueError`` on the arguments ``simulate`` rejects.
     """
     q_end, q_max = _replicate_statistics(topology, n, T, seed, 0, 1,
                                          ("terminal", "running_max"), tie_rule, q0_scaled)
@@ -542,8 +460,11 @@ def count_hits(topology: Topology, event: RareEventSpec, n: int, seed: int, reps
     [0, n*T], is at least ``n * threshold - 1e-9`` (so a scaled level met
     exactly counts despite rounding).  Batches hold about 2**20 expected
     events, so memory does not grow with n; batch b is drawn from
-    ``SeedSequence([seed, b])``, and replicate 0 of batch 0 is the run of
-    ``terminal_statistics``.  Raises ``ValueError`` on the arguments
+    ``SeedSequence([seed, b])`` and laid out step by step (``_draw``).  A
+    batch with at least as many replicates as steps runs in lock step, any
+    other replicate by replicate (``_replicate_statistics``).  At
+    ``reps=1`` the one run is ``terminal_statistics``'s.  Raises
+    ``ValueError`` on the arguments
     ``simulate`` rejects, unless reps is an integer >= 1, and when the
     event's queue is not one of the topology's.
     """
@@ -575,55 +496,146 @@ def _replicate_statistics(
 
     One array of shape (reps, K) for each entry of ``kinds``, in order:
     'terminal' gives the terminal queue vectors and 'running_max' the
-    running maxima, so a caller pays only for what it names.  The runs are
-    batch ``batch`` of the stream seeded by ``seed``.  Each queue's
-    statistics are ``_reflected_queue`` of its column of the batch's
-    ``_walk``.
+    running maxima.  The runs are batch ``batch`` of the stream seeded by
+    ``seed``, in decreasing order of their event counts.  The engine follows
+    the batch's shape: a wide batch (at least as many replicates as steps)
+    whose destination table fits ``TABLE_ENTRIES`` runs in lock step, and
+    pays for running maxima only when it is asked for them; any other goes
+    replicate by replicate.
     """
     q0 = _initial_queues(topology, n, T, seed, tie_rule, q0_scaled)
     counts, clocks, ties, _ = _draw(topology, n, T, seed, batch, reps, tie_rule)
-    walk = _walk(topology, clocks, _route_batch(topology, q0, counts, clocks, ties))
-    return [np.column_stack([_reflected_queue(counts, walk[:, k], q0[k], kind)
-                             for k in range(topology.K)]) for kind in kinds]
+    steps = int(counts[0])
+    side = int(q0.max()) + steps + 1
+    width = 1 if ties is None else max(len(ks) for ks, _ in topology.routes)
+    if reps >= steps and side**topology.K * (topology.M + topology.K) * width <= TABLE_ENTRIES:
+        end, top = _lock_step(topology, q0, counts, clocks, ties, side, width,
+                              "running_max" in kinds)
+    else:
+        end, top = _by_replicate(topology, q0, counts, clocks, ties)
+    statistics = {"terminal": end, "running_max": top}
+    return [statistics[kind] for kind in kinds]
 
 
-def _reflected_queue(counts: np.ndarray, walk: np.ndarray, q0: int, kind: str) -> np.ndarray:
-    """Per-replicate statistic of a queue that starts at ``q0`` and follows
-    ``walk``, held at 0 from below.
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Where each step's events start in a batch laid out step by step.
 
-    ``walk`` is the running sum, with a leading 0, of steps of -1, 0 or +1
-    laid end to end: replicate ``r`` owns the next ``counts[r]`` steps, so
-    it owns the slice ``walk[start:end+1]`` and shares its last entry with
-    the next replicate's first.  The queue is the Lindley reflection of that
-    slice: at entry j it is ``walk[j] - min(floor, min(walk[start:j+1]))``
-    with ``floor = walk[start] - q0``.  ``kind`` is 'terminal' (its value at
-    the slice's end) or 'running_max' (its largest value over the slice).
+    ``counts`` is in decreasing order, so the replicates still running at
+    step t are a prefix, and replicate r's t-th event is event
+    ``offset[t] + r``: ``offset[t]`` is the number of events the replicates
+    still running at steps before t own.  The last entry is the batch's
+    event total.
     """
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    first, last = walk[starts], walk[ends]
-    floor = first - np.int64(q0)
-    # reduceat over [start, next start) omits the shared end entry
-    q_end = last - np.minimum(np.minimum(np.minimum.reduceat(walk, starts), last), floor)
-    if kind == "terminal":
-        return q_end
-    # Subtracting r*bound on replicate r's entries puts each start below
-    # everything before it (the walk climbs at most max(counts) within one
-    # replicate), so one running minimum restarts at every replicate.
-    # int32 holds it: a batch of 2**20 expected events keeps it under ~2**25
-    # unless one replicate makes ~2**30 steps (7 GB: a random byte, a clock
-    # and a step per event, and the walk itself).  The temporaries are
-    # written in place: two more arrays the size of the walk per batch
-    # pushed the heap over glibc's trim threshold, to be trimmed and faulted
-    # in again on every batch.
-    bound = int(counts.max(initial=0)) + 1
-    lengths = counts.copy()
-    lengths[-1] += 1
-    shifted = np.repeat(np.arange(len(counts), dtype=np.int32) * np.int32(bound), lengths)
-    np.subtract(walk, shifted, out=shifted)
-    low = np.minimum.accumulate(shifted)
-    rise = np.subtract(shifted, low, out=low)
-    # entry j's queue is the larger of walk[j] - floor and its rise above
-    # the running minimum; the end entry's rise belongs to the next replicate
-    top = np.maximum(np.maximum.reduceat(walk, starts), last)
-    return np.maximum(np.maximum(np.maximum.reduceat(rise, starts), q_end), top - floor)
+    running = len(counts) - np.searchsorted(counts[::-1], np.arange(counts[0]), side="right")
+    return np.concatenate([[0], np.cumsum(running)])
+
+
+def _by_replicate(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks: np.ndarray,
+                  ties: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(terminal vectors, running maxima) of a batch, one replicate at a time.
+
+    Replicate r gathers its events at ``offset[:counts[r]] + r`` and runs
+    the path of ``simulate``: ``_route``, ``_walk`` and ``_reflect``.
+    """
+    offset = _offsets(counts)[:-1]
+    end = np.empty((len(counts), topology.K), dtype=np.int64)
+    top = np.empty_like(end)
+    for r, events in enumerate(counts.tolist()):
+        at = offset[:events] + r
+        own = clocks[at]
+        moves = _route(topology, q0, own, None if ties is None else ties[at])
+        queues, _ = _reflect(q0, _walk(topology, own, moves))
+        end[r], top[r] = queues[-1], queues.max(axis=0)
+    return end, top
+
+
+# Most entries a destination table may hold: 5 bytes each (an int32 next
+# state and a uint8 tie count), so at most 10.5 MB.  A batch whose queue
+# grid needs a larger table goes replicate by replicate.
+TABLE_ENTRIES = 2**21
+
+
+def _destinations(topology: Topology, side: int, width: int):
+    """Destination table of every clock at every queue vector of [0, side)^K.
+
+    States are the queue vectors in C order, ``np.ravel_multi_index``'s.
+    Entry ``(s * C + c) * width + p``, for the C = M + K clocks c and the
+    tie positions p < ``width``, holds the next state's first entry
+    ``s' * C * width``: an arrival joins the p-th of the queues of least
+    weighted level (``Topology.least_levels``) in index order, and a tick
+    leaves its server's queue one lower unless it is empty.  ``tied`` holds
+    the number of tied queues, 1 for a service tick.  Entries past the last
+    tied queue are never read.  An arrival at the grid's edge keeps the
+    state: no run of at most ``side - 1 - max(q0)`` events gets there.
+    """
+    K, M = topology.K, topology.M
+    C = M + K
+    queues = np.indices((side,) * K, dtype=np.int32).reshape(K, -1)
+    states = np.arange(queues.shape[1], dtype=np.int32)
+    to = np.zeros((len(states), C, width), dtype=np.int32)
+    tied = np.ones((len(states), C, width), dtype=np.min_scalar_type(width))
+    stride = [side ** (K - 1 - k) for k in range(K)]
+    for k in range(K):
+        to[:, M + k] = (states - (queues[k] > 0) * np.int32(stride[k]))[:, None]
+    up = [np.where(queues[k] < side - 1, states + np.int32(stride[k]), states) for k in range(K)]
+    for m, (ks, _) in enumerate(topology.routes):
+        least = topology.least_levels(m, queues.T)
+        for p in range(width):
+            # the p-th tied queue: the one with p tied queues before it
+            to_p = np.zeros_like(states)
+            before = np.zeros(len(states), dtype=tied.dtype)
+            for j, k in enumerate(ks):
+                to_p = np.where(least[:, j] & (before == p), up[k], to_p)
+                before += least[:, j]
+            to[:, m, p] = to_p
+        tied[:, m, 0] = before  # by now, every tied queue
+    to *= C * width
+    return to.ravel(), tied.ravel()
+
+
+def _lock_step(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks: np.ndarray,
+               ties: np.ndarray | None, side: int, width: int,
+               running_max: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(terminal vectors, running maxima or None) of a batch, advanced in lock step.
+
+    Step t takes the t-th event of every replicate still running, one slice
+    of the draw, at entry ``state + clock * width`` of the destination table
+    over [0, side)^K, plus the tie position floor(u * #tied) under
+    ``UNIFORM_RANDOM``, the IEEE product ``_route`` takes.  The state is the
+    queue vector itself, reflected at 0, so the last state is the terminal
+    vector.  A state modulo the span of queues k, k+1, ... of the table
+    grows with queue k, so its largest value over the steps gives queue k's
+    running maximum; for queue 0 it is the state.
+    """
+    K, C = topology.K, topology.M + topology.K
+    spans = [side ** (K - k) * C * width for k in range(K)]
+    to, tied = _destinations(topology, side, width)
+    events = clocks
+    if width > 1:
+        events = np.multiply(clocks, width, dtype=np.min_scalar_type((C - 1) * width))
+        share, count = np.empty(len(counts)), np.empty(len(counts), dtype=tied.dtype)
+    state = np.full(len(counts), np.ravel_multi_index(q0, (side,) * K) * C * width,
+                    dtype=np.int32)
+    if running_max:
+        peak, scratch = np.stack([state % span for span in spans]), np.empty_like(state)
+    offset = _offsets(counts).tolist()
+    for start, stop in zip(offset, offset[1:]):
+        # the state becomes its table entry, and then the next state
+        s = state[:stop - start]
+        np.add(s, events[start:stop], out=s)
+        if width > 1:
+            u = tied.take(s, out=count[:len(s)], mode="clip")
+            u = np.multiply(ties[start:stop], u, out=share[:len(s)])
+            np.add(s, np.trunc(u, out=u), out=s, casting="unsafe")
+        to.take(s, out=s, mode="clip")
+        if running_max:
+            for k, span in enumerate(spans):
+                level = np.remainder(s, span, out=scratch[:len(s)]) if k else s
+                np.maximum(peak[k, :len(s)], level, out=peak[k, :len(s)])
+
+    def levels(codes):
+        """Queue k's level read off the k-th row of table entries."""
+        return np.stack([code % span // (span // side) for code, span in zip(codes, spans)],
+                        axis=1).astype(np.int64)
+
+    return levels([state] * K), levels(peak) if running_max else None

@@ -23,10 +23,10 @@ from jsqldp import (
 from jsqldp import sim
 from jsqldp.sim import (
     RareEventSpec,
+    _by_replicate,
     _draw,
     _replicate_statistics,
     _route,
-    _route_batch,
     count_hits,
 )
 
@@ -279,29 +279,27 @@ class TestEngine:
             lo, hi = wilson_interval(hits, events, z=4.5)
             assert lo <= share <= hi
 
-    # two queues and two streams, routed in lock step, and one queue fed by
-    # one or by two streams, whose clocks fix every move; every queue is its
-    # walk reflected at 0
+    # two queues and two streams, whose arrivals compare queue levels, and
+    # one queue fed by one or by two streams, whose clocks fix every move;
+    # every queue is its walk reflected at 0
     NETS = [("weighted_net", [0.3, 0.1]), ("mm1_stable", [0.3]), ("two_stream_queue", [0.7])]
 
-    @pytest.mark.parametrize("reps", [1, 7, 50])
     @pytest.mark.parametrize("tie", list(TieRule))
-    def test_batch_replicate_zero_is_terminal_statistics(self, request, reps, tie):
+    def test_one_replicate_is_terminal_statistics(self, request, tie):
+        # a batch of one replicate reads its events in draw order, as
+        # simulate does; each kind asked alone gives the same statistic
         for net, q0 in self.NETS:
             topo = request.getfixturevalue(net)
             for seed in range(5):
-                q_end, q_max = _replicate_statistics(topo, 10, 1.5, seed, 0, reps,
-                                                     ("terminal", "running_max"), tie, q0)
-                assert q_end.shape == q_max.shape == (reps, topo.K)
-                (only_max,) = _replicate_statistics(topo, 10, 1.5, seed, 0, reps,
-                                                    ("running_max",), tie, q0)
-                assert np.array_equal(only_max, q_max)
-                one_end, one_max = terminal_statistics(topo, 10, 1.5, seed, tie, q0)
-                assert np.array_equal(q_end[0], one_end)
-                assert np.array_equal(q_max[0], one_max)
+                both = _replicate_statistics(topo, 10, 1.5, seed, 0, 1,
+                                             ("terminal", "running_max"), tie, q0)
+                alone = [_replicate_statistics(topo, 10, 1.5, seed, 0, 1, (kind,), tie, q0)[0]
+                         for kind in ("terminal", "running_max")]
                 p = simulate(topo, 10, 1.5, seed, tie, q0)
-                assert np.array_equal(one_end, p.queues[-1])
-                assert np.array_equal(one_max, p.queues.max(axis=0))
+                expected = [p.queues[-1], p.queues.max(axis=0)]
+                for stats in (both, alone, [[s] for s in terminal_statistics(
+                        topo, 10, 1.5, seed, tie, q0)]):
+                    assert [s[0].tolist() for s in stats] == [e.tolist() for e in expected]
 
     def test_count_hits_replicate_zero_is_terminal_statistics(self, weighted_net):
         # the event's level is n * c - 1e-9: met at c = value / n, missed
@@ -328,81 +326,110 @@ class TestEngine:
     @staticmethod
     def _check_replicate_loop(topo, n, T, reps, tie, q0_scaled):
         """``_replicate_statistics`` against a loop over each replicate's
-        events as the scalar router moves them, each queue held at 0."""
+        events, replicate r's t-th event read at offset[t] + r, routed by the
+        scalar router, each queue held at 0."""
         q0 = np.floor(n * np.array(q0_scaled)).astype(np.int64)
         counts, clocks, ties, _ = _draw(topo, n, T, 4, 2, reps, tie)
-        moves = _route(topo, q0, counts, clocks, ties)
+        assert counts.tolist() == sorted(counts.tolist(), reverse=True)
+        # offset[t] counts the events of the replicates still running at
+        # the steps before t
+        offset = np.cumsum([0] + [int((counts > t).sum()) for t in range(int(counts[0]))])
         q_end, q_max = _replicate_statistics(topo, n, T, 4, 2, reps,
                                              ("terminal", "running_max"), tie, q0_scaled)
-        events = iter(zip(clocks.tolist(), moves.tolist()))
-        for r, count in enumerate(counts):
+        for r, count in enumerate(counts.tolist()):
+            at = offset[:count] + r
+            moves = _route(topo, q0, clocks[at], None if ties is None else ties[at])
             q, top = q0.copy(), q0.copy()
-            for _ in range(count):
-                c, k = next(events)
+            for c, k in zip(clocks[at].tolist(), moves.tolist()):
                 q[k] = max(q[k] + (1 if c < topo.M else -1), 0)
                 top = np.maximum(top, q)
             assert np.array_equal(q_end[r], q) and np.array_equal(q_max[r], top)
 
     @pytest.mark.parametrize("T", [0.05, 2.0])
     def test_batch_observer_matches_replicate_loop(self, request, T):
-        # at T=0.05 (n=10) most replicates have no event at all; the scalar
-        # router is the reference for every net
+        # at T=0.05 (n=10) most replicates have no event at all; 300
+        # replicates outnumber the steps, so these batches run in lock step
         for net, q0_scaled in self.NETS:
             for tie in TieRule:
                 self._check_replicate_loop(request.getfixturevalue(net), 10, T, 300, tie,
                                            q0_scaled)
 
-    def test_a_net_without_choice_is_routed_by_its_clocks(self):
-        # each stream has one queue (stream 1 queue 2, stream 2 queue 1), so
-        # a clock fixes its event's queue and no destination table is built
-        topo = validate({"K": 2, "M": 2, "admissible": [[2], [1]], "lambda": [1, 0.5],
-                         "mu": [2, 1]})
-        for tie in TieRule:
-            counts, clocks, ties, _ = _draw(topo, 10, 1.0, 5, 0, 50, tie)
-            expected = _route(topo, np.array([1, 0]), counts, clocks, ties)
-            with mock.patch.object(sim, "_destinations", side_effect=AssertionError("table")):
-                moves = _route_batch(topo, np.array([1, 0]), counts, clocks, ties)
-                self._check_replicate_loop(topo, 10, 1.0, 300, tie, [0.1, 0.0])
-            assert moves.tolist() == expected.tolist()
-            assert set(moves.tolist()) == {0, 1}
+    def test_a_net_without_choice_is_routed_by_its_clocks(self, monkeypatch, two_stream_queue):
+        # each stream has one queue (stream 1 queue 2, stream 2 queue 1, or
+        # both queue 1), so a clock fixes its event's queue and no level is
+        # compared
+        dedicated = validate({"K": 2, "M": 2, "admissible": [[2], [1]], "lambda": [1, 0.5],
+                              "mu": [2, 1]})
+        for topo in (dedicated, two_stream_queue):
+            only = [ks[0] for ks, _ in topo.routes]
+            for tie in TieRule:
+                _, clocks, ties, _ = _draw(topo, 10, 3.0, 5, 0, 1, tie)
+                with monkeypatch.context() as patch:
+                    patch.setattr(type(topo), "level_multipliers",
+                                  mock.Mock(side_effect=AssertionError("levels compared")))
+                    moves = _route(topo, np.array([1] * topo.K), clocks, ties)
+                assert moves.tolist() == [only[c] if c < topo.M else c - topo.M
+                                          for c in clocks.tolist()]
+                self._check_replicate_loop(topo, 10, 1.0, 5, tie, [0.1] * topo.K)
 
     @NET_SETTINGS
     @given(net=small_nets(), seed=st.integers(0, 2**16), tie=st.sampled_from(TieRule))
     def test_a_service_tick_moves_its_server(self, net, seed, tie):
-        # at an empty server too: the routers emit no sentinel, and the
+        # at an empty server too: the router emits no sentinel, and the
         # reflection of the walk keeps the queue at 0
         topo, q0 = net
-        counts, clocks, ties, _ = _draw(topo, 2, 0.5, seed, 0, 40, tie)
+        _, clocks, ties, _ = _draw(topo, 2, 5.0, seed, 0, 1, tie)
         ticks = clocks >= topo.M
-        for router in (_route, _route_batch):
-            moves = router(topo, q0, counts, clocks, ties)
-            assert moves.dtype.kind in "ui" and moves.min(initial=0) >= 0
-            assert moves[ticks].tolist() == (clocks[ticks] - topo.M).tolist()
+        moves = _route(topo, q0, clocks, ties)
+        assert moves.dtype.kind in "ui" and moves.min(initial=0) >= 0
+        assert moves[ticks].tolist() == (clocks[ticks] - topo.M).tolist()
 
-    @pytest.mark.parametrize("net,n,reps,scalar", [
-        ("three_queue", 40, 3, True), ("weighted_net", 10, 50, False)],
+    @staticmethod
+    def _only(monkeypatch, engine):
+        """Make the other engine of ``_replicate_statistics`` fail."""
+        other = {"_lock_step": "_by_replicate", "_by_replicate": "_lock_step"}[engine]
+        monkeypatch.setattr(sim, other, mock.Mock(side_effect=AssertionError(f"{other} called")))
+
+    @pytest.mark.parametrize("net,reps,engine", [
+        ("three_queue", 100, "_by_replicate"), ("weighted_net", 300, "_lock_step")],
         ids=["over-budget", "under-budget"])
     def test_a_batch_over_the_table_budget_takes_the_scalar_router(
-            self, request, monkeypatch, net, n, reps, scalar):
-        # three queues with about 280 events per replicate need a grid of
-        # over 300**3 states, far past TABLE_ENTRIES
-        topo, calls = request.getfixturevalue(net), []
-        monkeypatch.setattr(sim, "_route", lambda *args: calls.append(1) or _route(*args))
+            self, request, monkeypatch, net, reps, engine):
+        # both batches have more replicates than steps; three queues with
+        # about 90 steps need a grid of over 90**3 states, far past
+        # TABLE_ENTRIES, so they go replicate by replicate
+        topo = request.getfixturevalue(net)
+        self._only(monkeypatch, engine)
         for tie in TieRule:
-            self._check_replicate_loop(topo, n, 1.0, reps, tie, [0.1] * topo.K)
-        assert calls == ([1, 1] if scalar else [])
+            assert _draw(topo, 10, 1.0, 4, 2, reps, tie)[0][0] <= reps
+            self._check_replicate_loop(topo, 10, 1.0, reps, tie, [0.1] * topo.K)
+
+    @pytest.mark.parametrize("net", ["weighted_net", "mm1_stable"])
+    def test_a_narrow_batch_goes_replicate_by_replicate(self, request, monkeypatch, net):
+        # five replicates of about 60 or 120 events: fewer replicates than
+        # steps, though the table would fit
+        topo = request.getfixturevalue(net)
+        self._only(monkeypatch, "_by_replicate")
+        for tie in TieRule:
+            assert _draw(topo, 10, 2.0, 4, 2, 5, tie)[0][0] > 5
+            self._check_replicate_loop(topo, 10, 2.0, 5, tie, [0.3] * topo.K)
 
     @NET_SETTINGS
     @given(net=small_nets(), seed=st.integers(0, 2**16), tie=st.sampled_from(TieRule))
     def test_batch_router_matches_the_scalar_router(self, net, seed, tie):
-        # at n=2, T=0.5 every drawn net's table fits TABLE_ENTRIES, so a
-        # call of _route from the batch router is a failure
+        # lock-step statistics of both kinds against replicate-by-replicate
+        # ones; at n=2, T=0.5 forty replicates outnumber the steps and every
+        # drawn net's table fits TABLE_ENTRIES, so the batch runs in lock step
         topo, q0 = net
         counts, clocks, ties, _ = _draw(topo, 2, 0.5, seed, 0, 40, tie)
-        expected = _route(topo, q0, counts, clocks, ties)
-        with mock.patch.object(sim, "_route", side_effect=AssertionError("_route called")):
-            moves = _route_batch(topo, q0, counts, clocks, ties)
-        assert moves.tolist() == expected.tolist()
+        expected = _by_replicate(topo, q0, counts, clocks, ties)
+        with mock.patch.object(sim, "_by_replicate", side_effect=AssertionError("called")):
+            both = _replicate_statistics(topo, 2, 0.5, seed, 0, 40,
+                                         ("terminal", "running_max"), tie, q0 / 2)
+            (alone,) = _replicate_statistics(topo, 2, 0.5, seed, 0, 40, ("terminal",), tie,
+                                             q0 / 2)
+        assert [s.tolist() for s in both] == [e.tolist() for e in expected]
+        assert alone.tolist() == both[0].tolist()
 
 
 class TestValidation:
