@@ -284,22 +284,41 @@ class TestEngine:
     # every queue is its walk reflected at 0
     NETS = [("weighted_net", [0.3, 0.1]), ("mm1_stable", [0.3]), ("two_stream_queue", [0.7])]
 
+    @pytest.mark.parametrize("reps", [1, 7, 50])
     @pytest.mark.parametrize("tie", list(TieRule))
-    def test_one_replicate_is_terminal_statistics(self, request, tie):
-        # a batch of one replicate reads its events in draw order, as
-        # simulate does; each kind asked alone gives the same statistic
-        for net, q0 in self.NETS:
+    def test_batch_replicate_zero_is_terminal_statistics(self, request, monkeypatch, reps, tie):
+        # replicate 0 of a batch is the run terminal_statistics makes of
+        # replicate 0's events handed to it as a one-replicate draw: at
+        # reps = 1 the draw's events in order, the run simulate makes; at
+        # reps >= 2 the events at offset[t].  At T = 0.3 a batch of 50
+        # outnumbers its steps and runs in lock step; the rest go replicate
+        # by replicate
+        for (net, q0), T, seed in product(self.NETS, (1.5, 0.3), range(5)):
             topo = request.getfixturevalue(net)
-            for seed in range(5):
-                both = _replicate_statistics(topo, 10, 1.5, seed, 0, 1,
-                                             ("terminal", "running_max"), tie, q0)
-                alone = [_replicate_statistics(topo, 10, 1.5, seed, 0, 1, (kind,), tie, q0)[0]
-                         for kind in ("terminal", "running_max")]
-                p = simulate(topo, 10, 1.5, seed, tie, q0)
-                expected = [p.queues[-1], p.queues.max(axis=0)]
-                for stats in (both, alone, [[s] for s in terminal_statistics(
-                        topo, 10, 1.5, seed, tie, q0)]):
-                    assert [s[0].tolist() for s in stats] == [e.tolist() for e in expected]
+            q_end, q_max = _replicate_statistics(topo, 10, T, seed, 0, reps,
+                                                 ("terminal", "running_max"), tie, q0)
+            assert q_end.shape == q_max.shape == (reps, topo.K)
+            # each kind asked alone gives the same statistic
+            for kind, value in (("terminal", q_end), ("running_max", q_max)):
+                (alone,) = _replicate_statistics(topo, 10, T, seed, 0, reps, (kind,), tie, q0)
+                assert np.array_equal(alone, value)
+            counts, clocks, ties, rng = _draw(topo, 10, T, seed, 0, reps, tie)
+            at = np.cumsum([0] + [int((counts > t).sum()) for t in range(int(counts[0]) - 1)])
+
+            def first_replicate(topology, n, T, seed, batch, reps, tie_rule):
+                assert reps == 1
+                return counts[:1], clocks[at], None if ties is None else ties[at], rng
+
+            with monkeypatch.context() as patch:
+                patch.setattr(sim, "_draw", first_replicate)
+                one_end, one_max = terminal_statistics(topo, 10, T, seed, tie, q0)
+            assert np.array_equal(q_end[0], one_end)
+            assert np.array_equal(q_max[0], one_max)
+            if reps == 1:
+                p = simulate(topo, 10, T, seed, tie, q0)
+                for end, top in ((one_end, one_max), terminal_statistics(topo, 10, T, seed, tie, q0)):
+                    assert np.array_equal(end, p.queues[-1])
+                    assert np.array_equal(top, p.queues.max(axis=0))
 
     def test_count_hits_replicate_zero_is_terminal_statistics(self, weighted_net):
         # the event's level is n * c - 1e-9: met at c = value / n, missed
