@@ -32,13 +32,15 @@ clocks on a net where no stream has a choice of queue and otherwise runs a
 scalar loop; ``_walk`` gives its raw walk and ``_reflect`` the queues.  A
 batch is reduced to per-replicate terminal values or running maxima
 (``terminal_statistics`` and ``count_hits``) by one of two engines, chosen
-by its shape.  A wide batch, with at least as many replicates as steps,
-runs in lock step (``_lock_step``): each step looks up the events of every
-running replicate in a destination table over the grid of queue vectors
-the batch can reach, whose state is the reflected queue vector itself.  A
-narrow batch, or one whose table would pass ``TABLE_ENTRIES``, goes
-replicate by replicate through the path of one run (``_by_replicate``).
-Both give the same statistics.
+by a rough cost of each for the batch's shape.  The lock step
+(``_lock_step``) looks up, at each step, the events of every running
+replicate in a destination table over the grid of queue vectors the batch
+can reach, whose state is the reflected queue vector itself; it pays for
+its table and per step, so it serves batches of many replicates.  The
+other engine goes replicate by replicate through the path of one run
+(``_by_replicate``) and pays per replicate, and per event where arrivals
+compare levels; it takes any batch whose table would pass
+``TABLE_ENTRIES``.  Both give the same statistics.
 """
 from __future__ import annotations
 
@@ -154,7 +156,9 @@ def _draw(topology: Topology, n: int, T: float, seed: int, batch: int, reps: int
             found = np.flatnonzero(hit)
             at.append(found + start)
             at_byte.append(chunk[found])
-        clock = (chunk >= math.ceil(cuts[0])).view(np.uint8)
+        # counted in the clocks' dtype: a byte can be at or above more than
+        # 255 cuts
+        clock = (chunk >= math.ceil(cuts[0])).view(np.uint8).astype(dtype, copy=False)
         for cut in cuts[1:]:
             clock += chunk >= math.ceil(cut)
         clocks[start:start + len(chunk)] = clock
@@ -461,10 +465,9 @@ def count_hits(topology: Topology, event: RareEventSpec, n: int, seed: int, reps
     exactly counts despite rounding).  Batches hold about 2**20 expected
     events, so memory does not grow with n; batch b is drawn from
     ``SeedSequence([seed, b])`` and laid out step by step (``_draw``).  A
-    batch with at least as many replicates as steps runs in lock step, any
-    other replicate by replicate (``_replicate_statistics``).  At
-    ``reps=1`` the one run is ``terminal_statistics``'s.  Raises
-    ``ValueError`` on the arguments
+    batch runs in lock step or replicate by replicate, whichever its shape
+    makes cheaper (``_replicate_statistics``).  At ``reps=1`` the one run
+    is ``terminal_statistics``'s.  Raises ``ValueError`` on the arguments
     ``simulate`` rejects, unless reps is an integer >= 1, and when the
     event's queue is not one of the topology's.
     """
@@ -497,18 +500,27 @@ def _replicate_statistics(
     One array of shape (reps, K) for each entry of ``kinds``, in order:
     'terminal' gives the terminal queue vectors and 'running_max' the
     running maxima.  The runs are batch ``batch`` of the stream seeded by
-    ``seed``, in decreasing order of their event counts.  The engine follows
-    the batch's shape: a wide batch (at least as many replicates as steps)
-    whose destination table fits ``TABLE_ENTRIES`` runs in lock step, and
-    pays for running maxima only when it is asked for them; any other goes
-    replicate by replicate.
+    ``seed``, in decreasing order of their event counts.  A batch whose
+    destination table fits ``TABLE_ENTRIES`` runs in lock step when that
+    costs less than going replicate by replicate, by the rough costs below;
+    the lock step pays for running maxima only when it is asked for them.
+    Any other batch goes replicate by replicate.
     """
     q0 = _initial_queues(topology, n, T, seed, tie_rule, q0_scaled)
     counts, clocks, ties, _ = _draw(topology, n, T, seed, batch, reps, tie_rule)
     steps = int(counts[0])
     side = int(q0.max()) + steps + 1
     width = 1 if ties is None else max(len(ks) for ks, _ in topology.routes)
-    if reps >= steps and side**topology.K * (topology.M + topology.K) * width <= TABLE_ENTRIES:
+    entries = side**topology.K * (topology.M + topology.K) * width
+    # Rough costs in ns, measured on a 2-core x86: the lock step builds its
+    # table and makes a few numpy calls per queue and tie position at each
+    # step; one replicate's path pays a fixed cost, and per event the
+    # scalar router's loop where an arrival compares levels, or numpy's
+    # passes where none does.
+    choice = any(len(ks) > 1 for ks, _ in topology.routes)
+    lock = 10 * entries + 2500 * topology.K * width * steps
+    alone = 16000 * reps + (300 * width if choice else 12) * len(clocks)
+    if entries <= TABLE_ENTRIES and lock <= alone:
         end, top = _lock_step(topology, q0, counts, clocks, ties, side, width,
                               "running_max" in kinds)
     else:
@@ -534,18 +546,24 @@ def _by_replicate(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks
                   ties: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """(terminal vectors, running maxima) of a batch, one replicate at a time.
 
-    Replicate r gathers its events at ``offset[:counts[r]] + r`` and runs
-    the path of ``simulate``: ``_route``, ``_walk`` and ``_reflect``.
+    Replicate r gathers its events at ``offset[:counts[r]] + r``, and a
+    lone replicate reads the draw as it is; each runs the path of
+    ``simulate``, ``_route`` and ``_walk``, and reflects its walk W as
+    ``_reflect`` does, in the form Q_t = max(q0 + W_t, W_t - min_{s<=t} W_s)
+    (the second term is the queue from an empty start), so that only the
+    reductions add q0 and the path stays in the walk's int32.
     """
-    offset = _offsets(counts)[:-1]
+    offset = _offsets(counts)[:-1] if len(counts) > 1 else None
     end = np.empty((len(counts), topology.K), dtype=np.int64)
     top = np.empty_like(end)
     for r, events in enumerate(counts.tolist()):
-        at = offset[:events] + r
+        at = slice(None) if offset is None else offset[:events] + r
         own = clocks[at]
-        moves = _route(topology, q0, own, None if ties is None else ties[at])
-        queues, _ = _reflect(q0, _walk(topology, own, moves))
-        end[r], top[r] = queues[-1], queues.max(axis=0)
+        walk = _walk(topology, own, _route(topology, q0, own, None if ties is None else ties[at]))
+        rise = np.minimum.accumulate(walk, axis=0)
+        np.subtract(walk, rise, out=rise)
+        end[r] = np.maximum(q0 + walk[-1], rise[-1])
+        top[r] = np.maximum(q0 + walk.max(axis=0), rise.max(axis=0))
     return end, top
 
 

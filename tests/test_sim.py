@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 from itertools import accumulate, product
 from unittest import mock
@@ -25,6 +26,7 @@ from jsqldp.sim import (
     RareEventSpec,
     _by_replicate,
     _draw,
+    _lock_step,
     _replicate_statistics,
     _route,
     count_hits,
@@ -279,6 +281,27 @@ class TestEngine:
             lo, hi = wilson_interval(hits, events, z=4.5)
             assert lo <= share <= hi
 
+    def test_a_byte_can_count_more_than_255_cuts(self):
+        # 299 streams of rate 1 into one queue served at rate 1: 300 clocks of
+        # equal share, so an event's clock is floor(300 (b + v) / 256) for its
+        # byte b and v (0 unless drawn), up to 299; a byte of 255 is at or
+        # above 298 cuts.  The cuts 256 i / 300 = 64 i / 75 are whole bytes at
+        # i = 75, 150 and 225, and every other one splits its byte
+        M = 299
+        topo = validate({"K": 1, "M": M, "admissible": [[1]] * M, "lambda": [1] * M, "mu": [1]})
+        counts, clocks, _, _ = _draw(topo, 1, 1.0, 3, 0, 20, TieRule.LOWEST_INDEX)
+        events = int(counts.sum())
+        _, byte_rng, split_rng, _ = map(
+            np.random.default_rng, np.random.SeedSequence([3, 0]).spawn(4))
+        raw = byte_rng.bit_generator.random_raw(-(-events // 8)).tobytes()[:events]
+        v_stream = iter(split_rng.random(events).tolist())
+        split = {64 * i // 75 for i in range(1, 300) if i % 75}
+        expected = [math.floor(300 * (b + (Fraction(next(v_stream)) if b in split else 0)) / 256)
+                    for b in raw]
+        assert clocks.dtype == np.uint16
+        assert clocks.tolist() == expected
+        assert max(expected) >= 298
+
     # two queues and two streams, whose arrivals compare queue levels, and
     # one queue fed by one or by two streams, whose clocks fix every move;
     # every queue is its walk reflected at 0
@@ -290,9 +313,8 @@ class TestEngine:
         # replicate 0 of a batch is the run terminal_statistics makes of
         # replicate 0's events handed to it as a one-replicate draw: at
         # reps = 1 the draw's events in order, the run simulate makes; at
-        # reps >= 2 the events at offset[t].  At T = 0.3 a batch of 50
-        # outnumbers its steps and runs in lock step; the rest go replicate
-        # by replicate
+        # reps >= 2 the events at offset[t].  The batches of 50 run in lock
+        # step, the others replicate by replicate
         for (net, q0), T, seed in product(self.NETS, (1.5, 0.3), range(5)):
             topo = request.getfixturevalue(net)
             q_end, q_max = _replicate_statistics(topo, 10, T, seed, 0, reps,
@@ -366,8 +388,8 @@ class TestEngine:
 
     @pytest.mark.parametrize("T", [0.05, 2.0])
     def test_batch_observer_matches_replicate_loop(self, request, T):
-        # at T=0.05 (n=10) most replicates have no event at all; 300
-        # replicates outnumber the steps, so these batches run in lock step
+        # at T=0.05 (n=10) most replicates have no event at all; batches of
+        # 300 replicates run in lock step
         for net, q0_scaled in self.NETS:
             for tie in TieRule:
                 self._check_replicate_loop(request.getfixturevalue(net), 10, T, 300, tie,
@@ -423,32 +445,36 @@ class TestEngine:
             assert _draw(topo, 10, 1.0, 4, 2, reps, tie)[0][0] <= reps
             self._check_replicate_loop(topo, 10, 1.0, reps, tie, [0.1] * topo.K)
 
-    @pytest.mark.parametrize("net", ["weighted_net", "mm1_stable"])
-    def test_a_narrow_batch_goes_replicate_by_replicate(self, request, monkeypatch, net):
-        # five replicates of about 60 or 120 events: fewer replicates than
-        # steps, though the table would fit
+    @pytest.mark.parametrize("net,n,reps,engine", [
+        ("weighted_net", 10, 5, "_by_replicate"), ("mm1_stable", 10, 5, "_by_replicate"),
+        ("mm1_stable", 100, 100, "_lock_step")],
+        ids=["few-choosing", "few-one-queue", "many-one-queue"])
+    def test_a_narrow_batch_takes_the_cheaper_engine(self, request, monkeypatch, net, n,
+                                                     reps, engine):
+        # fewer replicates than steps, and every table fits: five replicates
+        # of about 120 or 60 events cost less one by one than a table and a
+        # step each, while on one queue 100 replicates of about 300 events
+        # cost less in lock step
         topo = request.getfixturevalue(net)
-        self._only(monkeypatch, "_by_replicate")
+        self._only(monkeypatch, engine)
         for tie in TieRule:
-            assert _draw(topo, 10, 2.0, 4, 2, 5, tie)[0][0] > 5
-            self._check_replicate_loop(topo, 10, 2.0, 5, tie, [0.3] * topo.K)
+            assert _draw(topo, n, 2.0, 4, 2, reps, tie)[0][0] > reps
+            self._check_replicate_loop(topo, n, 2.0, reps, tie, [0.3] * topo.K)
 
     @NET_SETTINGS
     @given(net=small_nets(), seed=st.integers(0, 2**16), tie=st.sampled_from(TieRule))
     def test_batch_router_matches_the_scalar_router(self, net, seed, tie):
         # lock-step statistics of both kinds against replicate-by-replicate
-        # ones; at n=2, T=0.5 forty replicates outnumber the steps and every
-        # drawn net's table fits TABLE_ENTRIES, so the batch runs in lock step
+        # ones, on a batch of forty replicates at n=2, T=0.5
         topo, q0 = net
         counts, clocks, ties, _ = _draw(topo, 2, 0.5, seed, 0, 40, tie)
         expected = _by_replicate(topo, q0, counts, clocks, ties)
-        with mock.patch.object(sim, "_by_replicate", side_effect=AssertionError("called")):
-            both = _replicate_statistics(topo, 2, 0.5, seed, 0, 40,
-                                         ("terminal", "running_max"), tie, q0 / 2)
-            (alone,) = _replicate_statistics(topo, 2, 0.5, seed, 0, 40, ("terminal",), tie,
-                                             q0 / 2)
+        side = int(q0.max()) + int(counts[0]) + 1
+        width = 1 if ties is None else max(len(ks) for ks, _ in topo.routes)
+        both = _lock_step(topo, q0, counts, clocks, ties, side, width, True)
+        end, top = _lock_step(topo, q0, counts, clocks, ties, side, width, False)
         assert [s.tolist() for s in both] == [e.tolist() for e in expected]
-        assert alone.tolist() == both[0].tolist()
+        assert end.tolist() == both[0].tolist() and top is None
 
 
 class TestValidation:
