@@ -147,7 +147,7 @@ def fluid_solve(
     """March the fluid system to horizon T with step at most h.
 
     Raises ValueError unless q0 is K finite nonnegative numbers, T and h are
-    positive and finite, and a (M columns) and b (K columns) are finite
+    positive and finite, and a (M columns) and b (K columns) are
     nondecreasing paths on [0, T].
     """
     K, M = topology.K, topology.M
@@ -160,8 +160,6 @@ def fluid_solve(
     if a.horizon < T - 1e-12 or b.horizon < T - 1e-12:
         raise ValueError(f"inputs must be defined on [0, T], got T={T} and inputs a, b "
                          f"ending at {a.horizon}, {b.horizon}")
-    if not (np.all(np.isfinite(a.values)) and np.all(np.isfinite(b.values))):
-        raise ValueError("cumulative inputs a and b must be finite")
     if not a.is_nondecreasing(atol=1e-12) or not b.is_nondecreasing(atol=1e-12):
         raise ValueError("cumulative inputs a and b must be nondecreasing")
     n_steps = max(1, int(np.ceil(T / h - 1e-12)))

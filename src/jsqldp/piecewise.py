@@ -10,8 +10,10 @@ import numpy as np
 class PiecewisePath:
     """A continuous path given by breakpoints and values, linear in between.
 
-    Breakpoints are strictly increasing and start at 0; values is an
-    (N, dim) array.  Evaluation outside [t_0, t_N] is an error.
+    Breakpoints are finite and strictly increasing, from any start t_0;
+    values is a finite (N, dim) array.  Evaluation outside [t_0, t_N] is an
+    error.  Raises ValueError on breakpoints or values that break these
+    rules.
     """
 
     breakpoints: np.ndarray
@@ -26,7 +28,11 @@ class PiecewisePath:
             raise ValueError("breakpoints and values length mismatch")
         if t.shape[0] < 2:
             raise ValueError("need at least two breakpoints")
-        if not np.all(np.diff(t) > 0):
+        # array methods, not np.all: the variational search builds a path
+        # per objective call, and np.all's dispatch showed in its time
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise ValueError("breakpoints and values must be finite")
+        if not (t[1:] > t[:-1]).all():
             raise ValueError("breakpoints must be strictly increasing")
         object.__setattr__(self, "breakpoints", t)
         object.__setattr__(self, "values", v)

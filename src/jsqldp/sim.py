@@ -29,18 +29,19 @@ the queue is that walk from its initial content reflected at 0.  The
 reflection counts the ticks at an empty server, which depart no one.  One
 run (``simulate``) is routed by ``_route``, which reads the moves from the
 clocks on a net where no stream has a choice of queue and otherwise runs a
-scalar loop; ``_walk`` gives its raw walk and ``_reflect`` the queues.  A
-batch is reduced to per-replicate terminal values or running maxima
-(``terminal_statistics`` and ``count_hits``) by one of two engines, chosen
-by a rough cost of each for the batch's shape.  The lock step
-(``_lock_step``) looks up, at each step, the events of every running
-replicate in a destination table over the grid of queue vectors the batch
-can reach, whose state is the reflected queue vector itself; it pays for
-its table and per step, so it serves batches of many replicates.  The
-other engine goes replicate by replicate through the path of one run
-(``_by_replicate``) and pays per replicate, and per event where arrivals
-compare levels; it takes any batch whose table would pass
-``TABLE_ENTRIES``.  Both give the same statistics.
+scalar loop; ``_walk`` gives its raw walk and ``_reflect`` the queues.
+``terminal_statistics`` reduces its one run to the terminal vector and the
+running maxima replicate by replicate (``_by_replicate``), the path of
+``simulate`` with no record kept.  ``count_hits`` reduces each batch of runs,
+all from the empty net under lowest-index ties, to the statistic its event
+asks for, by one of two engines chosen by a rough cost of each for the
+batch's shape.  The lock step (``_lock_step``) looks up, at each step, the
+events of every running replicate in a destination table over the grid of
+queue vectors the batch can reach, whose state is the reflected queue vector
+itself; it pays a fixed cost, for its table and per step, so it serves
+batches of many replicates.  ``_by_replicate`` pays per replicate, and per
+event where arrivals compare levels; it takes any batch whose table would
+pass ``TABLE_ENTRIES``.  Both give the same statistics.
 """
 from __future__ import annotations
 
@@ -390,14 +391,17 @@ def terminal_statistics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(terminal queue vector, running max per queue), without recording.
 
-    The run is the one ``simulate`` makes with the same arguments: a batch
-    of one replicate reads its events in draw order.  It is also the one
-    run of ``count_hits`` at ``seed`` with ``reps=1``; with more replicates
-    a batch is laid out step by step, and its first replicate is another
-    run.  Raises ``ValueError`` on the arguments ``simulate`` rejects.
+    The run is the one ``simulate`` makes with the same arguments, reduced
+    replicate by replicate (``_by_replicate``): a batch of one replicate
+    reads its events in draw order.  It is also the one run of
+    ``count_hits`` at ``seed`` with ``reps=1`` and the same event counted
+    from an empty net under lowest-index ties; with more replicates a batch
+    is laid out step by step, and its first replicate is another run.
+    Raises ``ValueError`` on the arguments ``simulate`` rejects.
     """
-    q_end, q_max = _replicate_statistics(topology, n, T, seed, 0, 1,
-                                         ("terminal", "running_max"), tie_rule, q0_scaled)
+    q0 = _initial_queues(topology, n, T, seed, tie_rule, q0_scaled)
+    counts, clocks, ties, _ = _draw(topology, n, T, seed, 0, 1, tie_rule)
+    q_end, q_max = _by_replicate(topology, q0, counts, clocks, ties)
     return q_end[0], q_max[0]
 
 
@@ -478,55 +482,44 @@ def count_hits(topology: Topology, event: RareEventSpec, n: int, seed: int, reps
     batch = max(1, int(2**20 // max(1.0, rate * (n * event.T))))
     hits = 0
     for batch_id, done in enumerate(range(0, reps, batch)):
-        (value,) = _replicate_statistics(topology, n, event.T, seed, batch_id,
-                                         min(batch, reps - done), (event.kind,))
+        value = _replicate_statistics(topology, n, event.T, seed, batch_id,
+                                      min(batch, reps - done), event.kind)
         hits += int((value[:, event.queue] >= level).sum())
     return hits
 
 
-def _replicate_statistics(
-    topology: Topology,
-    n: int,
-    T: float,
-    seed: int,
-    batch: int,
-    reps: int,
-    kinds: tuple[str, ...],
-    tie_rule: TieRule = TieRule.LOWEST_INDEX,
-    q0_scaled=None,
-) -> list[np.ndarray]:
-    """Per-replicate statistics of ``reps`` independent runs.
+def _replicate_statistics(topology: Topology, n: int, T: float, seed: int, batch: int,
+                          reps: int, kind: str) -> np.ndarray:
+    """Per-replicate statistic of ``reps`` independent runs from an empty net
+    under lowest-index ties, of shape (reps, K).
 
-    One array of shape (reps, K) for each entry of ``kinds``, in order:
-    'terminal' gives the terminal queue vectors and 'running_max' the
-    running maxima.  The runs are batch ``batch`` of the stream seeded by
+    ``kind`` 'terminal' gives the terminal queue vectors and 'running_max'
+    the running maxima.  The runs are batch ``batch`` of the stream seeded by
     ``seed``, in decreasing order of their event counts.  A batch whose
     destination table fits ``TABLE_ENTRIES`` runs in lock step when that
-    costs less than going replicate by replicate, by the rough costs below;
-    the lock step pays for running maxima only when it is asked for them.
-    Any other batch goes replicate by replicate.
+    costs less than going replicate by replicate, by the rough costs below.
+    Any other batch goes replicate by replicate.  Raises ``ValueError``
+    unless n is an integer >= 1, seed an integer >= 0 and T a finite real
+    number >= 0.
     """
-    q0 = _initial_queues(topology, n, T, seed, tie_rule, q0_scaled)
-    counts, clocks, ties, _ = _draw(topology, n, T, seed, batch, reps, tie_rule)
+    q0 = _initial_queues(topology, n, T, seed, TieRule.LOWEST_INDEX, None)
+    counts, clocks, _, _ = _draw(topology, n, T, seed, batch, reps, TieRule.LOWEST_INDEX)
     steps = int(counts[0])
-    side = int(q0.max()) + steps + 1
-    width = 1 if ties is None else max(len(ks) for ks, _ in topology.routes)
-    entries = side**topology.K * (topology.M + topology.K) * width
-    # Rough costs in ns, measured on a 2-core x86: the lock step builds its
-    # table and makes a few numpy calls per queue and tie position at each
-    # step; one replicate's path pays a fixed cost, and per event the
-    # scalar router's loop where an arrival compares levels, or numpy's
-    # passes where none does.
+    side = steps + 1
+    entries = side**topology.K * (topology.M + topology.K)
+    # Rough costs in ns, measured on a 2-core x86: the lock step pays a
+    # fixed cost (its numpy calls around the steps, 40-90 us on batches of
+    # one to four steps), builds its table and makes a few numpy calls per
+    # queue at each step; one replicate's path pays a fixed cost, and per
+    # event the scalar router's loop where an arrival compares levels, or
+    # numpy's passes where none does.
     choice = any(len(ks) > 1 for ks, _ in topology.routes)
-    lock = 10 * entries + 2500 * topology.K * width * steps
-    alone = 16000 * reps + (300 * width if choice else 12) * len(clocks)
+    lock = 50000 + 10 * entries + 2500 * topology.K * steps
+    alone = 16000 * reps + (300 if choice else 12) * len(clocks)
     if entries <= TABLE_ENTRIES and lock <= alone:
-        end, top = _lock_step(topology, q0, counts, clocks, ties, side, width,
-                              "running_max" in kinds)
-    else:
-        end, top = _by_replicate(topology, q0, counts, clocks, ties)
-    statistics = {"terminal": end, "running_max": top}
-    return [statistics[kind] for kind in kinds]
+        return _lock_step(topology, counts, clocks, side, kind == "running_max")
+    end, top = _by_replicate(topology, q0, counts, clocks, None)
+    return top if kind == "running_max" else end
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -567,93 +560,71 @@ def _by_replicate(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks
     return end, top
 
 
-# Most entries a destination table may hold: 5 bytes each (an int32 next
-# state and a uint8 tie count), so at most 10.5 MB.  A batch whose queue
-# grid needs a larger table goes replicate by replicate.
+# Most entries a destination table may hold: an int32 next state each, so
+# at most 8.4 MB.  A batch whose queue grid needs a larger table goes
+# replicate by replicate.
 TABLE_ENTRIES = 2**21
 
 
-def _destinations(topology: Topology, side: int, width: int):
+def _destinations(topology: Topology, side: int) -> np.ndarray:
     """Destination table of every clock at every queue vector of [0, side)^K.
 
     States are the queue vectors in C order, ``np.ravel_multi_index``'s.
-    Entry ``(s * C + c) * width + p``, for the C = M + K clocks c and the
-    tie positions p < ``width``, holds the next state's first entry
-    ``s' * C * width``: an arrival joins the p-th of the queues of least
-    weighted level (``Topology.least_levels``) in index order, and a tick
-    leaves its server's queue one lower unless it is empty.  ``tied`` holds
-    the number of tied queues, 1 for a service tick.  Entries past the last
-    tied queue are never read.  An arrival at the grid's edge keeps the
-    state: no run of at most ``side - 1 - max(q0)`` events gets there.
+    Entry ``s * C + c``, for the C = M + K clocks c, holds the next state's
+    first entry ``s' * C``: an arrival joins the lowest-index queue of least
+    weighted level (``Topology.least_levels``), and a tick leaves its
+    server's queue one lower unless it is empty.  An arrival at the grid's
+    edge keeps the state: no run of at most ``side - 1`` events from the
+    empty net gets there.
     """
     K, M = topology.K, topology.M
-    C = M + K
     queues = np.indices((side,) * K, dtype=np.int32).reshape(K, -1)
     states = np.arange(queues.shape[1], dtype=np.int32)
-    to = np.zeros((len(states), C, width), dtype=np.int32)
-    tied = np.ones((len(states), C, width), dtype=np.min_scalar_type(width))
-    stride = [side ** (K - 1 - k) for k in range(K)]
+    stride = [np.int32(side ** (K - 1 - k)) for k in range(K)]
+    to = np.empty((len(states), M + K), dtype=np.int32)
     for k in range(K):
-        to[:, M + k] = (states - (queues[k] > 0) * np.int32(stride[k]))[:, None]
-    up = [np.where(queues[k] < side - 1, states + np.int32(stride[k]), states) for k in range(K)]
+        to[:, M + k] = states - (queues[k] > 0) * stride[k]
+    up = [np.where(queues[k] < side - 1, states + stride[k], states) for k in range(K)]
     for m, (ks, _) in enumerate(topology.routes):
         least = topology.least_levels(m, queues.T)
-        for p in range(width):
-            # the p-th tied queue: the one with p tied queues before it
-            to_p = np.zeros_like(states)
-            before = np.zeros(len(states), dtype=tied.dtype)
-            for j, k in enumerate(ks):
-                to_p = np.where(least[:, j] & (before == p), up[k], to_p)
-                before += least[:, j]
-            to[:, m, p] = to_p
-        tied[:, m, 0] = before  # by now, every tied queue
-    to *= C * width
-    return to.ravel(), tied.ravel()
+        # the first queue of least level, found from the last one back
+        to[:, m] = up[ks[-1]]
+        for j in range(len(ks) - 2, -1, -1):
+            to[:, m] = np.where(least[:, j], up[ks[j]], to[:, m])
+    to *= M + K
+    return to.ravel()
 
 
-def _lock_step(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks: np.ndarray,
-               ties: np.ndarray | None, side: int, width: int,
-               running_max: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """(terminal vectors, running maxima or None) of a batch, advanced in lock step.
+def _lock_step(topology: Topology, counts: np.ndarray, clocks: np.ndarray, side: int,
+               running_max: bool) -> np.ndarray:
+    """Terminal vectors, or running maxima when ``running_max``, of a batch
+    from the empty net, advanced in lock step.
 
     Step t takes the t-th event of every replicate still running, one slice
-    of the draw, at entry ``state + clock * width`` of the destination table
-    over [0, side)^K, plus the tie position floor(u * #tied) under
-    ``UNIFORM_RANDOM``, the IEEE product ``_route`` takes.  The state is the
-    queue vector itself, reflected at 0, so the last state is the terminal
-    vector.  A state modulo the span of queues k, k+1, ... of the table
-    grows with queue k, so its largest value over the steps gives queue k's
-    running maximum; for queue 0 it is the state.
+    of the draw, at entry ``state + clock`` of the destination table over
+    [0, side)^K.  The state is the queue vector itself, reflected at 0, so
+    the last state is the terminal vector.  A state modulo the span of
+    queues k, k+1, ... of the table grows with queue k, so its largest value
+    over the steps gives queue k's running maximum; for queue 0 it is the
+    state.
     """
     K, C = topology.K, topology.M + topology.K
-    spans = [side ** (K - k) * C * width for k in range(K)]
-    to, tied = _destinations(topology, side, width)
-    events = clocks
-    if width > 1:
-        events = np.multiply(clocks, width, dtype=np.min_scalar_type((C - 1) * width))
-        share, count = np.empty(len(counts)), np.empty(len(counts), dtype=tied.dtype)
-    state = np.full(len(counts), np.ravel_multi_index(q0, (side,) * K) * C * width,
-                    dtype=np.int32)
+    spans = [side ** (K - k) * C for k in range(K)]
+    to = _destinations(topology, side)
+    state = np.zeros(len(counts), dtype=np.int32)
     if running_max:
-        peak, scratch = np.stack([state % span for span in spans]), np.empty_like(state)
+        peak, scratch = np.zeros((K, len(counts)), dtype=np.int32), np.empty_like(state)
     offset = _offsets(counts).tolist()
     for start, stop in zip(offset, offset[1:]):
         # the state becomes its table entry, and then the next state
         s = state[:stop - start]
-        np.add(s, events[start:stop], out=s)
-        if width > 1:
-            u = tied.take(s, out=count[:len(s)], mode="clip")
-            u = np.multiply(ties[start:stop], u, out=share[:len(s)])
-            np.add(s, np.trunc(u, out=u), out=s, casting="unsafe")
+        np.add(s, clocks[start:stop], out=s)
         to.take(s, out=s, mode="clip")
         if running_max:
             for k, span in enumerate(spans):
                 level = np.remainder(s, span, out=scratch[:len(s)]) if k else s
                 np.maximum(peak[k, :len(s)], level, out=peak[k, :len(s)])
-
-    def levels(codes):
-        """Queue k's level read off the k-th row of table entries."""
-        return np.stack([code % span // (span // side) for code, span in zip(codes, spans)],
-                        axis=1).astype(np.int64)
-
-    return levels([state] * K), levels(peak) if running_max else None
+    # queue k's level read off the k-th row of table entries
+    codes = peak if running_max else [state] * K
+    return np.stack([code % span // (span // side) for code, span in zip(codes, spans)],
+                    axis=1).astype(np.int64)

@@ -74,9 +74,14 @@ class TestErrors:
         ("action", "not json", "not valid JSON"),
         ("fluid", json.dumps(FLUID_INPUTS | {"a": [[3.0], [0.0]]}), "must be nondecreasing"),
         ("fluid", json.dumps(FLUID_INPUTS | {"t": [0.0, 0.5]}), "ending at 0.5"),
+        # json reads NaN and Infinity; a NaN knot used to fail as a wrong
+        # number of entries of a state x the caller never passed
+        ("action", json.dumps(PATH | {"q": [[0.0, 0.0], [float("nan"), 1.0]]}), "must be finite"),
+        ("fluid", json.dumps(FLUID_INPUTS | {"t": [0.0, float("inf")]}), "must be finite"),
     ], ids=["fluid-no-a", "fluid-no-b", "fluid-no-t", "fluid-b-width", "fluid-bad-json",
             "action-no-q", "action-no-t", "action-scalar-t", "action-not-object",
-            "action-bad-json", "fluid-decreasing", "fluid-short"])
+            "action-bad-json", "fluid-decreasing", "fluid-short", "action-nan-knot",
+            "fluid-infinite-breakpoint"])
     def test_malformed_input_file_is_exit_2(self, topo_file, tmp_path, capsys,
                                            command, text, message):
         f = tmp_path / "input.json"

@@ -313,17 +313,12 @@ class TestEngine:
         # replicate 0 of a batch is the run terminal_statistics makes of
         # replicate 0's events handed to it as a one-replicate draw: at
         # reps = 1 the draw's events in order, the run simulate makes; at
-        # reps >= 2 the events at offset[t].  The batches of 50 run in lock
-        # step, the others replicate by replicate
+        # reps >= 2 the events at offset[t].  _by_replicate reduces a batch
+        # from any start under either tie rule; count_hits's batches, from
+        # the empty net under lowest-index ties, run in lock step at 50
+        # replicates and replicate by replicate at 1 and 7
         for (net, q0), T, seed in product(self.NETS, (1.5, 0.3), range(5)):
             topo = request.getfixturevalue(net)
-            q_end, q_max = _replicate_statistics(topo, 10, T, seed, 0, reps,
-                                                 ("terminal", "running_max"), tie, q0)
-            assert q_end.shape == q_max.shape == (reps, topo.K)
-            # each kind asked alone gives the same statistic
-            for kind, value in (("terminal", q_end), ("running_max", q_max)):
-                (alone,) = _replicate_statistics(topo, 10, T, seed, 0, reps, (kind,), tie, q0)
-                assert np.array_equal(alone, value)
             counts, clocks, ties, rng = _draw(topo, 10, T, seed, 0, reps, tie)
             at = np.cumsum([0] + [int((counts > t).sum()) for t in range(int(counts[0]) - 1)])
 
@@ -331,16 +326,38 @@ class TestEngine:
                 assert reps == 1
                 return counts[:1], clocks[at], None if ties is None else ties[at], rng
 
-            with monkeypatch.context() as patch:
-                patch.setattr(sim, "_draw", first_replicate)
-                one_end, one_max = terminal_statistics(topo, 10, T, seed, tie, q0)
-            assert np.array_equal(q_end[0], one_end)
-            assert np.array_equal(q_max[0], one_max)
-            if reps == 1:
-                p = simulate(topo, 10, T, seed, tie, q0)
-                for end, top in ((one_end, one_max), terminal_statistics(topo, 10, T, seed, tie, q0)):
-                    assert np.array_equal(end, p.queues[-1])
-                    assert np.array_equal(top, p.queues.max(axis=0))
+            batches = [(q0, _by_replicate(topo, np.floor(10 * np.array(q0)).astype(np.int64),
+                                          counts, clocks, ties))]
+            if tie is TieRule.LOWEST_INDEX:
+                batches.append((None, [_replicate_statistics(topo, 10, T, seed, 0, reps, kind)
+                                       for kind in ("terminal", "running_max")]))
+            for q0_scaled, (q_end, q_max) in batches:
+                assert q_end.shape == q_max.shape == (reps, topo.K)
+                with monkeypatch.context() as patch:
+                    patch.setattr(sim, "_draw", first_replicate)
+                    one_end, one_max = terminal_statistics(topo, 10, T, seed, tie, q0_scaled)
+                assert np.array_equal(q_end[0], one_end)
+                assert np.array_equal(q_max[0], one_max)
+                if reps == 1:
+                    p = simulate(topo, 10, T, seed, tie, q0_scaled)
+                    assert np.array_equal(one_end, p.queues[-1])
+                    assert np.array_equal(one_max, p.queues.max(axis=0))
+
+    def test_terminal_statistics_reduces_its_run_replicate_by_replicate(
+            self, monkeypatch, weighted_net):
+        # runs of 0 to 5 events, where the lock step's fixed cost would
+        # outweigh the run: neither it nor count_hits's batch reducer is
+        # reached, under either tie rule and from a nonempty start
+        for name in ("_lock_step", "_replicate_statistics"):
+            monkeypatch.setattr(sim, name, mock.Mock(side_effect=AssertionError(f"{name} called")))
+        events = set()
+        for T, seed, tie, q0 in product((0.1, 0.3, 0.6), range(10), TieRule, ([0, 0], [1, 1])):
+            p = simulate(weighted_net, 1, T, seed, tie, q0)
+            q_end, q_max = terminal_statistics(weighted_net, 1, T, seed, tie, q0)
+            assert np.array_equal(q_end, p.queues[-1])
+            assert np.array_equal(q_max, p.queues.max(axis=0))
+            events.add(len(p.times) - 1)
+        assert set(range(6)) <= events
 
     def test_count_hits_replicate_zero_is_terminal_statistics(self, weighted_net):
         # the event's level is n * c - 1e-9: met at c = value / n, missed
@@ -358,25 +375,28 @@ class TestEngine:
         # replicates are batches 0, 1 and 2 of the stream at seed 3
         T = 2.0**18
         tops = np.concatenate([
-            _replicate_statistics(mm1, 1, T, 3, batch, reps, ("running_max",))[0][:, 0]
+            _replicate_statistics(mm1, 1, T, 3, batch, reps, "running_max")[:, 0]
             for batch, reps in [(0, 2), (1, 2), (2, 1)]])
         for level in tops.tolist():
             event = RareEventSpec("running_max", 0, level, T)
             assert count_hits(mm1, event, 1, 3, 5) == (tops >= level).sum()
 
     @staticmethod
-    def _check_replicate_loop(topo, n, T, reps, tie, q0_scaled):
-        """``_replicate_statistics`` against a loop over each replicate's
-        events, replicate r's t-th event read at offset[t] + r, routed by the
-        scalar router, each queue held at 0."""
-        q0 = np.floor(n * np.array(q0_scaled)).astype(np.int64)
+    def _check_replicate_loop(topo, n, T, reps, tie=TieRule.LOWEST_INDEX, q0_scaled=None):
+        """``_by_replicate``, and on a batch of ``count_hits`` (from an empty
+        net under lowest-index ties) ``_replicate_statistics``, against a
+        loop over each replicate's events, replicate r's t-th event read at
+        offset[t] + r, routed by the scalar router, each queue held at 0."""
+        q0 = np.floor(n * np.array(q0_scaled or [0] * topo.K)).astype(np.int64)
         counts, clocks, ties, _ = _draw(topo, n, T, 4, 2, reps, tie)
         assert counts.tolist() == sorted(counts.tolist(), reverse=True)
         # offset[t] counts the events of the replicates still running at
         # the steps before t
         offset = np.cumsum([0] + [int((counts > t).sum()) for t in range(int(counts[0]))])
-        q_end, q_max = _replicate_statistics(topo, n, T, 4, 2, reps,
-                                             ("terminal", "running_max"), tie, q0_scaled)
+        found = [_by_replicate(topo, q0, counts, clocks, ties)]
+        if tie is TieRule.LOWEST_INDEX and q0_scaled is None:
+            found.append([_replicate_statistics(topo, n, T, 4, 2, reps, kind)
+                          for kind in ("terminal", "running_max")])
         for r, count in enumerate(counts.tolist()):
             at = offset[:count] + r
             moves = _route(topo, q0, clocks[at], None if ties is None else ties[at])
@@ -384,16 +404,18 @@ class TestEngine:
             for c, k in zip(clocks[at].tolist(), moves.tolist()):
                 q[k] = max(q[k] + (1 if c < topo.M else -1), 0)
                 top = np.maximum(top, q)
-            assert np.array_equal(q_end[r], q) and np.array_equal(q_max[r], top)
+            for q_end, q_max in found:
+                assert np.array_equal(q_end[r], q) and np.array_equal(q_max[r], top)
 
     @pytest.mark.parametrize("T", [0.05, 2.0])
     def test_batch_observer_matches_replicate_loop(self, request, T):
         # at T=0.05 (n=10) most replicates have no event at all; batches of
-        # 300 replicates run in lock step
+        # 300 replicates from the empty net run in lock step
         for net, q0_scaled in self.NETS:
+            topo = request.getfixturevalue(net)
+            self._check_replicate_loop(topo, 10, T, 300)
             for tie in TieRule:
-                self._check_replicate_loop(request.getfixturevalue(net), 10, T, 300, tie,
-                                           q0_scaled)
+                self._check_replicate_loop(topo, 10, T, 300, tie, q0_scaled)
 
     def test_a_net_without_choice_is_routed_by_its_clocks(self, monkeypatch, two_stream_queue):
         # each stream has one queue (stream 1 queue 2, stream 2 queue 1, or
@@ -441,40 +463,37 @@ class TestEngine:
         # TABLE_ENTRIES, so they go replicate by replicate
         topo = request.getfixturevalue(net)
         self._only(monkeypatch, engine)
-        for tie in TieRule:
-            assert _draw(topo, 10, 1.0, 4, 2, reps, tie)[0][0] <= reps
-            self._check_replicate_loop(topo, 10, 1.0, reps, tie, [0.1] * topo.K)
+        assert _draw(topo, 10, 1.0, 4, 2, reps, TieRule.LOWEST_INDEX)[0][0] <= reps
+        self._check_replicate_loop(topo, 10, 1.0, reps)
 
-    @pytest.mark.parametrize("net,n,reps,engine", [
-        ("weighted_net", 10, 5, "_by_replicate"), ("mm1_stable", 10, 5, "_by_replicate"),
-        ("mm1_stable", 100, 100, "_lock_step")],
-        ids=["few-choosing", "few-one-queue", "many-one-queue"])
-    def test_a_narrow_batch_takes_the_cheaper_engine(self, request, monkeypatch, net, n,
+    @pytest.mark.parametrize("net,n,T,reps,engine", [
+        ("weighted_net", 10, 2.0, 5, "_by_replicate"), ("mm1_stable", 10, 2.0, 5, "_by_replicate"),
+        ("mm1_stable", 100, 2.0, 100, "_lock_step"), ("mm1_stable", 1, 1.0, 1, "_by_replicate")],
+        ids=["few-choosing", "few-one-queue", "many-one-queue", "one-short-run"])
+    def test_a_narrow_batch_takes_the_cheaper_engine(self, request, monkeypatch, net, n, T,
                                                      reps, engine):
         # fewer replicates than steps, and every table fits: five replicates
         # of about 120 or 60 events cost less one by one than a table and a
-        # step each, while on one queue 100 replicates of about 300 events
+        # step each, and so does one replicate of 3 events, against the lock
+        # step's fixed cost; on one queue 100 replicates of about 300 events
         # cost less in lock step
         topo = request.getfixturevalue(net)
         self._only(monkeypatch, engine)
-        for tie in TieRule:
-            assert _draw(topo, n, 2.0, 4, 2, reps, tie)[0][0] > reps
-            self._check_replicate_loop(topo, n, 2.0, reps, tie, [0.3] * topo.K)
+        assert _draw(topo, n, T, 4, 2, reps, TieRule.LOWEST_INDEX)[0][0] > reps
+        self._check_replicate_loop(topo, n, T, reps)
 
     @NET_SETTINGS
-    @given(net=small_nets(), seed=st.integers(0, 2**16), tie=st.sampled_from(TieRule))
-    def test_batch_router_matches_the_scalar_router(self, net, seed, tie):
+    @given(net=small_nets(), seed=st.integers(0, 2**16))
+    def test_batch_router_matches_the_scalar_router(self, net, seed):
         # lock-step statistics of both kinds against replicate-by-replicate
-        # ones, on a batch of forty replicates at n=2, T=0.5
-        topo, q0 = net
-        counts, clocks, ties, _ = _draw(topo, 2, 0.5, seed, 0, 40, tie)
-        expected = _by_replicate(topo, q0, counts, clocks, ties)
-        side = int(q0.max()) + int(counts[0]) + 1
-        width = 1 if ties is None else max(len(ks) for ks, _ in topo.routes)
-        both = _lock_step(topo, q0, counts, clocks, ties, side, width, True)
-        end, top = _lock_step(topo, q0, counts, clocks, ties, side, width, False)
-        assert [s.tolist() for s in both] == [e.tolist() for e in expected]
-        assert end.tolist() == both[0].tolist() and top is None
+        # ones, on a batch of forty replicates from the empty net under
+        # lowest-index ties at n=2, T=0.5
+        topo, _ = net
+        counts, clocks, _, _ = _draw(topo, 2, 0.5, seed, 0, 40, TieRule.LOWEST_INDEX)
+        end, top = _by_replicate(topo, np.zeros(topo.K, dtype=np.int64), counts, clocks, None)
+        side = int(counts[0]) + 1
+        assert _lock_step(topo, counts, clocks, side, False).tolist() == end.tolist()
+        assert _lock_step(topo, counts, clocks, side, True).tolist() == top.tolist()
 
 
 class TestValidation:
