@@ -183,7 +183,7 @@ def criterion_fluid_limit():
 
 def criterion_ldp_sanity():
     event = RareEventSpec("terminal", 0, 1.0, 1.0)
-    _, value = minimize_action(event, DRAIN, PoissonCost(DRAIN), segments=1, seed=0)
+    _, value = minimize_action(event, DRAIN, PoissonCost(DRAIN), segments=1)
     scales, reps = [10, 20, 40], [2_000_000, 100_000_000, 2_000_000]
     report = estimate_rare_event(event, DRAIN, scales, reps, seed=7)
     fit = report["fit"]

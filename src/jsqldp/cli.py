@@ -170,8 +170,7 @@ def cmd_optimize(args) -> int:
     topo = args.topology
     q0 = _vector(args.q0, "--q0") if args.q0 else None
     path, value = minimize_action(RareEventSpec.parse(args.event), topo, PoissonCost(topo),
-                                  segments=args.segments, q0=q0, starts=args.starts,
-                                  seed=args.seed)
+                                  segments=args.segments, q0=q0)
     _print_json({
         "value": value,
         "path": {"t": list(map(float, path.breakpoints)),
@@ -191,8 +190,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--reps needs one count, or one per scale, got {args.reps!r}")
     _check_counts(scales, reps)
     # the path search is the cheap half, so its failures come first
-    _, value = minimize_action(event, topo, PoissonCost(topo), segments=args.segments,
-                               seed=args.seed)
+    _, value = minimize_action(event, topo, PoissonCost(topo), segments=args.segments)
     report = estimate_rare_event(event, topo, scales, reps, seed=args.seed)
     report["variational_value"] = value
     out = args.out
@@ -263,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("optimize", help="variational path search", parents=[net])
     s.add_argument("--event", required=True)
     s.add_argument("--segments", type=int, default=1)
-    s.add_argument("--starts", type=int, default=8)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--q0", default="")
     s.set_defaults(func=cmd_optimize)
 

@@ -157,9 +157,10 @@ def fluid_solve(
     if a.dim != M or b.dim != K:
         raise ValueError(f"inputs a and b must have {M} and {K} columns, "
                          f"got a.dim={a.dim}, b.dim={b.dim}")
-    if a.horizon < T - 1e-12 or b.horizon < T - 1e-12:
+    a0, b0 = float(a.breakpoints[0]), float(b.breakpoints[0])
+    if max(a0, b0) > 1e-12 or min(a.horizon, b.horizon) < T - 1e-12:
         raise ValueError(f"inputs must be defined on [0, T], got T={T} and inputs a, b "
-                         f"ending at {a.horizon}, {b.horizon}")
+                         f"starting at {a0}, {b0} and ending at {a.horizon}, {b.horizon}")
     if not a.is_nondecreasing(atol=1e-12) or not b.is_nondecreasing(atol=1e-12):
         raise ValueError("cumulative inputs a and b must be nondecreasing")
     n_steps = max(1, int(np.ceil(T / h - 1e-12)))

@@ -27,7 +27,7 @@ from .topology import Topology, count, positive, vector
 
 
 class NoFiniteStartError(RuntimeError):
-    """Raised when no start of the path search reaches the event at finite action."""
+    """Raised when the path search does not reach the event at finite action."""
 
 
 class TooFewHitsError(ValueError):
@@ -257,25 +257,25 @@ def minimize_action(
     cost: PoissonCost,
     segments: int = 1,
     q0=None,
-    starts: int = 8,
     seed: int = 0,
 ) -> tuple[PiecewisePath, float]:
     """Best piecewise-linear path into a terminal-threshold event.
 
     Searches interior breakpoint values (and non-threshold terminal
-    coordinates) by seeded multistart pattern search; the returned action is
-    an upper bound on the infimum over the event, not a global certificate.
-    Raises ValueError for an event that is not terminal or names no queue of
-    the topology, for a q0 that is not K finite nonnegative numbers, and
-    unless segments and starts are integers >= 1 and seed an integer >= 0.
-    Raises NoFiniteStartError when every start ends at infinite action, as
-    when the only finite paths run along a weighted tie.
+    coordinates) by one deterministic compass pattern search from the
+    straight path; the returned action is an upper bound on the infimum
+    over the event, not a global certificate.  ``seed`` is checked but has
+    no effect.  Raises ValueError for an event that is not terminal or
+    names no queue of the topology, for a q0 that is not K finite
+    nonnegative numbers, and unless segments is an integer >= 1 and seed an
+    integer >= 0.  Raises NoFiniteStartError when the search ends at
+    infinite action, as when the only finite paths run along a weighted
+    tie.
     """
     if event.kind != "terminal":
         raise ValueError(f"the path search supports only terminal events, got {event.kind!r}")
     event.check_queue(topology)
     count(segments, "segments")
-    count(starts, "starts")
     count(seed, "seed", least=0)
     K = topology.K
     q0 = np.zeros(K) if q0 is None else vector(q0, K, "initial state q0")
@@ -289,7 +289,6 @@ def minimize_action(
     if fl.queue.values[-1][event.queue] >= event.threshold - 1e-12:
         return fl.queue, 0.0
 
-    n_free = (segments - 1) * K + (K - 1)
     others = [k for k in range(K) if k != event.queue]
 
     def build_path(z: np.ndarray) -> PiecewisePath:
@@ -306,23 +305,14 @@ def minimize_action(
     def objective(z: np.ndarray) -> float:
         return path_action(build_path(z), topology, cost).total
 
-    rng = np.random.default_rng(seed)
-    best_z, best_f = None, INF
-    for s in range(starts):
-        z0 = np.empty(n_free)
-        frac = ts[1:segments] / event.T
-        straight = q0[None, :] * (1 - frac[:, None])
-        straight[:, event.queue] += frac * event.threshold
-        z0[: (segments - 1) * K] = straight.ravel()
-        z0[(segments - 1) * K:] = q0[others]
-        if s > 0:
-            z0 = np.maximum(z0 + rng.normal(0, 0.3 * max(event.threshold, 1.0), n_free), 0.0)
-        z, fz = _pattern_search(objective, z0, step0=0.25 * max(event.threshold, 1.0))
-        if fz < best_f:
-            best_z, best_f = z, fz
-    if best_z is None:
+    frac = ts[1:segments] / event.T
+    straight = q0[None, :] * (1 - frac[:, None])
+    straight[:, event.queue] += frac * event.threshold
+    z0 = np.concatenate([straight.ravel(), q0[others]])
+    z, fz = _pattern_search(objective, z0, step0=0.25 * max(event.threshold, 1.0))
+    if not math.isfinite(fz):
         raise NoFiniteStartError(
-            f"no start of the path search reaches queue {event.queue + 1} >= "
+            f"the path search does not reach queue {event.queue + 1} >= "
             f"{event.threshold} at finite action"
         )
-    return build_path(best_z), float(best_f)
+    return build_path(z), float(fz)

@@ -47,7 +47,9 @@ class PiecewisePath:
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.breakpoints[0] - 1e-12) or np.any(t > self.breakpoints[-1] + 1e-12):
+        lo, hi = self.breakpoints[0] - 1e-12, self.breakpoints[-1] + 1e-12
+        # both comparisons must hold, so that a NaN time is refused too
+        if not ((t >= lo) & (t <= hi)).all():
             raise ValueError("evaluation outside path domain")
         out = np.empty(t.shape + (self.dim,))
         for j in range(self.dim):

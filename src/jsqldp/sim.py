@@ -467,13 +467,14 @@ def count_hits(topology: Topology, event: RareEventSpec, n: int, seed: int, reps
     A run hits when the statistic of the event's kind, on its queue over
     [0, n*T], is at least ``n * threshold - 1e-9`` (so a scaled level met
     exactly counts despite rounding).  Batches hold about 2**20 expected
-    events, so memory does not grow with n; batch b is drawn from
-    ``SeedSequence([seed, b])`` and laid out step by step (``_draw``).  A
-    batch runs in lock step or replicate by replicate, whichever its shape
-    makes cheaper (``_replicate_statistics``).  At ``reps=1`` the one run
-    is ``terminal_statistics``'s.  Raises ``ValueError`` on the arguments
-    ``simulate`` rejects, unless reps is an integer >= 1, and when the
-    event's queue is not one of the topology's.
+    events, so memory does not grow with n until one replicate expects more
+    than that; then a batch is one replicate and memory grows with n.
+    Batch b is drawn from ``SeedSequence([seed, b])`` and laid out step by
+    step (``_draw``).  A batch runs in lock step or replicate by replicate,
+    whichever its shape makes cheaper (``_replicate_statistics``).  At
+    ``reps=1`` the one run is ``terminal_statistics``'s.  Raises
+    ``ValueError`` on the arguments ``simulate`` rejects, unless reps is an
+    integer >= 1, and when the event's queue is not one of the topology's.
     """
     event.check_queue(topology)
     count(reps, "reps")

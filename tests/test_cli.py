@@ -78,10 +78,12 @@ class TestErrors:
         # number of entries of a state x the caller never passed
         ("action", json.dumps(PATH | {"q": [[0.0, 0.0], [float("nan"), 1.0]]}), "must be finite"),
         ("fluid", json.dumps(FLUID_INPUTS | {"t": [0.0, float("inf")]}), "must be finite"),
+        # used to exit 2 with "evaluation outside path domain", naming no argument
+        ("fluid", json.dumps(FLUID_INPUTS | {"t": [0.5, 1.0]}), "starting at 0.5, 0.5"),
     ], ids=["fluid-no-a", "fluid-no-b", "fluid-no-t", "fluid-b-width", "fluid-bad-json",
             "action-no-q", "action-no-t", "action-scalar-t", "action-not-object",
             "action-bad-json", "fluid-decreasing", "fluid-short", "action-nan-knot",
-            "fluid-infinite-breakpoint"])
+            "fluid-infinite-breakpoint", "fluid-late"])
     def test_malformed_input_file_is_exit_2(self, topo_file, tmp_path, capsys,
                                            command, text, message):
         f = tmp_path / "input.json"
@@ -115,7 +117,6 @@ class TestErrors:
         (["rate", "--x", "1 1", "--y", "nan 0"], "y=[nan, 0.0]"),
         (["optimize", "--event", "running_max:k=1,c=1,T=1"], "only terminal events"),
         (["verify", "--event", "running_max:k=1,c=1,T=1"], "only terminal events"),
-        (["optimize", "--event", "terminal:k=1,c=1,T=1", "--starts", "-3"], "starts=-3"),
         (["optimize", "--event", "terminal:k=1,c=1,T=-1"], "event horizon T"),
         (["optimize", "--event", "terminal:k=1,c=1,T=0"], "event horizon T"),
         (["optimize", "--event", "terminal:k=1,c=1,T=inf"], "event horizon T"),
@@ -137,9 +138,8 @@ class TestErrors:
             "verify-scales-unparsable", "verify-reps-count", "fluid-T0", "rate-x-negative",
             "optimize-queue-out-of-range", "optimize-segments0", "rate-tol0",
             "rate-oracle-step0", "rate-oracle-radius-negative", "rate-y-nan",
-            "optimize-running-max", "verify-running-max", "optimize-starts-negative",
-            "optimize-T-negative", "optimize-T0", "optimize-T-inf", "verify-c-nan",
-            "fluid-h-nan", "simulate-grid-nan", "verify-reps0", "optimize-k0",
+            "optimize-running-max", "verify-running-max", "optimize-T-negative",
+            "optimize-T0", "optimize-T-inf", "verify-c-nan", "fluid-h-nan", "simulate-grid-nan", "verify-reps0", "optimize-k0",
             "verify-reps-fractional", "verify-scales-fractional", "verify-scales-repeated"])
     def test_bad_argument_value_is_exit_2(self, topo_file, tmp_path, capsys, argv, message):
         inputs = tmp_path / "inputs.json"
@@ -328,9 +328,18 @@ class TestActionAndOptimize:
 
     def test_optimize_drift_reversal(self, topo_file, capsys):
         assert run(["optimize", "--topology", topo_file(MM1_STABLE),
-                    "--event", "terminal:k=1,c=1,T=1", "--starts", "2"]) == 0
+                    "--event", "terminal:k=1,c=1,T=1"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["value"] == pytest.approx(0.6931, abs=5e-3)
+        assert out["value"] == pytest.approx(0.6931471805599454, abs=1e-12)
+
+    @pytest.mark.parametrize("flag", ["--starts", "--seed"])
+    def test_optimize_takes_no_starts_or_seed(self, topo_file, capsys, flag):
+        # the search runs once, from the straight path, with no RNG
+        with pytest.raises(SystemExit) as exc:
+            run(["optimize", "--topology", topo_file(MM1_STABLE),
+                 "--event", "terminal:k=1,c=1,T=1", flag, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -349,6 +358,19 @@ class TestVerify:
         report = json.loads((tmp_path / "verify.csv.json").read_text())
         assert report["fit"] == printed["fit"]
         assert (tmp_path / "verify.csv.manifest.json").exists()
+
+    def test_variational_value_is_optimize_value_at_any_seed(self, topo_file, tmp_path,
+                                                             capsys):
+        # --seed seeds the Monte Carlo run only
+        net = topo_file(MM1_STABLE)
+        event = ["--event", "terminal:k=1,c=1,T=1"]
+        assert run(["optimize", "--topology", net, *event]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        for seed in ("3", "7"):
+            assert run(["verify", "--topology", net, *event, "--scales", "5,10",
+                        "--reps", "2e4", "--seed", seed,
+                        "--out", str(tmp_path / f"{seed}.csv")]) == 0
+            assert json.loads(capsys.readouterr().out)["variational_value"] == value
 
 
 class TestAcceptance:

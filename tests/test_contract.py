@@ -35,7 +35,7 @@ VECTORS = [
     (lambda v: J.fluid_route_step(X, v, [0.1, 0.1], NET), "da", 1, True),
     (lambda v: J.fluid_route_step(X, [0.1], v, NET), "db", 2, True),
     (lambda v: J.fluid_solve(NET, v, A, B, 1.0, 0.1), "q0", 2, True),
-    (lambda v: J.minimize_action(EVENT, NET, COST, q0=v, starts=1), "q0", 2, True),
+    (lambda v: J.minimize_action(EVENT, NET, COST, q0=v), "q0", 2, True),
     (lambda v: COST.eval(v, [1.0, 1.0]), "a", 1, False),
     (lambda v: COST.eval([1.0], v), "b", 2, False),
 ]
@@ -50,7 +50,7 @@ COUNTS = [
     (lambda v: J.estimate_rare_event(EVENT, NET, [5], [v]), "reps", 1),
     (lambda v: J.estimate_rare_event(EVENT, NET, [5], [100], seed=v), "seed", 0),
     (lambda v: J.minimize_action(EVENT, NET, COST, segments=v), "segments", 1),
-    (lambda v: J.minimize_action(EVENT, NET, COST, starts=v), "starts", 1),
+    None,  # the path search's start count, deleted; the rows below keep their ids
     (lambda v: J.minimize_action(EVENT, NET, COST, seed=v), "seed", 0),
     (lambda v: J.wilson_interval(v, 10), "hits", 0),
     (lambda v: J.wilson_interval(0, v), "n", 0),
@@ -102,7 +102,10 @@ def _cases():
             bad["huge"] = [1e30] + [0.5] * (length - 1)
         for kind, value in bad.items():
             yield pytest.param(call, value, name, id=f"vector{i}-{name}-{kind}")
-    for i, (call, name, least) in enumerate(COUNTS):
+    for i, row in enumerate(COUNTS):
+        if row is None:
+            continue
+        call, name, least = row
         # count_hits(n='x') raised a TypeError
         for value in (least - 1, 2.5, True, "x"):
             yield pytest.param(call, value, name, id=f"count{i}-{name}-{value}")

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,22 @@ class TestSolve:
         with pytest.raises(ValueError, match="defined on"):
             fluid_solve(mm1, [0.0], a, b, 1.0, 1e-2)
 
+    def test_late_input_rejected(self, mm1):
+        # an input starting after 0 used to fail inside the path's own
+        # evaluation, with a message that named no argument
+        a = PiecewisePath(np.array([0.5, 1.0]), np.array([[0.0], [0.5]]))
+        b = PiecewisePath.cumulative_linear(mm1.mu, 1.0)
+        with pytest.raises(ValueError, match=re.escape("starting at 0.5, 0.0 and ending at "
+                                                       "1.0, 1.0")):
+            fluid_solve(mm1, [0.0], a, b, 1.0, 1e-2)
+
+    @pytest.mark.parametrize("t", [np.nan, [0.5, np.nan], -0.5, 1.5],
+                             ids=["nan", "nan-in-array", "before", "after"])
+    def test_path_evaluated_only_on_its_domain(self, t):
+        # a NaN time used to give NaN values
+        path = PiecewisePath.cumulative_linear([1.0], 1.0)
+        with pytest.raises(ValueError, match="outside path domain"):
+            path(t)
 
     @pytest.mark.parametrize("T,h", [(float("nan"), 1e-2), (1.0, float("nan")),
                                      (float("inf"), 1e-2), (1.0, 0.0)])
