@@ -1,7 +1,7 @@
 """Weighted join-the-shortest-queue networks: simulation, fluid limits and
 large-deviation rate computations."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .cost import PoissonCost, pi, pi_vec
 from .fluid import FluidSolution, fluid_route_step, fluid_solve, lyapunov_check, water_fill
@@ -27,7 +27,7 @@ from .rate import (
     local_rate_bruteforce,
     psi_ij,
 )
-from .sim import SamplePath, TieRule, audit, scale_counters, scale_path, simulate, terminal_statistics
+from .sim import SamplePath, TieRule, audit, scale_counters, scale_path, simulate
 from .topology import Topology, TopologyError, dump, load, validate
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "scale_counters",
     "scale_path",
     "simulate",
-    "terminal_statistics",
     "validate",
     "water_fill",
     "wilson_interval",

@@ -19,24 +19,31 @@ INF = math.inf
 
 
 def pi(alpha: float) -> float:
-    """alpha*log(alpha) - alpha + 1 with the 0*log(0) = 0 convention."""
-    if alpha < 0:
-        raise ValueError("pi is defined on nonnegative arguments")
-    if alpha == 0.0:
-        return 1.0
+    """alpha*log(alpha) - alpha + 1 with the 0*log(0) = 0 convention, and
+    pi(inf) = inf.  A negative or NaN alpha raises ValueError."""
+    if not alpha >= 0:
+        raise ValueError(f"pi is defined on nonnegative arguments, got alpha={alpha}")
+    if alpha == 0.0 or alpha == INF:
+        return alpha + 1.0
     return alpha * math.log(alpha) - alpha + 1.0
 
 
 def pi_vec(alpha: np.ndarray) -> np.ndarray:
+    """``pi`` at every entry of alpha, with no numpy warning at 0 or inf."""
     a = np.asarray(alpha, dtype=float)
-    if np.any(a < 0):
-        raise ValueError("pi is defined on nonnegative arguments")
-    safe = np.maximum(a, 1e-300)
-    return np.where(a > 0, a * np.log(safe) - a + 1.0, 1.0)
+    if not (a >= 0).all():
+        raise ValueError("pi is defined on nonnegative arguments, got a negative or NaN alpha")
+    # pi(0) = 1 and pi(inf) = inf are both alpha + 1; the log sees 1 there
+    inner = (a > 0) & (a < INF)
+    b = np.where(inner, a, 1.0)
+    return np.where(inner, b * np.log(b) - b + 1.0, a + 1.0)
 
 
 def price(rate: float, v: float) -> float:
-    """rate * pi(v / rate); +inf for v < 0, and for v > 0 when rate == 0."""
+    """rate * pi(v / rate); +inf for v < 0, and for v > 0 when rate == 0.
+    A NaN v raises ValueError, as in ``pi``."""
+    if v != v:
+        raise ValueError(f"price is defined on real rates, got v={v}")
     if v < 0:
         return INF
     if rate == 0.0:
@@ -47,6 +54,8 @@ def price(rate: float, v: float) -> float:
 def price_vec(rate: float, v: np.ndarray) -> np.ndarray:
     """``price`` at every entry of v."""
     v = np.asarray(v, dtype=float)
+    if np.isnan(v).any():
+        raise ValueError("price is defined on real rates, got v=nan")
     if rate == 0.0:
         return np.where(v == 0.0, 0.0, INF)
     return np.where(v >= 0, rate * pi_vec(np.maximum(v, 0.0) / rate), INF)

@@ -14,13 +14,13 @@ bit-for-bit.
 
 This module draws every run, including each replicate of the rare-event
 estimator, and owns their layout and the threshold event they are counted
-against (``RareEventSpec``): ``simulate`` and ``terminal_statistics`` are
-the one replicate of batch 0, and ``count_hits`` splits its replicates into
-batches of about 2**20 expected events, numbered 0, 1, ... from the seed.
-A batch is read step by step: its replicates are ranked by decreasing
-event count, so the ones still running at step t are a prefix, and their
-t-th events are one contiguous slice of the draw (``_offsets``).  A batch
-of one replicate reads its events in draw order.
+against (``RareEventSpec``): ``simulate`` is the one replicate of batch 0,
+and ``count_hits`` splits its replicates into batches of about 2**20
+expected events, numbered 0, 1, ... from the seed.  A batch is read step
+by step: its replicates are ranked by decreasing event count, so the ones
+still running at step t are a prefix, and their t-th events are one
+contiguous slice of the draw (``_offsets``).  A batch of one replicate
+reads its events in draw order.
 
 Routing gives each event a queue: the queue an arrival joins, or the
 server of a service tick.  Every queue follows one rule: its raw walk is
@@ -30,18 +30,17 @@ reflection counts the ticks at an empty server, which depart no one.  One
 run (``simulate``) is routed by ``_route``, which reads the moves from the
 clocks on a net where no stream has a choice of queue and otherwise runs a
 scalar loop; ``_walk`` gives its raw walk and ``_reflect`` the queues.
-``terminal_statistics`` reduces its one run to the terminal vector and the
-running maxima replicate by replicate (``_by_replicate``), the path of
-``simulate`` with no record kept.  ``count_hits`` reduces each batch of runs,
-all from the empty net under lowest-index ties, to the statistic its event
-asks for, by one of two engines chosen by a rough cost of each for the
-batch's shape.  The lock step (``_lock_step``) looks up, at each step, the
-events of every running replicate in a destination table over the grid of
-queue vectors the batch can reach, whose state is the reflected queue vector
-itself; it pays a fixed cost, for its table and per step, so it serves
-batches of many replicates.  ``_by_replicate`` pays per replicate, and per
-event where arrivals compare levels; it takes any batch whose table would
-pass ``TABLE_ENTRIES``.  Both give the same statistics.
+``count_hits`` reduces each batch of runs, all from the empty net under
+lowest-index ties, to the statistic its event asks for, by one of two
+engines chosen by a rough cost of each for the batch's shape.  The lock
+step (``_lock_step``) looks up, at each step, the events of every running
+replicate in a destination table over the grid of queue vectors the batch
+can reach, whose state is the reflected queue vector itself; it pays a
+fixed cost, for its table and per step, so it serves batches of many
+replicates.  ``_by_replicate`` runs each replicate on the path of
+``simulate``, with no record kept; it pays per replicate, and per event
+where arrivals compare levels, and takes any batch whose table would pass
+``TABLE_ENTRIES``.  Both give the same statistics.
 """
 from __future__ import annotations
 
@@ -261,7 +260,7 @@ def simulate(
     The initial queue vector is floor(n * q0_scaled).  Identical arguments
     reproduce identical paths.  Given its event count, a Poisson process's
     event times are sorted uniforms, so the times are drawn last, after the
-    events that ``terminal_statistics`` shares.  Raises ``ValueError``
+    events that ``count_hits`` at ``reps=1`` shares.  Raises ``ValueError``
     unless n is an integer >= 1, seed an integer >= 0, T a finite real
     number >= 0, tie_rule a ``TieRule``, and q0 one finite nonnegative entry
     per queue.
@@ -381,30 +380,6 @@ def scale_counters(path: SamplePath, grid_step: float = 1e-3) -> dict[str, np.nd
     }
 
 
-def terminal_statistics(
-    topology: Topology,
-    n: int,
-    T: float,
-    seed: int,
-    tie_rule: TieRule = TieRule.LOWEST_INDEX,
-    q0_scaled=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(terminal queue vector, running max per queue), without recording.
-
-    The run is the one ``simulate`` makes with the same arguments, reduced
-    replicate by replicate (``_by_replicate``): a batch of one replicate
-    reads its events in draw order.  It is also the one run of
-    ``count_hits`` at ``seed`` with ``reps=1`` and the same event counted
-    from an empty net under lowest-index ties; with more replicates a batch
-    is laid out step by step, and its first replicate is another run.
-    Raises ``ValueError`` on the arguments ``simulate`` rejects.
-    """
-    q0 = _initial_queues(topology, n, T, seed, tie_rule, q0_scaled)
-    counts, clocks, ties, _ = _draw(topology, n, T, seed, 0, 1, tie_rule)
-    q_end, q_max = _by_replicate(topology, q0, counts, clocks, ties)
-    return q_end[0], q_max[0]
-
-
 @dataclass(frozen=True)
 class RareEventSpec:
     """Threshold event on the scaled queue path over [0, T].
@@ -445,7 +420,10 @@ class RareEventSpec:
         may be left out, and any other field is an error."""
         kind, _, rest = text.partition(":")
         try:
-            fields = dict(part.split("=") for part in rest.split(",") if part)
+            parts = [part for part in rest.split(",") if part]
+            if bad := [part for part in parts if part.count("=") != 1]:
+                raise ValueError(f"field {bad[0]!r} must be written name=value")
+            fields = dict(part.split("=") for part in parts)
             unknown = sorted(fields.keys() - {"k", "c", "T"})
             if unknown:
                 raise ValueError(f"unknown field {unknown[0]!r}; the fields are k, c and T")
@@ -472,12 +450,14 @@ def count_hits(topology: Topology, event: RareEventSpec, n: int, seed: int, reps
     Batch b is drawn from ``SeedSequence([seed, b])`` and laid out step by
     step (``_draw``).  A batch runs in lock step or replicate by replicate,
     whichever its shape makes cheaper (``_replicate_statistics``).  At
-    ``reps=1`` the one run is ``terminal_statistics``'s.  Raises
-    ``ValueError`` on the arguments ``simulate`` rejects, unless reps is an
-    integer >= 1, and when the event's queue is not one of the topology's.
+    ``reps=1`` the one run is the one ``simulate`` makes at ``seed`` from
+    the empty net under lowest-index ties.  Raises ``ValueError`` unless n
+    and reps are integers >= 1 and seed an integer >= 0, and when the
+    event's queue is not one of the topology's.
     """
     event.check_queue(topology)
     count(reps, "reps")
+    count(seed, "seed", least=0)
     level = count(n, "scale n") * event.threshold - 1e-9
     rate = float(topology.lam.sum() + topology.mu.sum())
     batch = max(1, int(2**20 // max(1.0, rate * (n * event.T))))
@@ -499,11 +479,9 @@ def _replicate_statistics(topology: Topology, n: int, T: float, seed: int, batch
     ``seed``, in decreasing order of their event counts.  A batch whose
     destination table fits ``TABLE_ENTRIES`` runs in lock step when that
     costs less than going replicate by replicate, by the rough costs below.
-    Any other batch goes replicate by replicate.  Raises ``ValueError``
-    unless n is an integer >= 1, seed an integer >= 0 and T a finite real
-    number >= 0.
+    Any other batch goes replicate by replicate.  The arguments are
+    ``count_hits``'s, already checked.
     """
-    q0 = _initial_queues(topology, n, T, seed, TieRule.LOWEST_INDEX, None)
     counts, clocks, _, _ = _draw(topology, n, T, seed, batch, reps, TieRule.LOWEST_INDEX)
     steps = int(counts[0])
     side = steps + 1
@@ -519,8 +497,7 @@ def _replicate_statistics(topology: Topology, n: int, T: float, seed: int, batch
     alone = 16000 * reps + (300 if choice else 12) * len(clocks)
     if entries <= TABLE_ENTRIES and lock <= alone:
         return _lock_step(topology, counts, clocks, side, kind == "running_max")
-    end, top = _by_replicate(topology, q0, counts, clocks, None)
-    return top if kind == "running_max" else end
+    return _by_replicate(topology, counts, clocks, kind == "running_max")
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -536,29 +513,26 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(running)])
 
 
-def _by_replicate(topology: Topology, q0: np.ndarray, counts: np.ndarray, clocks: np.ndarray,
-                  ties: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """(terminal vectors, running maxima) of a batch, one replicate at a time.
+def _by_replicate(topology: Topology, counts: np.ndarray, clocks: np.ndarray,
+                  running_max: bool) -> np.ndarray:
+    """Terminal vectors, or running maxima when ``running_max``, of a batch
+    from the empty net under lowest-index ties, one replicate at a time.
 
     Replicate r gathers its events at ``offset[:counts[r]] + r``, and a
     lone replicate reads the draw as it is; each runs the path of
-    ``simulate``, ``_route`` and ``_walk``, and reflects its walk W as
-    ``_reflect`` does, in the form Q_t = max(q0 + W_t, W_t - min_{s<=t} W_s)
-    (the second term is the queue from an empty start), so that only the
-    reductions add q0 and the path stays in the walk's int32.
+    ``simulate``, ``_route`` and ``_walk``.  From the empty net a queue is
+    its walk W less the running minimum of W (``_reflect``), and row 0 of W
+    is 0, so the terminal queue is W's last row less its minimum.
     """
+    empty = np.zeros(topology.K, dtype=np.int64)
     offset = _offsets(counts)[:-1] if len(counts) > 1 else None
-    end = np.empty((len(counts), topology.K), dtype=np.int64)
-    top = np.empty_like(end)
+    value = np.empty((len(counts), topology.K), dtype=np.int64)
     for r, events in enumerate(counts.tolist()):
-        at = slice(None) if offset is None else offset[:events] + r
-        own = clocks[at]
-        walk = _walk(topology, own, _route(topology, q0, own, None if ties is None else ties[at]))
-        rise = np.minimum.accumulate(walk, axis=0)
-        np.subtract(walk, rise, out=rise)
-        end[r] = np.maximum(q0 + walk[-1], rise[-1])
-        top[r] = np.maximum(q0 + walk.max(axis=0), rise.max(axis=0))
-    return end, top
+        own = clocks[slice(None) if offset is None else offset[:events] + r]
+        walk = _walk(topology, own, _route(topology, empty, own, None))
+        value[r] = ((walk - np.minimum.accumulate(walk, axis=0)).max(axis=0) if running_max
+                    else walk[-1] - walk.min(axis=0))
+    return value
 
 
 # Most entries a destination table may hold: an int32 next state each, so

@@ -100,7 +100,9 @@ class Topology:
 
     K single-server queues, M arrival streams.  Stream m may join any queue
     in ``admissible[m]``; queue k carries weight ``weights[(k, m)]`` for that
-    stream.  ``lam`` and ``mu`` are the nominal arrival and service rates.
+    stream, given as a Fraction, string, int or float and stored as a
+    Fraction (``_parse_weight``).  ``lam`` and ``mu`` are the nominal arrival
+    and service rates.
     ``routes[m]`` is stream m's routing table, built once: its queues in
     index order and their float weights.  Topologies compare and hash by
     identity, so two loads of one file are two distinct keys.
@@ -124,7 +126,8 @@ class Topology:
                 raise TopologyError(f"empty admissible set for stream {m + 1}")
             if any(k < 0 or k >= self.K for k in s):
                 raise TopologyError(f"server index out of range in S_{m + 1}")
-        for (k, m), w in self.weights.items():
+        weights = {key: _parse_weight(w) for key, w in self.weights.items()}
+        for (k, m), w in weights.items():
             if k not in self.admissible[m]:
                 raise TopologyError(
                     f"weight given for pair (server {k + 1}, stream {m + 1}) "
@@ -134,7 +137,7 @@ class Topology:
                 raise TopologyError("weights must be positive")
         for m, s in enumerate(self.admissible):
             for k in s:
-                if (k, m) not in self.weights:
+                if (k, m) not in weights:
                     raise TopologyError(
                         f"missing weight for (server {k + 1}, stream {m + 1})"
                     )
@@ -145,12 +148,13 @@ class Topology:
             raise TopologyError(str(exc)) from None
         if 0.0 in mu.tolist():
             raise TopologyError(f"service rates must be positive, got mu={mu.tolist()}")
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
         routes = []
         for m, s in enumerate(self.admissible):
             ks = tuple(sorted(s))
-            routes.append((ks, tuple(float(self.weights[(k, m)]) for k in ks)))
+            routes.append((ks, tuple(float(weights[(k, m)]) for k in ks)))
         object.__setattr__(self, "routes", tuple(routes))
 
     def level_multipliers(self, m: int) -> dict[int, int]:
@@ -201,10 +205,14 @@ def _frac_str(f: Fraction) -> str:
 
 
 def _parse_weight(v) -> Fraction:
-    """A weight given as a string, int or float (not a bool), as an exact
-    rational: a float is read by its shortest repr, so 0.1 is 1/10."""
-    if isinstance(v, (str, int, float)) and not isinstance(v, bool):
-        return Fraction(str(v))
+    """A weight given as a Fraction, string, int or float (not a bool), as an
+    exact rational: a float is read by its shortest repr, so 0.1 is 1/10.
+    Anything else, or a string that is no rational, raises TopologyError."""
+    if isinstance(v, (Fraction, str, int, float)) and not isinstance(v, bool):
+        try:
+            return Fraction(str(v))
+        except (ValueError, ZeroDivisionError):
+            pass
     raise TopologyError(f"cannot parse weight {v!r}")
 
 

@@ -134,13 +134,16 @@ class TestErrors:
         (["verify", "--event", "terminal:k=1,c=0.2,T=1", "--scales", "5.5"], "scales=[5.5]"),
         # the fit ran on two rows of the same replicates
         (["verify", "--event", "terminal:k=1,c=0.6,T=1", "--scales", "5,5"], "scales=[5, 5]"),
+        # named no field: "dictionary update sequence element #0 has length 1"
+        (["optimize", "--event", "terminal:c"], "field 'c' must be written name=value"),
     ], ids=["simulate-n0", "simulate-T-negative", "simulate-q0-negative", "simulate-grid0",
             "verify-scales-unparsable", "verify-reps-count", "fluid-T0", "rate-x-negative",
             "optimize-queue-out-of-range", "optimize-segments0", "rate-tol0",
             "rate-oracle-step0", "rate-oracle-radius-negative", "rate-y-nan",
             "optimize-running-max", "verify-running-max", "optimize-T-negative",
             "optimize-T0", "optimize-T-inf", "verify-c-nan", "fluid-h-nan", "simulate-grid-nan", "verify-reps0", "optimize-k0",
-            "verify-reps-fractional", "verify-scales-fractional", "verify-scales-repeated"])
+            "verify-reps-fractional", "verify-scales-fractional", "verify-scales-repeated",
+            "optimize-event-field-without-equals"])
     def test_bad_argument_value_is_exit_2(self, topo_file, tmp_path, capsys, argv, message):
         inputs = tmp_path / "inputs.json"
         inputs.write_text(json.dumps(self.FLUID_INPUTS))

@@ -24,6 +24,29 @@ def test_pi_negative_rejected():
         pi_vec(np.array([0.5, -0.1]))
 
 
+def test_pi_nan_rejected():
+    # pi(nan) returned nan and pi_vec([nan]) returned 1.0, which is pi(0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pi(math.nan)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pi_vec(np.array([0.5, math.nan]))
+    for rate in (0.0, 2.0):
+        with pytest.raises(ValueError, match="v=nan"):
+            price(rate, math.nan)
+        with pytest.raises(ValueError, match="v=nan"):
+            price_vec(rate, np.array([1.0, math.nan]))
+
+
+def test_pi_at_infinity_is_infinite():
+    # pi(inf) returned nan, and pi_vec([inf]) warned of an invalid value,
+    # which the suite's filter makes an error
+    assert pi(math.inf) == math.inf
+    assert pi_vec(np.array([math.inf, 0.0, 1.0])).tolist() == [math.inf, 1.0, 0.0]
+    for rate in (0.0, 2.0):
+        assert price(rate, math.inf) == math.inf
+        assert price_vec(rate, np.array([math.inf, -math.inf])).tolist() == [math.inf] * 2
+
+
 def test_pi_vec_matches_scalar(rng):
     a = rng.uniform(0, 5, 50)
     a[0] = 0.0

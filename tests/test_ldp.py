@@ -149,6 +149,14 @@ class TestEventSpec:
         with pytest.raises(ValueError, match="got k=1.5"):
             RareEventSpec("terminal", 0.5, 0.2, 1.0)
 
+    @pytest.mark.parametrize("text,field", [
+        ("terminal:c", "c"), ("terminal:k=1,c=1=2", "c=1=2"), ("terminal:c=1,T", "T")])
+    def test_field_without_one_equals_sign_is_named(self, text, field):
+        # dict() of the split fields failed with "dictionary update sequence
+        # element #0 has length 1; 2 is required", naming no field
+        with pytest.raises(ValueError, match=f"field '{field}' must be written name=value"):
+            RareEventSpec.parse(text)
+
 
 class TestWilson:
     def test_zero_hits(self):

@@ -17,7 +17,6 @@ from jsqldp import (
     scale_counters,
     scale_path,
     simulate,
-    terminal_statistics,
     validate,
     wilson_interval,
 )
@@ -45,25 +44,6 @@ class TestReproducibility:
         p1 = simulate(two_queue, 50, 2.0, seed=3)
         p2 = simulate(two_queue, 50, 2.0, seed=4)
         assert not np.array_equal(p1.times, p2.times)
-
-    def test_terminal_statistics_match_full_history(self, two_queue):
-        p = simulate(two_queue, 30, 2.0, seed=9, q0_scaled=[0.5, 0.5])
-        q_end, q_max = terminal_statistics(two_queue, 30, 2.0, seed=9,
-                                           q0_scaled=[0.5, 0.5])
-        assert np.array_equal(q_end, p.queues[-1])
-        assert np.array_equal(q_max, p.queues.max(axis=0))
-
-    @pytest.mark.parametrize("tie,q0", [
-        (TieRule.UNIFORM_RANDOM, [1.0, 0.3]),
-        (TieRule.LOWEST_INDEX, [0.0, 0.7]),
-    ])
-    @pytest.mark.parametrize("seed", [9, 10])
-    def test_terminal_statistics_match_weighted_history(self, weighted_net, tie, q0, seed):
-        p = simulate(weighted_net, 30, 2.0, seed=seed, tie_rule=tie, q0_scaled=q0)
-        q_end, q_max = terminal_statistics(weighted_net, 30, 2.0, seed=seed, tie_rule=tie,
-                                           q0_scaled=q0)
-        assert np.array_equal(q_end, p.queues[-1])
-        assert np.array_equal(q_max, p.queues.max(axis=0))
 
     def test_pinned_path_digest(self, weighted_net):
         # guards the stream layout: counts, clock bytes then event times,
@@ -305,70 +285,64 @@ class TestEngine:
     # two queues and two streams, whose arrivals compare queue levels, and
     # one queue fed by one or by two streams, whose clocks fix every move;
     # every queue is its walk reflected at 0
-    NETS = [("weighted_net", [0.3, 0.1]), ("mm1_stable", [0.3]), ("two_stream_queue", [0.7])]
+    NETS = ["weighted_net", "mm1_stable", "two_stream_queue"]
 
     @pytest.mark.parametrize("reps", [1, 7, 50])
-    @pytest.mark.parametrize("tie", list(TieRule))
-    def test_batch_replicate_zero_is_terminal_statistics(self, request, monkeypatch, reps, tie):
-        # replicate 0 of a batch is the run terminal_statistics makes of
-        # replicate 0's events handed to it as a one-replicate draw: at
-        # reps = 1 the draw's events in order, the run simulate makes; at
-        # reps >= 2 the events at offset[t].  _by_replicate reduces a batch
-        # from any start under either tie rule; count_hits's batches, from
-        # the empty net under lowest-index ties, run in lock step at 50
-        # replicates and replicate by replicate at 1 and 7
-        for (net, q0), T, seed in product(self.NETS, (1.5, 0.3), range(5)):
+    def test_batch_replicate_zero_is_terminal_statistics(self, request, monkeypatch, reps):
+        # replicate 0 of a batch of count_hits, from the empty net under
+        # lowest-index ties, is the run simulate makes of replicate 0's
+        # events handed to it as a one-replicate draw: at reps = 1 the
+        # draw's events in order, the run simulate makes at the seed; at
+        # reps >= 2 the events at offset[t].  Its terminal vector and
+        # running maximum are that run's last row and running maximum; the
+        # batch runs in lock step at 50 replicates and replicate by
+        # replicate at 1 and 7
+        for net, T, seed in product(self.NETS, (1.5, 0.3), range(5)):
             topo = request.getfixturevalue(net)
-            counts, clocks, ties, rng = _draw(topo, 10, T, seed, 0, reps, tie)
+            counts, clocks, _, rng = _draw(topo, 10, T, seed, 0, reps, TieRule.LOWEST_INDEX)
             at = np.cumsum([0] + [int((counts > t).sum()) for t in range(int(counts[0]) - 1)])
 
             def first_replicate(topology, n, T, seed, batch, reps, tie_rule):
                 assert reps == 1
-                return counts[:1], clocks[at], None if ties is None else ties[at], rng
+                return counts[:1], clocks[at], None, rng
 
-            batches = [(q0, _by_replicate(topo, np.floor(10 * np.array(q0)).astype(np.int64),
-                                          counts, clocks, ties))]
-            if tie is TieRule.LOWEST_INDEX:
-                batches.append((None, [_replicate_statistics(topo, 10, T, seed, 0, reps, kind)
-                                       for kind in ("terminal", "running_max")]))
-            for q0_scaled, (q_end, q_max) in batches:
+            with monkeypatch.context() as patch:
+                patch.setattr(sim, "_draw", first_replicate)
+                p = simulate(topo, 10, T, seed)
+            if reps == 1:
+                assert np.array_equal(p.queues, simulate(topo, 10, T, seed).queues)
+            for q_end, q_max in (
+                    [_by_replicate(topo, counts, clocks, peak) for peak in (False, True)],
+                    [_replicate_statistics(topo, 10, T, seed, 0, reps, kind)
+                     for kind in ("terminal", "running_max")]):
                 assert q_end.shape == q_max.shape == (reps, topo.K)
-                with monkeypatch.context() as patch:
-                    patch.setattr(sim, "_draw", first_replicate)
-                    one_end, one_max = terminal_statistics(topo, 10, T, seed, tie, q0_scaled)
-                assert np.array_equal(q_end[0], one_end)
-                assert np.array_equal(q_max[0], one_max)
-                if reps == 1:
-                    p = simulate(topo, 10, T, seed, tie, q0_scaled)
-                    assert np.array_equal(one_end, p.queues[-1])
-                    assert np.array_equal(one_max, p.queues.max(axis=0))
+                assert np.array_equal(q_end[0], p.queues[-1])
+                assert np.array_equal(q_max[0], p.queues.max(axis=0))
 
-    def test_terminal_statistics_reduces_its_run_replicate_by_replicate(
-            self, monkeypatch, weighted_net):
+    @staticmethod
+    def _check_one_replicate_count(topo, n, T, seed):
+        """``count_hits`` at reps = 1 against the run ``simulate`` makes at
+        ``seed``: the event's level is n * c - 1e-9, met at c = value / n and
+        missed half a customer above it.  Returns the run's event count."""
+        p = simulate(topo, n, T, seed)
+        for kind, value in (("terminal", p.queues[-1]), ("running_max", p.queues.max(axis=0))):
+            for k, top in enumerate(value.tolist()):
+                for c, hits in ((top / n, 1), ((top + 0.5) / n, 0)):
+                    assert count_hits(topo, RareEventSpec(kind, k, c, T), n, seed, 1) == hits
+        return len(p.times) - 1
+
+    def test_a_short_run_is_counted_replicate_by_replicate(self, monkeypatch, weighted_net):
         # runs of 0 to 5 events, where the lock step's fixed cost would
-        # outweigh the run: neither it nor count_hits's batch reducer is
-        # reached, under either tie rule and from a nonempty start
-        for name in ("_lock_step", "_replicate_statistics"):
-            monkeypatch.setattr(sim, name, mock.Mock(side_effect=AssertionError(f"{name} called")))
-        events = set()
-        for T, seed, tie, q0 in product((0.1, 0.3, 0.6), range(10), TieRule, ([0, 0], [1, 1])):
-            p = simulate(weighted_net, 1, T, seed, tie, q0)
-            q_end, q_max = terminal_statistics(weighted_net, 1, T, seed, tie, q0)
-            assert np.array_equal(q_end, p.queues[-1])
-            assert np.array_equal(q_max, p.queues.max(axis=0))
-            events.add(len(p.times) - 1)
+        # outweigh the run, are never reached by it
+        monkeypatch.setattr(sim, "_lock_step",
+                            mock.Mock(side_effect=AssertionError("_lock_step called")))
+        events = {self._check_one_replicate_count(weighted_net, 1, T, seed)
+                  for T, seed in product((0.1, 0.3, 0.6), range(10))}
         assert set(range(6)) <= events
 
     def test_count_hits_replicate_zero_is_terminal_statistics(self, weighted_net):
-        # the event's level is n * c - 1e-9: met at c = value / n, missed
-        # half a customer above it
         for seed in range(5):
-            q_end, q_max = terminal_statistics(weighted_net, 10, 1.5, seed)
-            for kind, value in (("terminal", q_end), ("running_max", q_max)):
-                for k in range(weighted_net.K):
-                    for top, hits in ((value[k], 1), (value[k] + 0.5, 0)):
-                        event = RareEventSpec(kind, k, top / 10, 1.5)
-                        assert count_hits(weighted_net, event, 10, seed, 1) == hits
+            self._check_one_replicate_count(weighted_net, 10, 1.5, seed)
 
     def test_count_hits_numbers_its_batches_from_the_seed(self, mm1):
         # 2**19 expected events per replicate make batches of two, so five
@@ -382,26 +356,25 @@ class TestEngine:
             assert count_hits(mm1, event, 1, 3, 5) == (tops >= level).sum()
 
     @staticmethod
-    def _check_replicate_loop(topo, n, T, reps, tie=TieRule.LOWEST_INDEX, q0_scaled=None):
-        """``_by_replicate``, and on a batch of ``count_hits`` (from an empty
-        net under lowest-index ties) ``_replicate_statistics``, against a
-        loop over each replicate's events, replicate r's t-th event read at
-        offset[t] + r, routed by the scalar router, each queue held at 0."""
-        q0 = np.floor(n * np.array(q0_scaled or [0] * topo.K)).astype(np.int64)
-        counts, clocks, ties, _ = _draw(topo, n, T, 4, 2, reps, tie)
+    def _check_replicate_loop(topo, n, T, reps):
+        """``_by_replicate`` and ``_replicate_statistics``, both kinds, on a
+        batch of ``count_hits`` (from an empty net under lowest-index ties)
+        against a loop over each replicate's events, replicate r's t-th event
+        read at offset[t] + r, routed by the scalar router, each queue held
+        at 0."""
+        counts, clocks, _, _ = _draw(topo, n, T, 4, 2, reps, TieRule.LOWEST_INDEX)
         assert counts.tolist() == sorted(counts.tolist(), reverse=True)
         # offset[t] counts the events of the replicates still running at
         # the steps before t
         offset = np.cumsum([0] + [int((counts > t).sum()) for t in range(int(counts[0]))])
-        found = [_by_replicate(topo, q0, counts, clocks, ties)]
-        if tie is TieRule.LOWEST_INDEX and q0_scaled is None:
-            found.append([_replicate_statistics(topo, n, T, 4, 2, reps, kind)
-                          for kind in ("terminal", "running_max")])
+        found = [[_by_replicate(topo, counts, clocks, peak) for peak in (False, True)],
+                 [_replicate_statistics(topo, n, T, 4, 2, reps, kind)
+                  for kind in ("terminal", "running_max")]]
+        empty = np.zeros(topo.K, dtype=np.int64)
         for r, count in enumerate(counts.tolist()):
             at = offset[:count] + r
-            moves = _route(topo, q0, clocks[at], None if ties is None else ties[at])
-            q, top = q0.copy(), q0.copy()
-            for c, k in zip(clocks[at].tolist(), moves.tolist()):
+            q, top = empty.copy(), empty.copy()
+            for c, k in zip(clocks[at].tolist(), _route(topo, empty, clocks[at], None).tolist()):
                 q[k] = max(q[k] + (1 if c < topo.M else -1), 0)
                 top = np.maximum(top, q)
             for q_end, q_max in found:
@@ -411,16 +384,13 @@ class TestEngine:
     def test_batch_observer_matches_replicate_loop(self, request, T):
         # at T=0.05 (n=10) most replicates have no event at all; batches of
         # 300 replicates from the empty net run in lock step
-        for net, q0_scaled in self.NETS:
-            topo = request.getfixturevalue(net)
-            self._check_replicate_loop(topo, 10, T, 300)
-            for tie in TieRule:
-                self._check_replicate_loop(topo, 10, T, 300, tie, q0_scaled)
+        for net in self.NETS:
+            self._check_replicate_loop(request.getfixturevalue(net), 10, T, 300)
 
     def test_a_net_without_choice_is_routed_by_its_clocks(self, monkeypatch, two_stream_queue):
         # each stream has one queue (stream 1 queue 2, stream 2 queue 1, or
         # both queue 1), so a clock fixes its event's queue and no level is
-        # compared
+        # compared, under either tie rule and from a nonempty start
         dedicated = validate({"K": 2, "M": 2, "admissible": [[2], [1]], "lambda": [1, 0.5],
                               "mu": [2, 1]})
         for topo in (dedicated, two_stream_queue):
@@ -433,7 +403,7 @@ class TestEngine:
                     moves = _route(topo, np.array([1] * topo.K), clocks, ties)
                 assert moves.tolist() == [only[c] if c < topo.M else c - topo.M
                                           for c in clocks.tolist()]
-                self._check_replicate_loop(topo, 10, 1.0, 5, tie, [0.1] * topo.K)
+            self._check_replicate_loop(topo, 10, 1.0, 5)
 
     @NET_SETTINGS
     @given(net=small_nets(), seed=st.integers(0, 2**16), tie=st.sampled_from(TieRule))
@@ -490,14 +460,14 @@ class TestEngine:
         # lowest-index ties at n=2, T=0.5
         topo, _ = net
         counts, clocks, _, _ = _draw(topo, 2, 0.5, seed, 0, 40, TieRule.LOWEST_INDEX)
-        end, top = _by_replicate(topo, np.zeros(topo.K, dtype=np.int64), counts, clocks, None)
+        end, top = (_by_replicate(topo, counts, clocks, peak) for peak in (False, True))
         side = int(counts[0]) + 1
         assert _lock_step(topo, counts, clocks, side, False).tolist() == end.tolist()
         assert _lock_step(topo, counts, clocks, side, True).tolist() == top.tolist()
 
 
 class TestValidation:
-    @pytest.mark.parametrize("fn", [simulate, terminal_statistics])
+    @pytest.mark.parametrize("fn", [simulate])
     @pytest.mark.parametrize("n,T,q0,message", [
         (0, 1.0, None, "scale"),
         (5, -1.0, None, "horizon"),
@@ -511,7 +481,7 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             fn(two_queue, n, T, seed=0, q0_scaled=q0)
 
-    @pytest.mark.parametrize("fn", [simulate, terminal_statistics])
+    @pytest.mark.parametrize("fn", [simulate])
     @pytest.mark.parametrize("n,seed,shown", [
         (2.5, 0, "n=2.5"), (True, 0, "n=True"), (5, -1, "seed=-1"), (5, 1.5, "seed=1.5"),
         (5, True, "seed=True")])
@@ -520,7 +490,7 @@ class TestValidation:
         with pytest.raises(ValueError, match=shown):
             fn(two_queue, n, 1.0, seed=seed)
 
-    @pytest.mark.parametrize("fn", [simulate, terminal_statistics])
+    @pytest.mark.parametrize("fn", [simulate])
     @pytest.mark.parametrize("tie_rule", ["uniform", "bogus"])
     def test_tie_rule_must_be_a_tie_rule(self, two_queue, fn, tie_rule):
         # 'uniform' used to run lowest-index ties without a word

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jsqldp import Topology, TopologyError, dump, load, validate
+from jsqldp import Topology, TopologyError, dump, load, simulate, validate
 
 
 def test_roundtrip_through_dict(weighted_net):
@@ -130,3 +130,28 @@ def test_compares_and_hashes_by_identity(tmp_path, weighted_net):
     assert a == a and a != b
     assert {a: 1, b: 2}[a] == 1
     assert hash(a) == hash(a)
+
+
+def _pair_net(weights):
+    return Topology(K=2, M=1, admissible=(frozenset({0, 1}),), weights=weights,
+                    lam=np.array([1.0]), mu=np.array([1.0, 1.0]))
+
+
+def test_direct_constructor_reads_weights_as_validate_does():
+    # float weights were kept as floats, and simulate, least_levels and
+    # to_dict raised "'float' object has no attribute 'numerator'"
+    topo = _pair_net({(0, 0): 0.5, (1, 0): 1.0})
+    assert topo.weights == {(0, 0): Fraction(1, 2), (1, 0): Fraction(1)}
+    assert topo.to_dict()["weights"] == [{"1": "1/2", "2": "1"}]
+    assert topo.least_levels(0, np.array([[1, 1], [1, 2]])).tolist() == [
+        [False, True], [True, True]]
+    simulate(topo, 5, 1.0, seed=0)
+    mixed = _pair_net({(0, 0): "1/3", (1, 0): Fraction(2, 7)})
+    assert mixed.weights == {(0, 0): Fraction(1, 3), (1, 0): Fraction(2, 7)}
+
+
+@pytest.mark.parametrize("weight", ["abc", "1/0", None, True, float("nan")])
+def test_direct_constructor_rejects_a_weight_it_cannot_read(weight):
+    # a str weight raised a TypeError from the sign test
+    with pytest.raises(TopologyError, match="cannot parse weight"):
+        _pair_net({(0, 0): weight, (1, 0): 1})
