@@ -29,14 +29,17 @@ def pi(alpha: float) -> float:
 
 
 def pi_vec(alpha: np.ndarray) -> np.ndarray:
-    """``pi`` at every entry of alpha, with no numpy warning at 0 or inf."""
+    """``pi`` at every entry of alpha, with no numpy warning: at 0, at inf,
+    and where alpha * log(alpha) overflows, which gives inf as ``pi``
+    does."""
     a = np.asarray(alpha, dtype=float)
     if not (a >= 0).all():
         raise ValueError("pi is defined on nonnegative arguments, got a negative or NaN alpha")
     # pi(0) = 1 and pi(inf) = inf are both alpha + 1; the log sees 1 there
     inner = (a > 0) & (a < INF)
     b = np.where(inner, a, 1.0)
-    return np.where(inner, b * np.log(b) - b + 1.0, a + 1.0)
+    with np.errstate(over="ignore"):
+        return np.where(inner, b * np.log(b) - b + 1.0, a + 1.0)
 
 
 def price(rate: float, v: float) -> float:
@@ -52,13 +55,16 @@ def price(rate: float, v: float) -> float:
 
 
 def price_vec(rate: float, v: np.ndarray) -> np.ndarray:
-    """``price`` at every entry of v."""
+    """``price`` at every entry of v; a ratio v / rate past the largest
+    float is inf, as in ``price``, with no numpy warning."""
     v = np.asarray(v, dtype=float)
     if np.isnan(v).any():
         raise ValueError("price is defined on real rates, got v=nan")
     if rate == 0.0:
         return np.where(v == 0.0, 0.0, INF)
-    return np.where(v >= 0, rate * pi_vec(np.maximum(v, 0.0) / rate), INF)
+    with np.errstate(over="ignore"):
+        ratio = np.maximum(v, 0.0) / rate
+    return np.where(v >= 0, rate * pi_vec(ratio), INF)
 
 
 class PoissonCost:

@@ -47,6 +47,16 @@ def test_pi_at_infinity_is_infinite():
         assert price_vec(rate, np.array([math.inf, -math.inf])).tolist() == [math.inf] * 2
 
 
+def test_overflow_is_infinite_without_a_warning():
+    # pi_vec([1e308]) warned of an overflow in multiply and
+    # price_vec(1e-10, [1e300]) of one in divide, which the suite's filter
+    # makes errors; the scalar pi and price return inf
+    assert pi(1e308) == pi_vec(np.array([1e308]))[0] == math.inf
+    assert price(1e-10, 1e300) == price_vec(1e-10, np.array([1e300]))[0] == math.inf
+    assert price_vec(1e-10, np.array([1e300, 1.0, 0.0])).tolist() == [
+        math.inf, price(1e-10, 1.0), price(1e-10, 0.0)]
+
+
 def test_pi_vec_matches_scalar(rng):
     a = rng.uniform(0, 5, 50)
     a[0] = 0.0

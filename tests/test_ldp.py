@@ -266,17 +266,18 @@ class TestEstimate:
 
 
 class TestHitCounts:
-    """Per-seed hits of the one batch loop, pinned; each batch runs in lock
-    step.  Each pin is also checked against the exact law at z = 4.5, so a
-    pin is a sample of it and not only what the code printed."""
+    """Per-seed hits of the one batch loop, pinned; each batch draws its
+    event counts as one histogram and runs in lock step.  Each pin is also
+    checked against the exact law at z = 4.5, so a pin is a sample of it
+    and not only what the code printed."""
 
     # two batches each: 69905 replicates per batch on the drain net at n=5
     # and 43690 on the weighted net at n=4
     @pytest.mark.parametrize("net,kind,queue,c,n,reps,hits", [
-        ("mm1_stable", "terminal", 0, 0.6, 5, 75_000, 7950),
-        ("mm1_stable", "running_max", 0, 0.6, 5, 75_000, 25657),
-        ("weighted_net", "terminal", 0, 0.75, 4, 45_000, 19457),
-        ("weighted_net", "running_max", 1, 0.75, 4, 45_000, 11817),
+        ("mm1_stable", "terminal", 0, 0.6, 5, 75_000, 7822),
+        ("mm1_stable", "running_max", 0, 0.6, 5, 75_000, 25604),
+        ("weighted_net", "terminal", 0, 0.75, 4, 45_000, 19593),
+        ("weighted_net", "running_max", 1, 0.75, 4, 45_000, 11814),
     ], ids=["mm1-terminal", "mm1-running_max", "weighted-terminal", "weighted-running_max"])
     def test_hits_per_seed(self, request, net, kind, queue, c, n, reps, hits):
         topology = request.getfixturevalue(net)

@@ -9,6 +9,7 @@ import pytest
 from conftest import NET_SETTINGS, small_nets
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import poisson
 
 from jsqldp import (
     SamplePath,
@@ -28,6 +29,8 @@ from jsqldp.sim import (
     _lock_step,
     _replicate_statistics,
     _route,
+    _window,
+    _window_pmf,
     count_hits,
 )
 
@@ -281,6 +284,53 @@ class TestEngine:
         assert clocks.dtype == np.uint16
         assert clocks.tolist() == expected
         assert max(expected) >= 298
+
+    # wide batches at each mean (Λ = 2 on mm1, n = 1, T = mean / 2), which
+    # draw their counts as one histogram: about 1.5e4 to 5e6 events each
+    @pytest.mark.parametrize("mean,reps", [
+        (0.015, 1_000_000), (1.0, 200_000), (30.0, 100_000), (1000.0, 5_000)])
+    def test_a_wide_batch_draws_poisson_counts(self, mm1, mean, reps):
+        counts = _draw(mm1, 1, mean / 2, 6, 0, reps, TieRule.LOWEST_INDEX)[0]
+        window = _window(mean)
+        assert 60 * reps > 20000 + 50 * len(window)
+        assert counts.dtype == np.int64 and len(counts) == reps
+        assert np.all(np.diff(counts) <= 0)
+        # every count from 0 to one past the window, bin by bin
+        found = np.bincount(counts, minlength=window.stop + 1)
+        for k, hits in enumerate(found.tolist()):
+            lo, hi = wilson_interval(hits, reps, z=4.5)
+            assert lo <= poisson.pmf(k, mean) <= hi, (k, hits)
+
+    @pytest.mark.parametrize("mean", [0.0, 1e-9, 0.015, 1.0, 30.0, 225.0, 1000.0, 1e6, 1e9])
+    def test_the_window_omits_less_than_2_to_the_minus_53(self, mean):
+        window = _window(mean)
+        left = poisson.cdf(window.start - 1, mean) if window.start else 0.0
+        assert left + poisson.sf(window.stop - 1, mean) < 2.0**-53
+        if mean <= 1000:
+            pmf = _window_pmf(mean, window)
+            assert pmf.sum() == pytest.approx(1.0, abs=1e-15)
+            assert np.allclose(pmf, poisson.pmf(np.arange(window.start, window.stop), mean),
+                               rtol=1e-11, atol=0)
+
+    def test_a_batch_at_mean_zero_is_all_zeros(self, mm1):
+        for reps in (1, 1000):
+            counts, clocks, _, _ = _draw(mm1, 5, 0.0, 1, 0, reps, TieRule.LOWEST_INDEX)
+            assert counts.tolist() == [0] * reps and len(clocks) == 0
+
+    # at mean 30 the window holds 132 counts, so up to 443 replicates draw
+    # one Poisson count each
+    @pytest.mark.parametrize("reps,wide", [(1, False), (2, False), (443, False), (444, True)])
+    def test_a_narrow_batch_draws_one_count_per_replicate(self, mm1, reps, wide):
+        counts = _draw(mm1, 3, 5.0, 7, 2, reps, TieRule.LOWEST_INDEX)[0]
+        first = np.random.default_rng(np.random.SeedSequence([7, 2]).spawn(4)[0])
+        if wide:
+            window = _window(30.0)
+            hist = first.multinomial(reps, _window_pmf(30.0, window))
+            expected = np.repeat(np.arange(window.start, window.stop)[::-1], hist[::-1])
+        else:
+            expected = np.sort(first.poisson(30.0, reps))[::-1]
+        assert counts.dtype == np.int64
+        assert counts.tolist() == expected.tolist()
 
     # two queues and two streams, whose arrivals compare queue levels, and
     # one queue fed by one or by two streams, whose clocks fix every move;
