@@ -1,7 +1,7 @@
 """Weighted join-the-shortest-queue networks: simulation, fluid limits and
 large-deviation rate computations."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .cost import PoissonCost, pi, pi_vec
 from .fluid import FluidSolution, fluid_route_step, fluid_solve, lyapunov_check, water_fill

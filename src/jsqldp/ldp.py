@@ -131,8 +131,9 @@ def path_action(
 
 def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for ``hits`` successes in ``n`` trials; (0, 1)
-    when n == 0.  Raises ValueError unless hits and n are integers with
-    0 <= hits <= n and z is positive and finite."""
+    when n == 0.  Its lower end is exactly 0 at no hit, and its upper end
+    exactly 1 when every trial hits.  Raises ValueError unless hits and n
+    are integers with 0 <= hits <= n and z is positive and finite."""
     # two integers are compared as a pair; ``count`` names anything else
     if all(isinstance(v, numbers.Integral) for v in (hits, n)) and not 0 <= hits <= n:
         raise ValueError(f"hits must lie in [0, n], got hits={hits}, n={n}")
@@ -144,7 +145,10 @@ def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
     denom = 1 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return max(center - half, 0.0), min(center + half, 1.0)
+    # the ends are 0 at no hit and 1 at n hits, which rounding misses
+    lo = max(center - half, 0.0) if hits else 0.0
+    hi = min(center + half, 1.0) if hits < n else 1.0
+    return lo, hi
 
 
 def _check_counts(scales: list[int], reps: list[int]) -> None:
@@ -199,7 +203,8 @@ def estimate_rare_event(
         }
         if hits > 0:
             row["rate"] = -math.log(phat) / n
-            row["rate_ci"] = (-math.log(hi) / n, -math.log(lo) / n)
+            # 0.0 - log(1) / n is 0.0, where -log(1) / n would be -0.0
+            row["rate_ci"] = (0.0 - math.log(hi) / n, -math.log(lo) / n)
         else:
             row["rate"] = None
             row["rate_lower_bound"] = -math.log(hi) / n if hi > 0 else INF

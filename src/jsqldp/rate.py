@@ -142,8 +142,10 @@ def check_label(label: DomainLabel, topology: Topology) -> None:
 def label_matches(label: DomainLabel, x: np.ndarray, topology: Topology) -> bool:
     """Re-check x against the defining conditions of the labelled domain.
 
-    Raises ValueError unless x is K finite nonnegative numbers.
+    Raises ValueError unless the label is one of the net's (``check_label``)
+    and x is K finite nonnegative numbers.
     """
+    check_label(label, topology)
     xs = vector(x, topology.K, "state x").tolist()
     for k in range(topology.K):
         if (xs[k] == 0.0) != (k in label.zero_set):

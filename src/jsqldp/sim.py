@@ -8,11 +8,11 @@ Poisson(Λ n T) events with Λ = Σλ + Σμ, and each event belongs to clock c
 with probability rate_c / Λ.  One random byte picks an event's clock; only
 an event whose byte straddles a boundary between two clocks' shares (about
 1 in 256 per boundary) also draws a float64, so the law stays exact to
-2**-53.  A batch of many replicates draws its event counts as one
-histogram, multinomial over the counts that hold all but less than 2**-53
-of the Poisson mass, and any other batch one count per replicate.  The
-draws come from four PCG64 streams spawned from ``SeedSequence([seed,
-batch])`` (``_draw``), so runs are reproducible bit-for-bit.
+2**-53.  Every batch, one replicate included, draws its event counts as
+one histogram, multinomial over the counts that hold all but less than
+2**-53 of the Poisson mass.  The draws come from four PCG64 streams
+spawned from ``SeedSequence([seed, batch])`` (``_draw``), so runs are
+reproducible bit-for-bit.
 
 This module draws every run, including each replicate of the rare-event
 estimator, and owns their layout and the threshold event they are counted
@@ -123,69 +123,55 @@ def _draw(topology: Topology, n: int, T: float, seed: int, batch: int, reps: int
     difference are exact, so the law is exact to 2**-53.  Clocks are stored
     in the smallest unsigned dtype.
 
-    ``SeedSequence([seed, batch])`` spawns four streams: the Poisson counts;
-    the bytes, raw 64-bit words read as 8 bytes each; the v of the undecided
-    events, in event order; and one tie uniform per event (``UNIFORM_RANDOM``
-    only).  The counts are returned in decreasing order, and replicate r's
+    ``SeedSequence([seed, batch])`` spawns four streams: the counts'
+    histogram; the bytes, raw 64-bit words read as 8 bytes each; the v of
+    the undecided events, in event order; and one tie uniform per event
+    (``UNIFORM_RANDOM`` only).  The counts are returned in decreasing order, and replicate r's
     t-th event is event ``_offsets(counts)[t] + r``, so a batch is laid out
     step by step; one replicate owns the events in draw order.  The byte
     stream is returned for callers that draw more (the event times).
 
     Only the counts' histogram is used, and that of ``reps`` iid Poisson
-    counts is multinomial over the values.  So a batch of many replicates
-    for its window (``_window``) draws its histogram in one call, over the
-    values whose Poisson mass is all but less than 2**-53; its cost does
-    not grow with ``reps``.  Any other batch, one replicate always, draws
-    one Poisson count per replicate and sorts them.
+    counts is multinomial over the values.  So every batch, one replicate
+    included, draws its histogram in one call, over the values of its
+    window (``_window``), whose Poisson mass is all but less than 2**-53;
+    its cost does not grow with ``reps``.
     """
     rates = np.concatenate([topology.lam, topology.mu])
     count_rng, event_rng, split_rng, tie_rng = map(
         np.random.default_rng, np.random.SeedSequence([seed, batch]).spawn(4))
     mean = rates.sum() * n * T
     window = _window(mean)
-    # Rough costs in ns, measured on a 2-core x86: numpy's Poisson sampler
-    # and the sort pay about 60 per replicate; the histogram pays about 20
-    # us, and 50 per value of its window.  One replicate is never drawn as
-    # a histogram.
-    if 60 * reps <= 20000 + 50 * len(window):
-        counts = count_rng.poisson(mean, reps)
-        counts.sort()
-        counts = counts[::-1]
-    else:
-        values = np.arange(window.start, window.stop)
-        counts = np.repeat(values[::-1],
-                           count_rng.multinomial(reps, _window_pmf(mean, window))[::-1])
+    values = np.arange(window.start, window.stop)
+    counts = np.repeat(values[::-1], count_rng.multinomial(reps, _window_pmf(mean, window))[::-1])
     events = int(counts.sum())
     b = event_rng.bit_generator.random_raw(-(-events // 8)).view(np.uint8)[:events]
     shares = np.cumsum(rates)
     cuts = (shares[:-1] / shares[-1] * 256).tolist()
     # (byte, 256 c_i - byte) of each cut that splits its byte
     parts = [(math.floor(cut), cut % 1) for cut in cuts if cut % 1]
-    # The clocks overwrite the bytes a chunk at a time, after the chunk's
-    # undecided events are found.  Temporaries the size of the batch made
-    # the allocator trim and re-fault its heap on every batch of count_hits.
+    # The clocks overwrite the bytes a chunk at a time, each chunk finished,
+    # its undecided events included, before the next.  Temporaries the size
+    # of the batch made the allocator trim and re-fault its heap on every
+    # batch of count_hits.
     dtype = np.min_scalar_type(len(rates))
     clocks = b if dtype == np.uint8 else np.empty(events, dtype)
-    at, at_byte = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.uint8)]
     for start in range(0, events, 2**16):
         chunk = b[start:start + 2**16]
-        if parts:
-            hit = chunk == parts[0][0]
-            for byte, _ in parts[1:]:
-                hit |= chunk == byte
-            found = np.flatnonzero(hit)
-            at.append(found + start)
-            at_byte.append(chunk[found])
         # counted in the clocks' dtype: a byte can be at or above more than
         # 255 cuts
         clock = (chunk >= math.ceil(cuts[0])).view(np.uint8).astype(dtype, copy=False)
         for cut in cuts[1:]:
             clock += chunk >= math.ceil(cut)
+        if parts:
+            hit = chunk == parts[0][0]
+            for byte, _ in parts[1:]:
+                hit |= chunk == byte
+            at = np.flatnonzero(hit)
+            at_byte, v = chunk[at], split_rng.random(len(at))
+            for byte, frac in parts:
+                clock[at] += (at_byte == byte) & (v >= frac)
         clocks[start:start + len(chunk)] = clock
-    at, at_byte = np.concatenate(at), np.concatenate(at_byte)
-    v = split_rng.random(len(at))
-    for byte, frac in parts:
-        clocks[at] += (at_byte == byte) & (v >= frac)
     ties = tie_rng.random(events) if tie_rule is TieRule.UNIFORM_RANDOM else None
     return counts, clocks, ties, event_rng
 
@@ -490,10 +476,9 @@ def count_hits(topology: Topology, event: RareEventSpec, n: int, seed: int, reps
     exactly counts despite rounding).  Batches hold about 2**20 expected
     events, so memory does not grow with n until one replicate expects more
     than that; then a batch is one replicate and memory grows with n.
-    Batch b is drawn from ``SeedSequence([seed, b])`` and laid out step by
-    step (``_draw``); a batch of many replicates draws its event counts as
-    one histogram, from the same law.  A batch runs in lock step or
-    replicate by replicate, whichever its shape makes cheaper
+    Batch b is drawn from ``SeedSequence([seed, b])``, its event counts as
+    one histogram, and laid out step by step (``_draw``).  A batch runs in
+    lock step or replicate by replicate, whichever its shape makes cheaper
     (``_replicate_statistics``).  At ``reps=1`` the one run is the one
     ``simulate`` makes at ``seed`` from the empty net under lowest-index
     ties.  Raises ``ValueError`` unless n and reps are integers >= 1 and

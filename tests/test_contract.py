@@ -78,6 +78,11 @@ POSITIVES = [
     (lambda v: J.wilson_interval(3, 10, z=v), "z"),
 ]
 
+# (entry point, parameter): a domain label of the net
+LABELS = [
+    (lambda v: J.label_matches(v, X, NET), "label"),
+]
+
 # (entry point, parameter): finite and >= 0
 NONNEGATIVES = [
     (lambda v: J.simulate(NET, 5, v, 0), "T"),
@@ -114,6 +119,10 @@ def _cases():
     for i, (call, name) in enumerate(POSITIVES):
         for value in (0.0, -1.0, math.nan, math.inf, True):
             yield pytest.param(call, value, name, id=f"positive{i}-{name}-{value}")
+    for i, (call, name) in enumerate(LABELS):
+        # label_matches('x') raised an AttributeError
+        for value in ("x", None):
+            yield pytest.param(call, value, name, id=f"label{i}-{name}-{value}")
     for i, (call, name) in enumerate(NONNEGATIVES):
         # T='x' and T=None raised a TypeError, and T=True ran with T=1
         for value in (-1.0, math.nan, math.inf, "x", None, True):

@@ -164,6 +164,14 @@ class TestWilson:
         assert lo == 0.0
         assert 0 < hi < 0.05
 
+    @pytest.mark.parametrize("z", [1.96, 4.5])
+    def test_the_ends_are_exact_at_no_hit_and_at_every_hit(self, z):
+        # at 0 hits lo read 5.55e-17 at n = 15, z = 4.5, and at n hits hi
+        # read 0.9999999999999999 at n = 19
+        for n in range(1, 3000):
+            assert wilson_interval(0, n, z=z)[0] == 0.0
+            assert wilson_interval(n, n, z=z)[1] == 1.0
+
     def test_no_trials_say_nothing(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
 
@@ -217,6 +225,15 @@ class TestEstimate:
         row = report["scales"][0]
         assert row["hits"] >= 10
         assert row["ci_low"] <= row["p_hat"] <= row["ci_high"]
+
+    def test_an_event_every_run_hits_has_a_rate_interval_from_zero(self, mm1_stable):
+        # every queue is at least 0, so every run hits; the interval's lower
+        # end read -0.0 from -log(1) / n
+        event = RareEventSpec("terminal", 0, 0.0, 1.0)
+        row = estimate_rare_event(event, mm1_stable, [5], [50], seed=2)["scales"][0]
+        assert row["hits"] == 50 and row["ci_high"] == 1.0
+        low = row["rate_ci"][0]
+        assert low == 0.0 and math.copysign(1.0, low) == 1.0
 
     def test_running_max_dominates_terminal(self, mm1_stable):
         term = RareEventSpec("terminal", 0, 0.4, 1.0)

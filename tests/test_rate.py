@@ -306,6 +306,14 @@ class TestDomains:
         lab = classify_domain(np.array([2.0, 1.0]), two_queue)
         assert not label_matches(lab, np.array([1.0, 2.0]), two_queue)
 
+    def test_label_matches_rejects_a_label_that_is_no_label_of_the_net(self, two_queue):
+        # a label with no argmin set matched: zip dropped the missing set
+        with pytest.raises(ValueError, match="^invalid label: wrong number of argmin sets"):
+            label_matches(DomainLabel(frozenset(), ()), [1.0, 2.0], two_queue)
+        # used to raise an AttributeError
+        with pytest.raises(ValueError, match="label='x'"):
+            label_matches("x", [1.0, 2.0], two_queue)
+
     def test_psi_matches_local_rate_in_domain(self, two_queue):
         cost = PoissonCost(two_queue)
         for x, y in [

@@ -57,7 +57,7 @@ class TestReproducibility:
         for arr in (p.times, p.queues, p.arrivals, p.services, p.departures, p.routed):
             h.update(np.ascontiguousarray(arr).tobytes())
         assert h.hexdigest() == (
-            "ac46fe2579f3971618258345a76f1a3b95f2c560fad4246986743a3b0ac165e7")
+            "5bbb0654e73a28dc3f067228d2832027e030b3973ba19e1ff3317460a8d7e823")
 
 
 class TestAudit:
@@ -285,20 +285,22 @@ class TestEngine:
         assert clocks.tolist() == expected
         assert max(expected) >= 298
 
-    # wide batches at each mean (Λ = 2 on mm1, n = 1, T = mean / 2), which
-    # draw their counts as one histogram: about 1.5e4 to 5e6 events each
+    # wide batches at each mean (Λ = 2 on mm1, n = 1, T = mean / 2): about
+    # 1.5e4 to 5e6 events each; and, at reps = 1, the one-replicate batches
+    # 0 to 19 999 of the seed, pooled
     @pytest.mark.parametrize("mean,reps", [
-        (0.015, 1_000_000), (1.0, 200_000), (30.0, 100_000), (1000.0, 5_000)])
+        (0.015, 1_000_000), (1.0, 200_000), (30.0, 100_000), (1000.0, 5_000), (30.0, 1)])
     def test_a_wide_batch_draws_poisson_counts(self, mm1, mean, reps):
-        counts = _draw(mm1, 1, mean / 2, 6, 0, reps, TieRule.LOWEST_INDEX)[0]
+        batches = [_draw(mm1, 1, mean / 2, 6, batch, reps, TieRule.LOWEST_INDEX)[0]
+                   for batch in range(20_000 if reps == 1 else 1)]
+        assert all(np.all(np.diff(counts) <= 0) for counts in batches)
+        counts = np.concatenate(batches)
         window = _window(mean)
-        assert 60 * reps > 20000 + 50 * len(window)
-        assert counts.dtype == np.int64 and len(counts) == reps
-        assert np.all(np.diff(counts) <= 0)
+        assert counts.dtype == np.int64 and len(counts) == reps * len(batches)
         # every count from 0 to one past the window, bin by bin
         found = np.bincount(counts, minlength=window.stop + 1)
         for k, hits in enumerate(found.tolist()):
-            lo, hi = wilson_interval(hits, reps, z=4.5)
+            lo, hi = wilson_interval(hits, len(counts), z=4.5)
             assert lo <= poisson.pmf(k, mean) <= hi, (k, hits)
 
     @pytest.mark.parametrize("mean", [0.0, 1e-9, 0.015, 1.0, 30.0, 225.0, 1000.0, 1e6, 1e9])
@@ -317,18 +319,16 @@ class TestEngine:
             counts, clocks, _, _ = _draw(mm1, 5, 0.0, 1, 0, reps, TieRule.LOWEST_INDEX)
             assert counts.tolist() == [0] * reps and len(clocks) == 0
 
-    # at mean 30 the window holds 132 counts, so up to 443 replicates draw
-    # one Poisson count each
-    @pytest.mark.parametrize("reps,wide", [(1, False), (2, False), (443, False), (444, True)])
-    def test_a_narrow_batch_draws_one_count_per_replicate(self, mm1, reps, wide):
+    # every batch, one replicate included, draws its counts as one
+    # histogram over the window (132 counts at mean 30) from the first
+    # spawned stream
+    @pytest.mark.parametrize("reps", [1, 2, 443, 444])
+    def test_every_batch_draws_one_histogram(self, mm1, reps):
         counts = _draw(mm1, 3, 5.0, 7, 2, reps, TieRule.LOWEST_INDEX)[0]
         first = np.random.default_rng(np.random.SeedSequence([7, 2]).spawn(4)[0])
-        if wide:
-            window = _window(30.0)
-            hist = first.multinomial(reps, _window_pmf(30.0, window))
-            expected = np.repeat(np.arange(window.start, window.stop)[::-1], hist[::-1])
-        else:
-            expected = np.sort(first.poisson(30.0, reps))[::-1]
+        window = _window(30.0)
+        hist = first.multinomial(reps, _window_pmf(30.0, window))
+        expected = np.repeat(np.arange(window.start, window.stop)[::-1], hist[::-1])
         assert counts.dtype == np.int64
         assert counts.tolist() == expected.tolist()
 
@@ -557,12 +557,14 @@ class TestValidation:
     @pytest.mark.parametrize("grid_step,ends", [(0.3, 0.9), (0.6, 0.6)])
     def test_a_step_that_does_not_divide_the_horizon_ends_at_it(
             self, two_queue, grid_step, ends):
-        # the grid ended at 0.9, short of T = 1, or at 1.2, where the path
-        # read (0.667, 0.55) at T against a final state of (0.85, 0.7)
+        # the grid ended at 0.9, short of T = 1, or at 1.2, past it; the
+        # path reads (0.6, 0.55) at 0.9 and (0.35, 0.2) at 0.6, against a
+        # final state of (0.85, 0.8)
         p = simulate(two_queue, 20, 1.0, seed=3)
         sp = scale_path(p, grid_step)
         assert sp.breakpoints[-2:].tolist() == [pytest.approx(ends), 1.0]
-        assert sp(1.0).tolist() == (p.queues[-1] / 20).tolist() == [0.85, 0.7]
+        assert sp.values[-2].tolist() != sp.values[-1].tolist()
+        assert sp(1.0).tolist() == (p.queues[-1] / 20).tolist() == [0.85, 0.8]
         counters = scale_counters(p, grid_step)
         assert counters["t"].tolist() == sp.breakpoints.tolist()
         assert counters["A"][-1].tolist() == (p.arrivals[-1] / 20).tolist()
@@ -573,7 +575,7 @@ class TestValidation:
         sp = scale_path(p, 2.0)
         assert sp.breakpoints.tolist() == [0.0, 1.0]
         assert sp.values.tolist() == [[0.0, 0.0], (p.queues[-1] / 20).tolist()]
-        assert sp(1.0).tolist() == [0.85, 0.7]
+        assert sp(1.0).tolist() == [0.85, 0.8]
 
     def test_zero_horizon_is_the_initial_state(self, two_queue):
         p = simulate(two_queue, 5, 0.0, seed=0, q0_scaled=[1.0, 0.4])
