@@ -1,10 +1,10 @@
 """Weighted join-the-shortest-queue networks: simulation, fluid limits and
 large-deviation rate computations."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .cost import PoissonCost, pi, pi_vec
-from .fluid import FluidSolution, fluid_route_step, fluid_solve, lyapunov_check, water_fill
+from .fluid import FluidSolution, fluid_solve, lyapunov_check
 from .ldp import (
     ActionReport,
     ActionSegment,
@@ -50,7 +50,6 @@ __all__ = [
     "classify_domain",
     "dump",
     "estimate_rare_event",
-    "fluid_route_step",
     "fluid_solve",
     "label_matches",
     "load",
@@ -66,6 +65,5 @@ __all__ = [
     "scale_path",
     "simulate",
     "validate",
-    "water_fill",
     "wilson_interval",
 ]

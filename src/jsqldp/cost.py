@@ -76,21 +76,10 @@ class PoissonCost:
         self.lam = topology.lam
         self.mu = topology.mu
 
-    def _pairs(self, a, b):
+    def eval(self, a: np.ndarray, b: np.ndarray) -> float:
         a = vector(a, self.M, "arrival rates a", nonnegative=False)
         b = vector(b, self.K, "service rates b", nonnegative=False)
-        return zip(self.lam.tolist() + self.mu.tolist(), a.tolist() + b.tolist())
-
-    def eval(self, a: np.ndarray, b: np.ndarray) -> float:
         total = 0.0
-        for rate, v in self._pairs(a, b):
+        for rate, v in zip(self.lam.tolist() + self.mu.tolist(), a.tolist() + b.tolist()):
             total += price(rate, v)
         return total
-
-    def subgradient(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        g = []
-        for rate, v in self._pairs(a, b):
-            if rate == 0.0 or v < 0:
-                raise ValueError("derivative undefined")
-            g.append(math.log(v / rate) if v > 0 else -INF)
-        return np.array(g)

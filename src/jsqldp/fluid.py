@@ -1,18 +1,18 @@
 """Deterministic fluid dynamics of the weighted join-the-shortest-queue net.
 
-Given cumulative arrival and service inputs, the queue trajectory is advanced
-step by step: each stream's arrival mass is spread over its currently
-shortest (weighted) queues by water-filling, then departures drain each queue
-by at most the service increment.  Trajectorial uniqueness of the continuum
-system makes any consistent discretization converge to the same solution;
-``lyapunov_check`` probes the contraction property that underlies it.
+Given cumulative arrival and service inputs, ``fluid_solve`` advances the
+queue trajectory step by step: each stream's arrival mass is spread over its
+currently shortest (weighted) queues by water-filling, then departures drain
+each queue by at most the service increment.  Trajectorial uniqueness of the
+continuum system makes any consistent discretization converge to the same
+solution; ``lyapunov_check`` probes the contraction property that underlies
+it.
 
 The step runs on Python floats, because numpy's per-call overhead dominates
 on vectors of K and M entries.  ``fluid_solve`` checks its arguments once,
-takes every increment from one vectorized difference, and accumulates the
-routed and departed mass with one cumulative sum; the public
-``water_fill`` and ``fluid_route_step`` check their arguments and call the
-same private ``_fill`` and ``_step``.
+takes every increment from one vectorized difference, runs the private
+``_step`` (which water-fills with ``_fill``) once per step, and accumulates
+the routed and departed mass with one cumulative sum.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .piecewise import PiecewisePath
-from .topology import Topology, finite, positive, tie_level, vector
+from .topology import Topology, positive, tie_level, vector
 
 
 @dataclass(frozen=True)
@@ -31,29 +31,17 @@ class FluidSolution:
     departed: PiecewisePath       # K columns, cumulative
 
 
-def water_fill(levels, widths, mass: float) -> np.ndarray:
+def _fill(levels: list, widths: list, mass: float) -> list:
     """Allocate mass across bins so the lowest levels rise together.
 
     Raising bin i's level by dl consumes widths[i] * dl of mass.  Bins join
     the active set as the rising water reaches their level (up to
     ``tie_level``).  Returns the mass given to each bin; exact conservation:
-    allocation sums to mass.  A mass of at most 0 allocates nothing.  Raises
-    ValueError unless levels and widths are equally long, nonempty and
-    finite, the widths are positive and the mass is finite.
+    the allocation sums to mass.  A mass of at most 0 allocates nothing.
+    The caller passes equally long nonempty lists of finite levels and
+    positive finite widths and a finite mass: a NaN level would never
+    settle, and an infinite one would give NaN mass.
     """
-    levels = np.asarray(levels, dtype=float)
-    widths = np.asarray(widths, dtype=float)
-    if (levels.ndim != 1 or levels.shape != widths.shape or not len(levels)
-            or not np.all(np.isfinite(levels))
-            or not np.all(np.isfinite(widths) & (widths > 0))):
-        raise ValueError("levels and widths must be equally long nonempty vectors of "
-                         f"finite numbers, widths positive, got levels={levels}, "
-                         f"widths={widths}")
-    return np.array(_fill(levels.tolist(), widths.tolist(), finite(mass, "mass")))
-
-
-def _fill(levels: list, widths: list, mass: float) -> list:
-    """``water_fill`` on Python floats, without argument checks."""
     n = len(levels)
     alloc = [0.0] * n
     if mass <= 0:
@@ -92,9 +80,16 @@ def _fill(levels: list, widths: list, mass: float) -> list:
 
 
 def _step(q: list, da: list, db: list, routes, M: int) -> tuple[list, list, list]:
-    """``fluid_route_step`` on Python floats, without argument checks.
+    """One discrete step: route arrival mass da, then drain by service mass db.
 
-    Returns the routed mass flat in row-major (k, m) order.  The comparisons
+    Streams are processed in index order against the running queue levels,
+    stream m water-filling its mass over the weighted levels of its queues in
+    ``routes[m]`` (the topology's ``routes``);
+    departures are min(service increment, content plus inflow), so queues
+    never go negative and mass balance is exact.  Returns the routed mass
+    flat in row-major (k, m) order, the departures and the next queue
+    levels.  The caller passes K finite nonnegative levels q and service
+    masses db and M finite nonnegative arrival masses da.  The comparisons
     break ties as numpy's ``minimum`` and ``maximum`` do, towards their second
     argument, so that the signs of zeros match too.
     """
@@ -111,29 +106,6 @@ def _step(q: list, da: list, db: list, routes, M: int) -> tuple[list, list, list
     d = [b if b < w else w for b, w in zip(db, work)]
     q_next = [w - x for w, x in zip(work, d)]
     return e, d, [x if x > 0.0 else 0.0 for x in q_next]
-
-
-def fluid_route_step(
-    q: np.ndarray,
-    da: np.ndarray,
-    db: np.ndarray,
-    topology: Topology,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One discrete step: route arrival mass, then drain by service mass.
-
-    Streams are processed in index order against the running queue levels;
-    departures are min(service increment, content plus inflow), so queues
-    never go negative and mass balance is exact.  Returns the routed mass as
-    a (K, M) array, the departures and the next queue levels.  Raises
-    ValueError unless q and db are K and da is M finite nonnegative numbers.
-    """
-    K, M = topology.K, topology.M
-    # a NaN level would stall the water-fill, an infinite one yields NaN
-    q = vector(q, K, "queue levels q")
-    da = vector(da, M, "arrival mass da")
-    db = vector(db, K, "service mass db")
-    e, d, q_next = _step(q.tolist(), da.tolist(), db.tolist(), topology.routes, M)
-    return np.array(e).reshape(K, M), np.array(d), np.array(q_next)
 
 
 def fluid_solve(

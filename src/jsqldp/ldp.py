@@ -131,7 +131,8 @@ def path_action(
 
 def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for ``hits`` successes in ``n`` trials; (0, 1)
-    when n == 0.  Its lower end is exactly 0 at no hit, and its upper end
+    when n == 0, and when z * z overflows a float, which is its limit as z
+    grows.  Its lower end is exactly 0 at no hit, and its upper end
     exactly 1 when every trial hits.  Raises ValueError unless hits and n
     are integers with 0 <= hits <= n and z is positive and finite."""
     # two integers are compared as a pair; ``count`` names anything else
@@ -139,7 +140,7 @@ def wilson_interval(hits: int, n: int, z: float = 1.96) -> tuple[float, float]:
         raise ValueError(f"hits must lie in [0, n], got hits={hits}, n={n}")
     hits, n = count(hits, "hits", least=0), count(n, "n", least=0)
     z = positive(z, "z")
-    if n == 0:
+    if n == 0 or z * z == math.inf:
         return 0.0, 1.0
     phat = hits / n
     denom = 1 + z * z / n

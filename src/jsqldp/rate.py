@@ -359,9 +359,18 @@ def _rate_on_domain(
             label=label,
         )
     lone = [busy[k] and k not in live for k in range(K)]
-    value, x, e, it = _solve_dual(label.argmin_sets, busy, lone, y, cost.lam, cost.mu)
-    # a lone queue serves exactly its outflow -y_k
-    value += sum(price(cost.mu[k], -y[k]) for k in range(K) if lone[k])
+    # a feasible program has a finite value, so an infinite or NaN one is a
+    # float overflow; the value sums the idle queues' mu_k (e^{t_k} - 1), so a
+    # finite one also keeps the witness's mu * e^t below numpy's overflow
+    try:
+        value, x, e, it = _solve_dual(label.argmin_sets, busy, lone, y, cost.lam, cost.mu)
+        # a lone queue serves exactly its outflow -y_k
+        value += sum(price(m, -v) for m, v, alone in zip(cost.mu.tolist(), y.tolist(), lone)
+                     if alone)
+        if not abs(value) < INF:
+            raise OverflowError
+    except OverflowError:
+        raise SolverError("the rate program overflows a float") from None
     a = e.sum(axis=0)
     d = np.maximum(e.sum(axis=1) - y, 0.0)
     b = np.where(busy, d, cost.mu * np.exp(x[K + M:]))

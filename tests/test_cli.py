@@ -202,6 +202,13 @@ class TestErrors:
         assert run(["rate", "--topology", topo_file(MM1), "--x", "1", "--y", "1"]) == 4
         assert json.loads(capsys.readouterr().err) == {"error": "line search failed"}
 
+    def test_an_overflowing_rate_program_is_exit_4(self, topo_file, capsys):
+        # exited 1 with an OverflowError traceback
+        tiny = {"K": 1, "M": 1, "admissible": [[1]], "lambda": [1e-9], "mu": [1e-300]}
+        assert run(["rate", "--topology", topo_file(tiny), "--x", "1", "--y=-2e9"]) == 4
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "the rate program overflows a float"}
+
     def test_too_few_hits_is_exit_3(self, topo_file, tmp_path, capsys):
         code = run(["verify", "--topology", topo_file(MM1_STABLE),
                     "--event", "terminal:k=1,c=1,T=1",

@@ -96,22 +96,3 @@ def test_poisson_cost_eval_matches_term_sum(two_queue, rng):
 def test_poisson_cost_negative_is_infinite(mm1):
     cost = PoissonCost(mm1)
     assert math.isinf(cost.eval(np.array([-0.1]), np.array([1.0])))
-
-
-def test_subgradient_matches_finite_differences(weighted_net, rng):
-    cost = PoissonCost(weighted_net)
-    eps = 1e-6
-    for _ in range(100):
-        a = rng.uniform(0.5, 5, weighted_net.M)
-        b = rng.uniform(0.5, 5, weighted_net.K)
-        g = cost.subgradient(a, b)
-        z = np.concatenate([a, b])
-        for i in range(len(z)):
-            hi, lo = z.copy(), z.copy()
-            hi[i] += eps
-            lo[i] -= eps
-            fd = (
-                cost.eval(hi[: weighted_net.M], hi[weighted_net.M :])
-                - cost.eval(lo[: weighted_net.M], lo[weighted_net.M :])
-            ) / (2 * eps)
-            assert abs(g[i] - fd) / max(abs(fd), 1.0) <= 1e-6

@@ -175,6 +175,12 @@ class TestWilson:
     def test_no_trials_say_nothing(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("hits,n,z", [(5, 10, 1e300), (0, 10, 1e300), (10, 10, 1e300),
+                                          (5, 10, 1.4e154)])
+    def test_a_z_whose_square_overflows_gives_the_limit(self, hits, n, z):
+        # z * z overflowed to inf and (5, 10, z=1e300) returned (nan, nan)
+        assert wilson_interval(hits, n, z=z) == (0.0, 1.0)
+
     @pytest.mark.parametrize("hits,n", [(-1, 10), (11, 10), (1, 0), (0, -1)])
     def test_hits_must_lie_in_0_n(self, hits, n):
         with pytest.raises(ValueError, match=f"hits={hits}, n={n}"):
