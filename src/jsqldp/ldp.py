@@ -46,12 +46,10 @@ class ActionSegment:
 class ActionReport:
     total: float
     segments: list[ActionSegment] = field(default_factory=list)
-    tail_open: bool = False
 
     def to_dict(self) -> dict:
         return {
             "total": self.total,
-            "tail_open": self.tail_open,
             "segments": [
                 {"t0": s.t0, "t1": s.t1, "L": s.rate, "domain": s.label.to_dict()}
                 for s in self.segments
@@ -91,11 +89,13 @@ def path_action(
     cost: PoissonCost,
     tol: float = 1e-8,
 ) -> ActionReport:
-    """Integral of the local rate along the path.
+    """Integral of the local rate along the path over its own time span.
 
     Within each constant-domain piece of a linear segment the rate is
-    constant and evaluated once at the midpoint.  Raises ValueError unless
-    the path has one column per queue.
+    constant, so it is solved once, at the piece's midpoint: one rate
+    solve per piece and none more.  What resting at the end point would
+    cost is not priced; it is ``local_rate(q(T), 0)``.  Raises ValueError
+    unless the path has one column per queue.
     """
     if q.dim != topology.K:
         raise ValueError(f"path q must have {topology.K} columns, one per queue, "
@@ -119,10 +119,7 @@ def path_action(
             if not math.isfinite(w.value):
                 return ActionReport(total=INF, segments=segments)
             total += (b - a) * w.value
-    tail = local_rate(np.maximum(q.values[-1], 0.0), np.zeros(topology.K),
-                      topology, cost, tol)
-    tail_open = not (math.isfinite(tail.value) and tail.value <= 1e-9)
-    return ActionReport(total=total, segments=segments, tail_open=tail_open)
+    return ActionReport(total=total, segments=segments)
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,10 @@ def _solve_dual(argmin_sets, busy, lone, y, lam, mu):
     free value u each, and the objective on a block is A e^u + B e^{-u} - Y u,
     least at u = log((Y + sqrt(Y^2 + 4AB)) / 2A).  Each step goes straight to
     the face minimizer.  A constraint that blocks it joins the working set;
-    at the minimizer the most negative multiplier leaves it.  The working
+    at the minimizer the most negative multiplier leaves it.  The search
+    stops when no multiplier is below -1e-12 (1 + s), where s is the largest
+    term of the gradient, |y_i| or w_i e^{+-x_i}: terms of size s cancel in
+    the gradient, so a multiplier is only known to about 1e-16 s.  The working
     set starts with every live stream routed to its whole argmin set and
     every idle queue's t at 0.  Queues in ``lone`` (busy, and in no live
     stream's argmin set) are left to the caller; their theta stays 0.
@@ -290,10 +293,11 @@ def _solve_dual(argmin_sets, busy, lone, y, lam, mu):
         if reach == math.inf:
             raise SolverError("the dual of the rate program is unbounded")
         x = [sgn[i] * target[comp[i]] for i in range(n + 1)]
-        grad = [w[i] * expo[i] * math.exp(expo[i] * x[i]) - yy[i] for i in range(n)] + [0.0]
+        terms = [w[i] * math.exp(expo[i] * x[i]) for i in range(n)]
+        grad = [expo[i] * terms[i] - yy[i] for i in range(n)] + [0.0]
         nu = _multipliers(n, edges, work, grad)
         worst = min(nu, key=nu.get, default=None)
-        if worst is None or nu[worst] >= -1e-12 * (1.0 + max(map(abs, grad))):
+        if worst is None or nu[worst] >= -1e-12 * (1.0 + max(*terms, *map(abs, yy))):
             e = np.zeros((K, M))
             for c, v in nu.items():
                 i, k, _ = edges[c]

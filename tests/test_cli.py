@@ -327,6 +327,7 @@ class TestActionAndOptimize:
         assert run(["action", "--topology", topo_file(MM1),
                     "--path", str(pf)]) == 0
         out = json.loads(capsys.readouterr().out)
+        assert out.keys() == {"total", "segments"}
         assert out["total"] == pytest.approx(0.245144, abs=1e-4)
         assert out["segments"]
 

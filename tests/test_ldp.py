@@ -18,6 +18,7 @@ from jsqldp import (
     path_action,
     wilson_interval,
 )
+from jsqldp import rate
 
 LOG2 = math.log(2.0)
 
@@ -66,19 +67,34 @@ class TestPathAction:
         q = PiecewisePath(np.array([0.0, 1.0, 2.0]), np.array([[1.0], [0.0], [0.0]]))
         report = path_action(q, mm1_stable, PoissonCost(mm1_stable))
         assert report.total <= 1e-9
-        assert not report.tail_open
 
     def test_unit_climb_matches_local_rate(self, mm1):
         q = PiecewisePath.linear([0.0], [1.0], 1.0)
         report = path_action(q, mm1, PoissonCost(mm1))
         assert report.total == pytest.approx(0.24514384755981367, abs=1e-6)
-        # with lambda = mu the path can rest at 1 for free afterwards
-        assert not report.tail_open
 
-    def test_tail_flagged_when_holding_costs(self, mm1_stable):
-        q = PiecewisePath.linear([0.0], [1.0], 1.0)
-        report = path_action(q, mm1_stable, PoissonCost(mm1_stable))
-        assert report.tail_open
+    @pytest.mark.parametrize("net,q", [
+        ("mm1_stable", PiecewisePath(np.array([0.0, 1.0, 2.0]), np.array([[1.0], [0.0], [0.0]]))),
+        # queue 1 drains past queue 2, crossing the tie at t = 1/2
+        ("two_queue", PiecewisePath.linear([1.0, 0.5], [0.0, 0.5], 1.0)),
+        ("weighted_net", PiecewisePath(np.array([0.0, 1.0, 2.0]),
+                                       np.array([[0.0, 0.0], [1.0, 0.5], [1.0, 0.5]]))),
+    ], ids=["drain", "pair-tie-crossing", "readme"])
+    def test_one_rate_solve_per_constant_domain_piece(self, request, monkeypatch, net, q):
+        # the action is the integral over the path's own span: resting at
+        # the end point is not priced, so no rate program is solved there
+        topo = request.getfixturevalue(net)
+        solve, labels = rate._rate_on_domain, []
+
+        def counted(label, *args):
+            labels.append(label)
+            return solve(label, *args)
+
+        monkeypatch.setattr(rate, "_rate_on_domain", counted)
+        report = path_action(q, topo, PoissonCost(topo))
+        assert math.isfinite(report.total)
+        assert labels == [s.label for s in report.segments]
+        assert len(report.segments) >= 2
 
     def test_segments_split_at_weighted_ties(self, two_queue):
         q = PiecewisePath.linear([1.0, 0.0], [0.0, 1.0], 1.0)

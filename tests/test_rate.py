@@ -467,6 +467,38 @@ class TestOverflow:
             assert value >= 0.0 or math.isclose(value, 0.0, abs_tol=1e-9)
 
 
+class TestStoppingTest:
+    @pytest.mark.parametrize("y", [-1e6, -1e9, -1e12, 0.5, 3.0])
+    def test_two_streams_price_as_their_merged_stream(self, y):
+        # streams with one argmin set price their total arrival rate as one
+        # stream; at y = -1e9 terms of size 1e9 cancel to a gradient of
+        # 1e-7, a multiplier read -5e-7 and the active set did not settle
+        two = validate({"K": 1, "M": 2, "admissible": [[1], [1]], "lambda": [20, 20],
+                        "mu": [20]})
+        one = validate({"K": 1, "M": 1, "admissible": [[1]], "lambda": [40], "mu": [20]})
+        assert local_rate([1.0], [y], two, PoissonCost(two)).value == pytest.approx(
+            local_rate([1.0], [y], one, PoissonCost(one)).value, rel=1e-12)
+
+    # without the explain phase, as in TestOverflow
+    @settings(NET_SETTINGS, phases=[Phase.explicit, Phase.generate, Phase.shrink])
+    @given(net=small_nets(), data=st.data())
+    def test_moderate_rates_give_a_value(self, net, data):
+        # rates scaled by 10**(-2..2) and velocities up to 1e12: a feasible
+        # program has a value, and none of these overflows a float
+        topo, _ = net
+        s_lam, s_mu = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+        topo = validate(topo.to_dict() | {"lambda": (topo.lam * 10.0 ** s_lam).tolist(),
+                                          "mu": (topo.mu * 10.0 ** s_mu).tolist()})
+        x = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e6]),
+                               min_size=topo.K, max_size=topo.K))
+        speed = (st.sampled_from([-1e12, -1e9, -1e6, -1.0, 0.0, 1.0, 1e6, 1e9, 1e12])
+                 | st.floats(-1e12, 1e12))
+        y = _feasible(classify_domain(x, topo),
+                      data.draw(st.lists(speed, min_size=topo.K, max_size=topo.K)))
+        value = local_rate(x, y, topo, PoissonCost(topo)).value
+        assert value >= 0.0 or math.isclose(value, 0.0, abs_tol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Legendre-transform oracle
 # ---------------------------------------------------------------------------

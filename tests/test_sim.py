@@ -338,7 +338,7 @@ class TestEngine:
     NETS = ["weighted_net", "mm1_stable", "two_stream_queue"]
 
     @pytest.mark.parametrize("reps", [1, 7, 50])
-    def test_batch_replicate_zero_is_terminal_statistics(self, request, monkeypatch, reps):
+    def test_batch_replicate_zero_is_simulate_run(self, request, monkeypatch, reps):
         # replicate 0 of a batch of count_hits, from the empty net under
         # lowest-index ties, is the run simulate makes of replicate 0's
         # events handed to it as a one-replicate draw: at reps = 1 the
@@ -390,7 +390,7 @@ class TestEngine:
                   for T, seed in product((0.1, 0.3, 0.6), range(10))}
         assert set(range(6)) <= events
 
-    def test_count_hits_replicate_zero_is_terminal_statistics(self, weighted_net):
+    def test_count_hits_replicate_zero_is_simulate_run(self, weighted_net):
         for seed in range(5):
             self._check_one_replicate_count(weighted_net, 10, 1.5, seed)
 
