@@ -1,7 +1,7 @@
 """Weighted join-the-shortest-queue networks: simulation, fluid limits and
 large-deviation rate computations."""
 
-__version__ = "0.9.0"
+__version__ = "0.9.1"
 
 from .cost import PoissonCost, pi, pi_vec
 from .fluid import FluidSolution, fluid_solve, lyapunov_check

@@ -44,27 +44,33 @@ def pi_vec(alpha: np.ndarray) -> np.ndarray:
 
 def price(rate: float, v: float) -> float:
     """rate * pi(v / rate); +inf for v < 0, and for v > 0 when rate == 0.
-    A NaN v raises ValueError, as in ``pi``."""
+    Where that product overflows at a finite v, as it does at v = 1e6 and
+    rate = 1e-300, the price is v (log v - log rate) - v + rate, the same
+    value in terms that stay finite while the price does.  A NaN v raises
+    ValueError, as in ``pi``."""
     if v != v:
         raise ValueError(f"price is defined on real rates, got v={v}")
     if v < 0:
         return INF
     if rate == 0.0:
         return 0.0 if v == 0.0 else INF
-    return rate * pi(v / rate)
+    value = rate * pi(v / rate)
+    return value if value < INF or v == INF else v * (math.log(v) - math.log(rate)) - v + rate
 
 
 def price_vec(rate: float, v: np.ndarray) -> np.ndarray:
-    """``price`` at every entry of v; a ratio v / rate past the largest
-    float is inf, as in ``price``, with no numpy warning."""
+    """``price`` at every entry of v, its overflowing products priced as
+    ``price`` prices them, with no numpy warning."""
     v = np.asarray(v, dtype=float)
     if np.isnan(v).any():
         raise ValueError("price is defined on real rates, got v=nan")
     if rate == 0.0:
         return np.where(v == 0.0, 0.0, INF)
     with np.errstate(over="ignore"):
-        ratio = np.maximum(v, 0.0) / rate
-    return np.where(v >= 0, rate * pi_vec(ratio), INF)
+        value = np.where(v >= 0, rate * pi_vec(np.maximum(v, 0.0) / rate), INF)
+    over = (value == INF) & (v >= 0)
+    value[over] = [price(rate, w) for w in v[over].tolist()]
+    return value
 
 
 class PoissonCost:

@@ -33,16 +33,18 @@ run (``simulate``) is routed by ``_route``, which reads the moves from the
 clocks on a net where no stream has a choice of queue and otherwise runs a
 scalar loop; ``_walk`` gives its raw walk and ``_reflect`` the queues.
 ``count_hits`` reduces each batch of runs, all from the empty net under
-lowest-index ties, to the statistic its event asks for, by one of two
-engines chosen by a rough cost of each for the batch's shape.  The lock
-step (``_lock_step``) looks up, at each step, the events of every running
+lowest-index ties, to one value per replicate: the statistic its event
+asks for, on the event's queue alone.  One of two engines, chosen by a
+rough cost of each for the batch's shape, computes it.  The lock step
+(``_lock_step``) looks up, at each step, the events of every running
 replicate in a destination table over the grid of queue vectors the batch
-can reach, whose state is the reflected queue vector itself; it pays a
-fixed cost, for its table and per step, so it serves batches of many
-replicates.  ``_by_replicate`` runs each replicate on the path of
-``simulate``, with no record kept; it pays per replicate, and per event
-where arrivals compare levels, and takes any batch whose table would pass
-``TABLE_ENTRIES``.  Both give the same statistics.
+can reach, whose state is the reflected queue vector itself, and reads
+the queue's level off the state; it pays a fixed cost, for its table and
+per step, so it serves batches of many replicates.  ``_by_replicate``
+runs each replicate on the path of ``simulate``, with no record kept,
+and reads the queue's column of its walk; it pays per replicate, and per
+event where arrivals compare levels, and takes any batch whose table
+would pass ``TABLE_ENTRIES``.  Both give the same statistics.
 """
 from __future__ import annotations
 
@@ -477,8 +479,9 @@ def count_hits(topology: Topology, event: RareEventSpec, n: int, seed: int, reps
     events, so memory does not grow with n until one replicate expects more
     than that; then a batch is one replicate and memory grows with n.
     Batch b is drawn from ``SeedSequence([seed, b])``, its event counts as
-    one histogram, and laid out step by step (``_draw``).  A batch runs in
-    lock step or replicate by replicate, whichever its shape makes cheaper
+    one histogram, and laid out step by step (``_draw``).  A batch is
+    reduced to one statistic per replicate, of the event's queue, in lock
+    step or replicate by replicate, whichever its shape makes cheaper
     (``_replicate_statistics``).  At ``reps=1`` the one run is the one
     ``simulate`` makes at ``seed`` from the empty net under lowest-index
     ties.  Raises ``ValueError`` unless n and reps are integers >= 1 and
@@ -493,41 +496,41 @@ def count_hits(topology: Topology, event: RareEventSpec, n: int, seed: int, reps
     batch = max(1, int(2**20 // max(1.0, rate * (n * event.T))))
     hits = 0
     for batch_id, done in enumerate(range(0, reps, batch)):
-        value = _replicate_statistics(topology, n, event.T, seed, batch_id,
-                                      min(batch, reps - done), event.kind)
-        hits += int((value[:, event.queue] >= level).sum())
+        value = _replicate_statistics(topology, n, event, seed, batch_id, min(batch, reps - done))
+        hits += int((value >= level).sum())
     return hits
 
 
-def _replicate_statistics(topology: Topology, n: int, T: float, seed: int, batch: int,
-                          reps: int, kind: str) -> np.ndarray:
-    """Per-replicate statistic of ``reps`` independent runs from an empty net
-    under lowest-index ties, of shape (reps, K).
+def _replicate_statistics(topology: Topology, n: int, event: RareEventSpec, seed: int,
+                          batch: int, reps: int) -> np.ndarray:
+    """The statistic ``event`` asks for, on its queue, of ``reps``
+    independent runs from an empty net under lowest-index ties: one int64
+    per replicate, the queue's terminal level or its running maximum.
 
-    ``kind`` 'terminal' gives the terminal queue vectors and 'running_max'
-    the running maxima.  The runs are batch ``batch`` of the stream seeded by
-    ``seed``, in decreasing order of their event counts.  A batch whose
-    destination table fits ``TABLE_ENTRIES`` runs in lock step when that
-    costs less than going replicate by replicate, by the rough costs below.
-    Any other batch goes replicate by replicate.  The arguments are
-    ``count_hits``'s, already checked.
+    The runs are batch ``batch`` of the stream seeded by ``seed``, in
+    decreasing order of their event counts.  A batch whose destination
+    table fits ``TABLE_ENTRIES`` runs in lock step when that costs less than
+    going replicate by replicate, by the rough costs below.  Any other batch
+    goes replicate by replicate.  The arguments are ``count_hits``'s,
+    already checked.
     """
-    counts, clocks, _, _ = _draw(topology, n, T, seed, batch, reps, TieRule.LOWEST_INDEX)
+    counts, clocks, _, _ = _draw(topology, n, event.T, seed, batch, reps, TieRule.LOWEST_INDEX)
     steps = int(counts[0])
     side = steps + 1
     entries = side**topology.K * (topology.M + topology.K)
     # Rough costs in ns, measured on a 2-core x86: the lock step pays a
     # fixed cost (its numpy calls around the steps, 40-90 us on batches of
-    # one to four steps), builds its table and makes a few numpy calls per
-    # queue at each step; one replicate's path pays a fixed cost, and per
-    # event the scalar router's loop where an arrival compares levels, or
-    # numpy's passes where none does.
+    # one to four steps), builds its table and makes a few numpy calls at
+    # each step, charged per queue; one replicate's path pays a fixed cost,
+    # and per event the scalar router's loop where an arrival compares
+    # levels, or numpy's passes where none does.
     choice = any(len(ks) > 1 for ks, _ in topology.routes)
     lock = 50000 + 10 * entries + 2500 * topology.K * steps
     alone = 16000 * reps + (300 if choice else 12) * len(clocks)
+    running_max = event.kind == "running_max"
     if entries <= TABLE_ENTRIES and lock <= alone:
-        return _lock_step(topology, counts, clocks, side, kind == "running_max")
-    return _by_replicate(topology, counts, clocks, kind == "running_max")
+        return _lock_step(topology, counts, clocks, side, event.queue, running_max)
+    return _by_replicate(topology, counts, clocks, event.queue, running_max)
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -543,25 +546,27 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(running)])
 
 
-def _by_replicate(topology: Topology, counts: np.ndarray, clocks: np.ndarray,
+def _by_replicate(topology: Topology, counts: np.ndarray, clocks: np.ndarray, queue: int,
                   running_max: bool) -> np.ndarray:
-    """Terminal vectors, or running maxima when ``running_max``, of a batch
-    from the empty net under lowest-index ties, one replicate at a time.
+    """Queue ``queue``'s terminal level, or its running maximum when
+    ``running_max``, in each replicate of a batch from the empty net under
+    lowest-index ties, one replicate at a time.
 
-    Replicate r gathers its events at ``offset[:counts[r]] + r``, and a
-    lone replicate reads the draw as it is; each runs the path of
-    ``simulate``, ``_route`` and ``_walk``.  From the empty net a queue is
-    its walk W less the running minimum of W (``_reflect``), and row 0 of W
-    is 0, so the terminal queue is W's last row less its minimum.
+    Replicate r gathers its events at ``offset[:counts[r]] + r``; a lone
+    replicate's offsets are 0, 1, ..., so it reads the draw in order.  Each
+    runs the path of ``simulate``, ``_route`` and ``_walk``, and reads the
+    queue's column of the walk.  From the empty net a queue is its walk W
+    less the running minimum of W (``_reflect``), and row 0 of W is 0, so
+    the terminal level is W's last entry less its minimum.
     """
     empty = np.zeros(topology.K, dtype=np.int64)
-    offset = _offsets(counts)[:-1] if len(counts) > 1 else None
-    value = np.empty((len(counts), topology.K), dtype=np.int64)
+    offset = _offsets(counts)[:-1]
+    value = np.empty(len(counts), dtype=np.int64)
     for r, events in enumerate(counts.tolist()):
-        own = clocks[slice(None) if offset is None else offset[:events] + r]
-        walk = _walk(topology, own, _route(topology, empty, own, None))
-        value[r] = ((walk - np.minimum.accumulate(walk, axis=0)).max(axis=0) if running_max
-                    else walk[-1] - walk.min(axis=0))
+        own = clocks[offset[:events] + r]
+        walk = _walk(topology, own, _route(topology, empty, own, None))[:, queue]
+        value[r] = ((walk - np.minimum.accumulate(walk)).max() if running_max
+                    else walk[-1] - walk.min())
     return value
 
 
@@ -601,24 +606,25 @@ def _destinations(topology: Topology, side: int) -> np.ndarray:
 
 
 def _lock_step(topology: Topology, counts: np.ndarray, clocks: np.ndarray, side: int,
-               running_max: bool) -> np.ndarray:
-    """Terminal vectors, or running maxima when ``running_max``, of a batch
-    from the empty net, advanced in lock step.
+               queue: int, running_max: bool) -> np.ndarray:
+    """Queue ``queue``'s terminal level, or its running maximum when
+    ``running_max``, in each replicate of a batch from the empty net,
+    advanced in lock step.
 
     Step t takes the t-th event of every replicate still running, one slice
     of the draw, at entry ``state + clock`` of the destination table over
     [0, side)^K.  The state is the queue vector itself, reflected at 0, so
-    the last state is the terminal vector.  A state modulo the span of
+    the last state holds the terminal level.  A state modulo the span of
     queues k, k+1, ... of the table grows with queue k, so its largest value
     over the steps gives queue k's running maximum; for queue 0 it is the
     state.
     """
-    K, C = topology.K, topology.M + topology.K
-    spans = [side ** (K - k) * C for k in range(K)]
+    span = side ** (topology.K - queue) * (topology.M + topology.K)
     to = _destinations(topology, side)
     state = np.zeros(len(counts), dtype=np.int32)
-    if running_max:
-        peak, scratch = np.zeros((K, len(counts)), dtype=np.int32), np.empty_like(state)
+    # the terminal kind reads the last state
+    peak = np.zeros_like(state) if running_max else state
+    scratch = np.empty_like(state)
     offset = _offsets(counts).tolist()
     for start, stop in zip(offset, offset[1:]):
         # the state becomes its table entry, and then the next state
@@ -626,10 +632,7 @@ def _lock_step(topology: Topology, counts: np.ndarray, clocks: np.ndarray, side:
         np.add(s, clocks[start:stop], out=s)
         to.take(s, out=s, mode="clip")
         if running_max:
-            for k, span in enumerate(spans):
-                level = np.remainder(s, span, out=scratch[:len(s)]) if k else s
-                np.maximum(peak[k, :len(s)], level, out=peak[k, :len(s)])
-    # queue k's level read off the k-th row of table entries
-    codes = peak if running_max else [state] * K
-    return np.stack([code % span // (span // side) for code, span in zip(codes, spans)],
-                    axis=1).astype(np.int64)
+            level = np.remainder(s, span, out=scratch[:len(s)]) if queue else s
+            np.maximum(peak[:len(s)], level, out=peak[:len(s)])
+    # the queue's level read off the table entry
+    return (peak % span // (span // side)).astype(np.int64)

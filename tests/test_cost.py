@@ -50,11 +50,15 @@ def test_pi_at_infinity_is_infinite():
 def test_overflow_is_infinite_without_a_warning():
     # pi_vec([1e308]) warned of an overflow in multiply and
     # price_vec(1e-10, [1e300]) of one in divide, which the suite's filter
-    # makes errors; the scalar pi and price return inf
+    # makes errors; the scalar pi and price return inf where the value
+    # passes the largest float, and price its closed form where only
+    # rate * pi(v / rate) does (v / rate = 1e310 here)
     assert pi(1e308) == pi_vec(np.array([1e308]))[0] == math.inf
-    assert price(1e-10, 1e300) == price_vec(1e-10, np.array([1e300]))[0] == math.inf
+    assert price(1e-300, 1e306) == price_vec(1e-300, np.array([1e306]))[0] == math.inf
+    assert price(1e-10, 1e300) == price_vec(1e-10, np.array([1e300]))[0] == pytest.approx(
+        1e300 * (math.log(1e300) - math.log(1e-10)) - 1e300, rel=1e-12)
     assert price_vec(1e-10, np.array([1e300, 1.0, 0.0])).tolist() == [
-        math.inf, price(1e-10, 1.0), price(1e-10, 0.0)]
+        price(1e-10, 1e300), price(1e-10, 1.0), price(1e-10, 0.0)]
 
 
 def test_pi_vec_matches_scalar(rng):

@@ -22,6 +22,7 @@ from jsqldp import (
     psi_ij,
     validate,
 )
+from jsqldp.cost import price, price_vec
 from jsqldp.rate import check_label, domain_labels
 
 GOLDEN_L11 = 0.24514384755981367  # frozen solver value, oracle-confirmed
@@ -432,11 +433,29 @@ class TestOverflow:
 
     def test_a_lone_queue_that_overflows_raises_solver_error(self):
         # queue 2 is in no stream's argmin set; its price at mu = 1e-300 and
-        # outflow 1e12 raised a RuntimeWarning from a numpy scalar division
+        # outflow 1e12 raised a RuntimeWarning from a numpy scalar division,
+        # and then overflowed though it is 7.17e14; at outflow 1e306 the
+        # price itself passes the largest float
         topo = validate({"K": 2, "M": 1, "admissible": [[1]], "lambda": [1],
                          "mu": [1, 1e-300]})
+        cost = PoissonCost(topo)
+        assert local_rate([1.0, 1.0], [0.0, -1e12], topo, cost).value == pytest.approx(
+            1e12 * (math.log(1e12) - math.log(1e-300)) - 1e12, rel=1e-12)
         with pytest.raises(SolverError, match="overflows a float"):
-            local_rate([1.0, 1.0], [0.0, -1e12], topo, PoissonCost(topo))
+            local_rate([1.0, 1.0], [0.0, -1e306], topo, cost)
+
+    def test_a_finite_price_whose_product_overflows_is_priced(self):
+        # mu pi(v / mu) at mu = 1e-300 and v = 1e6 overflows, though the
+        # price v (log v - log mu) - v + mu is 7.04e8, so the witness
+        # missed the dual value by inf
+        assert math.isfinite(price(1e-300, 1e6))
+        assert np.isfinite(price_vec(1e-300, np.array([1e6]))).all()
+        topo = validate({"K": 1, "M": 1, "admissible": [[1]], "lambda": [1e-9],
+                         "mu": [1e-300]})
+        witness = local_rate([1.0], [-1e6], topo, PoissonCost(topo))
+        assert witness.value == pytest.approx(
+            1e-9 + 1e6 * (math.log(1e6) - math.log(1e-300)) - 1e6, rel=1e-12)
+        assert witness.stationarity <= 1e-8
 
     # without the explain phase: hypothesis 6.155's explainer failed an
     # internal assertion on this test's failures and hid the falsifying example
@@ -444,7 +463,8 @@ class TestOverflow:
     @given(net=small_nets(), data=st.data())
     def test_extreme_rates_give_a_value_or_a_typed_error(self, net, data):
         # rates scaled by 10**s, states and velocities up to 1e12: any other
-        # exception, a numpy RuntimeWarning included, fails the test
+        # exception, a numpy RuntimeWarning included, fails the test, and so
+        # does a witness that misses a finite program's value by inf
         topo, _ = net
         # the ends of the range are drawn often: the overflows live there
         scale = st.sampled_from([-300, -100, 0, 100, 300]) | st.integers(-300, 300)
@@ -462,7 +482,10 @@ class TestOverflow:
                      lambda: psi_ij(label, _feasible(label, y), topo, cost)):
             try:
                 value = call()
-            except (ValueError, SolverError):
+            except ValueError:
+                continue
+            except SolverError as exc:
+                assert "misses the dual value by inf" not in str(exc)
                 continue
             assert value >= 0.0 or math.isclose(value, 0.0, abs_tol=1e-9)
 

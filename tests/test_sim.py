@@ -191,6 +191,12 @@ class TestScaling:
             simulate(mm1, 0, 1.0, seed=0)
 
 
+def _every_queue(topo, statistic):
+    """``statistic(k)``, one value per replicate, of every queue k as the
+    columns of one table."""
+    return np.stack([statistic(k) for k in range(topo.K)], axis=1)
+
+
 class TestEngine:
     """The uniformized event stream and its batched observer."""
 
@@ -343,9 +349,9 @@ class TestEngine:
         # lowest-index ties, is the run simulate makes of replicate 0's
         # events handed to it as a one-replicate draw: at reps = 1 the
         # draw's events in order, the run simulate makes at the seed; at
-        # reps >= 2 the events at offset[t].  Its terminal vector and
-        # running maximum are that run's last row and running maximum; the
-        # batch runs in lock step at 50 replicates and replicate by
+        # reps >= 2 the events at offset[t].  Each queue's terminal level
+        # and running maximum are that run's last row and running maximum;
+        # the batch runs in lock step at 50 replicates and replicate by
         # replicate at 1 and 7
         for net, T, seed in product(self.NETS, (1.5, 0.3), range(5)):
             topo = request.getfixturevalue(net)
@@ -361,13 +367,14 @@ class TestEngine:
                 p = simulate(topo, 10, T, seed)
             if reps == 1:
                 assert np.array_equal(p.queues, simulate(topo, 10, T, seed).queues)
-            for q_end, q_max in (
-                    [_by_replicate(topo, counts, clocks, peak) for peak in (False, True)],
-                    [_replicate_statistics(topo, 10, T, seed, 0, reps, kind)
-                     for kind in ("terminal", "running_max")]):
-                assert q_end.shape == q_max.shape == (reps, topo.K)
-                assert np.array_equal(q_end[0], p.queues[-1])
-                assert np.array_equal(q_max[0], p.queues.max(axis=0))
+            for k in range(topo.K):
+                for q_end, q_max in (
+                        [_by_replicate(topo, counts, clocks, k, peak) for peak in (False, True)],
+                        [_replicate_statistics(topo, 10, RareEventSpec(kind, k, 0, T), seed, 0,
+                                               reps) for kind in ("terminal", "running_max")]):
+                    assert q_end.shape == q_max.shape == (reps,)
+                    assert q_end[0] == p.queues[-1, k]
+                    assert q_max[0] == p.queues[:, k].max()
 
     @staticmethod
     def _check_one_replicate_count(topo, n, T, seed):
@@ -398,27 +405,30 @@ class TestEngine:
         # 2**19 expected events per replicate make batches of two, so five
         # replicates are batches 0, 1 and 2 of the stream at seed 3
         T = 2.0**18
-        tops = np.concatenate([
-            _replicate_statistics(mm1, 1, T, 3, batch, reps, "running_max")[:, 0]
-            for batch, reps in [(0, 2), (1, 2), (2, 1)]])
-        for level in tops.tolist():
-            event = RareEventSpec("running_max", 0, level, T)
-            assert count_hits(mm1, event, 1, 3, 5) == (tops >= level).sum()
+        for kind in ("terminal", "running_max"):
+            tops = np.concatenate([
+                _replicate_statistics(mm1, 1, RareEventSpec(kind, 0, 0, T), 3, batch, reps)
+                for batch, reps in [(0, 2), (1, 2), (2, 1)]])
+            for level in tops.tolist():
+                event = RareEventSpec(kind, 0, level, T)
+                assert count_hits(mm1, event, 1, 3, 5) == (tops >= level).sum()
 
     @staticmethod
     def _check_replicate_loop(topo, n, T, reps):
-        """``_by_replicate`` and ``_replicate_statistics``, both kinds, on a
-        batch of ``count_hits`` (from an empty net under lowest-index ties)
-        against a loop over each replicate's events, replicate r's t-th event
-        read at offset[t] + r, routed by the scalar router, each queue held
-        at 0."""
+        """``_by_replicate`` and ``_replicate_statistics``, both kinds, every
+        queue, on a batch of ``count_hits`` (from an empty net under
+        lowest-index ties) against a loop over each replicate's events,
+        replicate r's t-th event read at offset[t] + r, routed by the scalar
+        router, each queue held at 0."""
         counts, clocks, _, _ = _draw(topo, n, T, 4, 2, reps, TieRule.LOWEST_INDEX)
         assert counts.tolist() == sorted(counts.tolist(), reverse=True)
         # offset[t] counts the events of the replicates still running at
         # the steps before t
         offset = np.cumsum([0] + [int((counts > t).sum()) for t in range(int(counts[0]))])
-        found = [[_by_replicate(topo, counts, clocks, peak) for peak in (False, True)],
-                 [_replicate_statistics(topo, n, T, 4, 2, reps, kind)
+        found = [[_every_queue(topo, lambda k: _by_replicate(topo, counts, clocks, k, peak))
+                  for peak in (False, True)],
+                 [_every_queue(topo, lambda k: _replicate_statistics(
+                     topo, n, RareEventSpec(kind, k, 0, T), 4, 2, reps))
                   for kind in ("terminal", "running_max")]]
         empty = np.zeros(topo.K, dtype=np.int64)
         for r, count in enumerate(counts.tolist()):
@@ -505,15 +515,16 @@ class TestEngine:
     @NET_SETTINGS
     @given(net=small_nets(), seed=st.integers(0, 2**16))
     def test_batch_router_matches_the_scalar_router(self, net, seed):
-        # lock-step statistics of both kinds against replicate-by-replicate
-        # ones, on a batch of forty replicates from the empty net under
-        # lowest-index ties at n=2, T=0.5
+        # lock-step statistics of both kinds and every queue against
+        # replicate-by-replicate ones, on a batch of forty replicates from
+        # the empty net under lowest-index ties at n=2, T=0.5
         topo, _ = net
         counts, clocks, _, _ = _draw(topo, 2, 0.5, seed, 0, 40, TieRule.LOWEST_INDEX)
-        end, top = (_by_replicate(topo, counts, clocks, peak) for peak in (False, True))
         side = int(counts[0]) + 1
-        assert _lock_step(topo, counts, clocks, side, False).tolist() == end.tolist()
-        assert _lock_step(topo, counts, clocks, side, True).tolist() == top.tolist()
+        for peak in (False, True):
+            lock = _every_queue(topo, lambda k: _lock_step(topo, counts, clocks, side, k, peak))
+            alone = _every_queue(topo, lambda k: _by_replicate(topo, counts, clocks, k, peak))
+            assert lock.tolist() == alone.tolist()
 
 
 class TestValidation:
