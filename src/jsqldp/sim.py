@@ -37,20 +37,24 @@ lowest-index ties, to one value per replicate: the statistic its event
 asks for, on the event's queue alone.  One of two engines, chosen by a
 rough cost of each for the batch's shape, computes it.  The lock step
 (``_lock_step``) looks up, at each step, the events of every running
-replicate in a destination table over the grid of queue vectors the batch
-can reach, whose state is the reflected queue vector itself, and reads
-the queue's level off the state; it pays a fixed cost, for its table and
-per step, so it serves batches of many replicates.  ``_by_replicate``
-runs each replicate on the path of ``simulate``, with no record kept,
-and reads the queue's column of its walk; it pays per replicate, and per
-event where arrivals compare levels, and takes any batch whose table
-would pass ``TABLE_ENTRIES``.  Both give the same statistics.
+replicate in a destination table over a grid of queue vectors that holds
+all the batch can reach, whose state is the reflected queue vector
+itself, and reads the queue's level off the state.  Each topology keeps
+its largest table (``_TABLES``), so a table is built only when a batch
+needs a larger grid than any before it on that topology.  The lock step
+pays a fixed cost and one per step, so it serves batches of many
+replicates.  ``_by_replicate`` runs each replicate on the path of
+``simulate``, with no record kept, and reads the queue's column of its
+walk; it pays per replicate, and per event where arrivals compare
+levels, and takes any batch whose table would pass ``TABLE_ENTRIES``.
+Both give the same statistics.
 """
 from __future__ import annotations
 
 import enum
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -510,7 +514,9 @@ def _replicate_statistics(topology: Topology, n: int, event: RareEventSpec, seed
     The runs are batch ``batch`` of the stream seeded by ``seed``, in
     decreasing order of their event counts.  A batch whose destination
     table fits ``TABLE_ENTRIES`` runs in lock step when that costs less than
-    going replicate by replicate, by the rough costs below.  Any other batch
+    going replicate by replicate, by the rough costs below.  It reads the
+    topology's cached table when that is large enough, and otherwise builds
+    one at its own side, which replaces the cached one.  Any other batch
     goes replicate by replicate.  The arguments are ``count_hits``'s,
     already checked.
     """
@@ -518,18 +524,25 @@ def _replicate_statistics(topology: Topology, n: int, event: RareEventSpec, seed
     steps = int(counts[0])
     side = steps + 1
     entries = side**topology.K * (topology.M + topology.K)
+    to, built = _TABLES.get(topology, (None, 0))
     # Rough costs in ns, measured on a 2-core x86: the lock step pays a
     # fixed cost (its numpy calls around the steps, 40-90 us on batches of
-    # one to four steps), builds its table and makes a few numpy calls at
-    # each step, charged per queue; one replicate's path pays a fixed cost,
-    # and per event the scalar router's loop where an arrival compares
-    # levels, or numpy's passes where none does.
+    # one to four steps), builds a table only when the topology's cached one
+    # is missing or too small, and makes a few numpy calls at each step, on
+    # the event's queue alone, so a step costs the same on any K; one
+    # replicate's path pays a fixed cost, and per event the scalar router's
+    # loop where an arrival compares levels, or numpy's passes where none
+    # does.
     choice = any(len(ks) > 1 for ks, _ in topology.routes)
-    lock = 50000 + 10 * entries + 2500 * topology.K * steps
+    lock = 50000 + (0 if built >= side else 10 * entries) + 2500 * steps
     alone = 16000 * reps + (300 if choice else 12) * len(clocks)
     running_max = event.kind == "running_max"
     if entries <= TABLE_ENTRIES and lock <= alone:
-        return _lock_step(topology, counts, clocks, side, event.queue, running_max)
+        if built < side:
+            to, built = _destinations(topology, side), side
+            to.flags.writeable = False
+            _TABLES[topology] = to, built
+        return _lock_step(topology, counts, clocks, to, built, event.queue, running_max)
     return _by_replicate(topology, counts, clocks, event.queue, running_max)
 
 
@@ -572,8 +585,13 @@ def _by_replicate(topology: Topology, counts: np.ndarray, clocks: np.ndarray, qu
 
 # Most entries a destination table may hold: an int32 next state each, so
 # at most 8.4 MB.  A batch whose queue grid needs a larger table goes
-# replicate by replicate.
+# replicate by replicate.  Each live topology keeps at most one table, the
+# largest built for it so far, and it is freed with the topology.
 TABLE_ENTRIES = 2**21
+
+# topology -> (its destination table, read-only, and the table's side),
+# stored as one tuple, so a reader never pairs a table with another's side
+_TABLES: weakref.WeakKeyDictionary[Topology, tuple[np.ndarray, int]] = weakref.WeakKeyDictionary()
 
 
 def _destinations(topology: Topology, side: int) -> np.ndarray:
@@ -605,22 +623,23 @@ def _destinations(topology: Topology, side: int) -> np.ndarray:
     return to.ravel()
 
 
-def _lock_step(topology: Topology, counts: np.ndarray, clocks: np.ndarray, side: int,
-               queue: int, running_max: bool) -> np.ndarray:
+def _lock_step(topology: Topology, counts: np.ndarray, clocks: np.ndarray, to: np.ndarray,
+               side: int, queue: int, running_max: bool) -> np.ndarray:
     """Queue ``queue``'s terminal level, or its running maximum when
     ``running_max``, in each replicate of a batch from the empty net,
     advanced in lock step.
 
-    Step t takes the t-th event of every replicate still running, one slice
-    of the draw, at entry ``state + clock`` of the destination table over
-    [0, side)^K.  The state is the queue vector itself, reflected at 0, so
-    the last state holds the terminal level.  A state modulo the span of
-    queues k, k+1, ... of the table grows with queue k, so its largest value
-    over the steps gives queue k's running maximum; for queue 0 it is the
-    state.
+    ``to`` is the destination table over [0, side)^K (``_destinations``),
+    of any side above the batch's longest run: such a run never reaches
+    the grid's edge, so a larger table gives the same statistics.  Step t
+    takes the t-th event of every replicate still running, one slice of
+    the draw, at entry ``state + clock`` of the table.  The state is the
+    queue vector itself, reflected at 0, so the last state holds the
+    terminal level.  A state modulo the span of queues k, k+1, ... of the
+    table grows with queue k, so its largest value over the steps gives
+    queue k's running maximum; for queue 0 it is the state.
     """
     span = side ** (topology.K - queue) * (topology.M + topology.K)
-    to = _destinations(topology, side)
     state = np.zeros(len(counts), dtype=np.int32)
     # the terminal kind reads the last state
     peak = np.zeros_like(state) if running_max else state

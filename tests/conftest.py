@@ -8,6 +8,16 @@ from jsqldp import validate
 # a property over random nets runs the same examples on every run
 NET_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
+# Per-seed hits of estimate_rare_event at seed 9 and T = 1, pinned, each
+# from two batches of count_hits: 69905 replicates per batch on the drain
+# net at n=5 and 43690 on the weighted net at n=4
+HIT_PINS = pytest.mark.parametrize("net,kind,queue,c,n,reps,hits", [
+    ("mm1_stable", "terminal", 0, 0.6, 5, 75_000, 7822),
+    ("mm1_stable", "running_max", 0, 0.6, 5, 75_000, 25604),
+    ("weighted_net", "terminal", 0, 0.75, 4, 45_000, 19593),
+    ("weighted_net", "running_max", 1, 0.75, 4, 45_000, 11814),
+], ids=["mm1-terminal", "mm1-running_max", "weighted-terminal", "weighted-running_max"])
+
 
 @st.composite
 def small_nets(draw):

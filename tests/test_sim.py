@@ -1,12 +1,14 @@
+import gc
 import hashlib
 import math
+import weakref
 from fractions import Fraction
 from itertools import accumulate, product
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import NET_SETTINGS, small_nets
+from conftest import HIT_PINS, NET_SETTINGS, small_nets
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import poisson
@@ -25,6 +27,7 @@ from jsqldp import sim
 from jsqldp.sim import (
     RareEventSpec,
     _by_replicate,
+    _destinations,
     _draw,
     _lock_step,
     _replicate_statistics,
@@ -517,14 +520,68 @@ class TestEngine:
     def test_batch_router_matches_the_scalar_router(self, net, seed):
         # lock-step statistics of both kinds and every queue against
         # replicate-by-replicate ones, on a batch of forty replicates from
-        # the empty net under lowest-index ties at n=2, T=0.5
+        # the empty net under lowest-index ties at n=2, T=0.5; on the
+        # batch's own table and on a larger one, as a cached table may be
         topo, _ = net
         counts, clocks, _, _ = _draw(topo, 2, 0.5, seed, 0, 40, TieRule.LOWEST_INDEX)
         side = int(counts[0]) + 1
-        for peak in (False, True):
-            lock = _every_queue(topo, lambda k: _lock_step(topo, counts, clocks, side, k, peak))
+        for peak, width in product((False, True), (side, side + 3)):
+            to = _destinations(topo, width)
+            lock = _every_queue(
+                topo, lambda k: _lock_step(topo, counts, clocks, to, width, k, peak))
             alone = _every_queue(topo, lambda k: _by_replicate(topo, counts, clocks, k, peak))
             assert lock.tolist() == alone.tolist()
+
+
+class TestTableCache:
+    """Each live topology keeps one destination table, the largest built for
+    it so far, and every lock-step batch that fits in it reads it."""
+
+    EVENT = RareEventSpec("terminal", 0, 0.5, 1.0)
+
+    def test_a_topology_builds_its_table_once(self, monkeypatch, weighted_net):
+        spy = mock.Mock(wraps=_destinations)
+        monkeypatch.setattr(sim, "_destinations", spy)
+        for _ in range(3):
+            count_hits(weighted_net, self.EVENT, 5, 0, 400)
+        assert spy.call_count == 1
+        # a batch at a larger scale grows the table once, and the smaller
+        # scale then reads the larger table
+        for n in (10, 10, 5):
+            count_hits(weighted_net, self.EVENT, n, 0, 400)
+        (_, small), (_, large) = (args for args, _ in spy.call_args_list)
+        assert small < large == sim._TABLES[weighted_net][1]
+        assert large**weighted_net.K * (weighted_net.M + weighted_net.K) <= sim.TABLE_ENTRIES
+
+    @HIT_PINS
+    def test_the_pins_hold_on_a_cold_and_a_warm_table(self, request, net, kind, queue, c, n,
+                                                      reps, hits):
+        # cold; warm, on the table the first call left; and on a table five
+        # wider than any batch of the call needs
+        topology = request.getfixturevalue(net)
+        event = RareEventSpec(kind, queue, c, 1.0)
+        assert topology not in sim._TABLES
+        assert count_hits(topology, event, n, 9, reps) == hits
+        assert count_hits(topology, event, n, 9, reps) == hits
+        side = sim._TABLES[topology][1] + 5
+        sim._TABLES[topology] = _destinations(topology, side), side
+        assert count_hits(topology, event, n, 9, reps) == hits
+        assert sim._TABLES[topology][1] == side
+
+    def test_a_table_is_freed_with_its_topology(self, monkeypatch):
+        monkeypatch.setattr(sim, "_TABLES", weakref.WeakKeyDictionary())
+        topo = validate({"K": 2, "M": 1, "admissible": [[1, 2]], "lambda": [3], "mu": [1, 1]})
+        count_hits(topo, self.EVENT, 5, 0, 400)
+        assert len(sim._TABLES) == 1
+        del topo
+        gc.collect()
+        assert len(sim._TABLES) == 0
+
+    def test_the_cached_table_is_read_only(self, weighted_net):
+        count_hits(weighted_net, self.EVENT, 5, 0, 400)
+        to, _ = sim._TABLES[weighted_net]
+        with pytest.raises(ValueError, match="read-only"):
+            to[0] = 0
 
 
 class TestValidation:
