@@ -10,18 +10,29 @@ it.
 
 The step runs on Python floats, because numpy's per-call overhead dominates
 on vectors of K and M entries.  ``fluid_solve`` checks its arguments once,
-takes every increment from one vectorized difference, runs the private
-``_step`` (which water-fills with ``_fill``) once per step, and accumulates
-the routed and departed mass with one cumulative sum.
+takes every increment from one vectorized difference, and then runs a loop
+that does only the float operations of the private ``_step`` and ``_fill``,
+in their order, so its path is theirs bit for bit.  Per step it takes one
+``tolist`` of each increment row; a stream with one queue fills in closed
+form (``_fill_one``), a stream with two in straight-line code
+(``_fill_two``), and a wider one calls ``_fill``.  The step keeps no
+container of its own: it appends its levels and departures to flat
+``array('d')`` buffers and writes its routed mass into a preallocated one,
+because a list or numpy row kept per step costs more than the arithmetic,
+and a growing heap of lists makes the garbage collector pause.  The buffers
+become arrays once, and the routed and departed mass accumulate with one
+cumulative sum.
 """
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .piecewise import PiecewisePath
-from .topology import Topology, positive, tie_level, vector
+from .topology import TIE_RTOL, Topology, positive, tie_level, vector
 
 
 @dataclass(frozen=True)
@@ -79,6 +90,42 @@ def _fill(levels: list, widths: list, mass: float) -> list:
     return alloc
 
 
+def _fill_one(level: float, width: float, mass: float) -> float:
+    """``_fill`` on one bin, in closed form: the same float operations."""
+    gap = (level + mass / width) - level
+    x = (0.0 if gap < 0.0 else gap) * width
+    return x + (mass - x)
+
+
+def _fill_two(l0: float, l1: float, w0: float, w1: float, mass: float) -> tuple:
+    """``_fill`` on two bins, straight-line: the same float operations in the
+    same order, so the same bits."""
+    # sorted() is stable, so bin 1 goes first only when strictly lower
+    swap = l1 < l0
+    lo, hi, w_lo, w_hi = (l1, l0, w1, w0) if swap else (l0, l1, w0, w1)
+    if hi <= lo + TIE_RTOL * abs(lo):
+        both = True
+        level = lo + mass / (w_lo + w_hi)
+    else:
+        need = w_lo * (hi - lo)
+        both = need < mass
+        level = hi + (mass - need) / (w_lo + w_hi) if both else lo + mass / w_lo
+    gap = level - lo
+    x_lo = (0.0 if gap < 0.0 else gap) * w_lo
+    x_hi = 0.0
+    if both:
+        gap = level - hi
+        x_hi = (0.0 if gap < 0.0 else gap) * w_hi
+    x0, x1 = (x_hi, x_lo) if swap else (x_lo, x_hi)
+    total = x0 + x1
+    drift = mass - total
+    # the drift goes to the first largest bin, or at a zero total to the
+    # lower one
+    if (x1 > x0) if total > 0 else swap:
+        return x0, x1 + drift
+    return x0 + drift, x1
+
+
 def _step(q: list, da: list, db: list, routes, M: int) -> tuple[list, list, list]:
     """One discrete step: route arrival mass da, then drain by service mass db.
 
@@ -91,7 +138,10 @@ def _step(q: list, da: list, db: list, routes, M: int) -> tuple[list, list, list
     levels.  The caller passes K finite nonnegative levels q and service
     masses db and M finite nonnegative arrival masses da.  The comparisons
     break ties as numpy's ``minimum`` and ``maximum`` do, towards their second
-    argument, so that the signs of zeros match too.
+    argument, so that the signs of zeros match too.  ``fluid_solve`` does
+    not call it: its loop runs the same float operations on flat buffers
+    (see the module docstring).  This step and ``_fill`` stay the reference
+    that the tests hold that loop to.
     """
     e = [0.0] * (len(q) * M)
     work = list(q)
@@ -119,8 +169,8 @@ def fluid_solve(
     """March the fluid system to horizon T with step at most h.
 
     Raises ValueError unless q0 is K finite nonnegative numbers, T and h are
-    positive and finite, and a (M columns) and b (K columns) are
-    nondecreasing paths on [0, T].
+    positive and finite with a finite ratio T/h, and a (M columns) and b (K
+    columns) are nondecreasing paths on [0, T].
     """
     K, M = topology.K, topology.M
     q0 = vector(q0, K, "initial state q0")
@@ -135,25 +185,55 @@ def fluid_solve(
                          f"starting at {a0}, {b0} and ending at {a.horizon}, {b.horizon}")
     if not a.is_nondecreasing(atol=1e-12) or not b.is_nondecreasing(atol=1e-12):
         raise ValueError("cumulative inputs a and b must be nondecreasing")
+    if T / h == math.inf:
+        raise ValueError(f"horizon T={T!r} and step h={h!r} give T/h = inf steps")
     n_steps = max(1, int(np.ceil(T / h - 1e-12)))
     ts = np.linspace(0.0, T, n_steps + 1)
     da = np.maximum(np.diff(a(ts), axis=0), 0)
     db = np.maximum(np.diff(b(ts), axis=0), 0)
-    # row j of e_hist and d_hist holds step j's increments until the
-    # cumulative sums below; row 0 stays zero
-    q_hist = np.empty((n_steps + 1, K))
-    e_hist = np.zeros((n_steps + 1, K * M))
-    d_hist = np.zeros((n_steps + 1, K))
-    q_hist[0] = q0
+    # flat buffers, row j holding step j; e and d rows are increments until
+    # the cumulative sums below, and their row 0 stays zero; ``row`` is the
+    # offset of step j's routed row
     q = q0.tolist()
-    routes = topology.routes
-    for j, (da_j, db_j) in enumerate(zip(da, db), 1):
-        e_hist[j], d_hist[j], q = _step(q, da_j.tolist(), db_j.tolist(), routes, M)
-        q_hist[j] = q
+    q_buf = array("d", q)
+    e_buf = array("d", [0.0]) * (K * M * (n_steps + 1))
+    d_buf = array("d", [0.0] * K)
+    plan = [(m, len(ks), ks, ws, [k * M + m for k in ks])
+            for m, (ks, ws) in enumerate(topology.routes)]
+    row = 0
+    for da_j, db_j in zip(da, db):
+        da_j = da_j.tolist()
+        row += K * M
+        for m, width, ks, ws, cols in plan:
+            mass = da_j[m]
+            if mass == 0:
+                continue
+            if width == 1:
+                k = ks[0]
+                x = _fill_one(q[k] / ws[0], ws[0], mass)
+                e_buf[row + cols[0]] = x
+                q[k] += x
+                continue
+            if width == 2:
+                (k0, k1), (w0, w1) = ks, ws
+                alloc = _fill_two(q[k0] / w0, q[k1] / w1, w0, w1, mass)
+            else:
+                alloc = _fill([q[k] / w for k, w in zip(ks, ws)], ws, mass)
+            for k, c, x in zip(ks, cols, alloc):
+                e_buf[row + c] = x
+                q[k] += x
+        for k, s in enumerate(db_j.tolist()):
+            v = q[k]
+            x = s if s < v else v
+            d_buf.append(x)
+            v -= x
+            q[k] = v if v > 0.0 else 0.0
+        q_buf.fromlist(q)
+    shape = (n_steps + 1, -1)
     return FluidSolution(
-        queue=PiecewisePath(ts, q_hist),
-        routed=PiecewisePath(ts, np.cumsum(e_hist, axis=0)),
-        departed=PiecewisePath(ts, np.cumsum(d_hist, axis=0)),
+        queue=PiecewisePath(ts, np.frombuffer(q_buf).reshape(shape)),
+        routed=PiecewisePath(ts, np.cumsum(np.frombuffer(e_buf).reshape(shape), axis=0)),
+        departed=PiecewisePath(ts, np.cumsum(np.frombuffer(d_buf).reshape(shape), axis=0)),
     )
 
 

@@ -155,6 +155,19 @@ class TestErrors:
         assert message in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "out.csv").exists()
 
+    def test_step_count_overflow_is_exit_2(self, topo_file, tmp_path, capsys):
+        # the drain net on [0, 1e300] at h=1e-10: T/h overflows to inf, which
+        # used to escape as a bare OverflowError, exit 1 with a traceback
+        inputs = tmp_path / "inputs.json"
+        inputs.write_text(json.dumps({"t": [0.0, 1e300], "a": [[0.0], [1e300]],
+                                      "b": [[0.0], [2e300]]}))
+        out = tmp_path / "fluid.csv"
+        assert run(["fluid", "--topology", topo_file(MM1_STABLE), "--q0", "0",
+                    "--inputs", str(inputs), "--T", "1e300", "--h", "1e-10",
+                    "--out", str(out)]) == 2
+        assert "T=1e+300 and step h=1e-10" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["rate", "action", "fluid", "simulate"])
     def test_unreadable_or_unwritable_path_is_exit_2(self, topo_file, tmp_path, capsys,
                                                      command):

@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jsqldp import PiecewisePath, fluid_solve, lyapunov_check
-from jsqldp.fluid import _fill, _step
+from jsqldp.fluid import _fill, _fill_one, _fill_two, _step
+from jsqldp.topology import TIE_RTOL
 
 
 class TestWaterFill:
@@ -46,6 +47,52 @@ class TestWaterFill:
         assert alloc.sum() == pytest.approx(2.0, rel=1e-15)
         assert alloc[3:] == pytest.approx(np.zeros(6))
         assert alloc[:3] / widths[:3] == pytest.approx(np.full(3, alloc[0] / widths[0]))
+
+
+# the weight set of the random nets, and random widths
+WIDTHS = st.sampled_from([1.0, 0.5, 2.0, 1 / 3, 1.5]) | st.floats(1e-3, 1e3)
+MASSES = st.just(0.0) | st.floats(1e-300, 1e3)
+LEVELS = st.just(0.0) | st.floats(0.0, 1e3)
+
+
+@st.composite
+def two_levels(draw):
+    """Two levels in either order: one drawn, and the other random, zero, or
+    tied with it exactly, at the edge of the TIE_RTOL band or near it on
+    either side."""
+    first = draw(LEVELS)
+    kind = draw(st.sampled_from(["random", "zero", "exact", "edge", "near"]))
+    if kind == "random":
+        other = draw(LEVELS)
+    elif kind == "zero":
+        other = 0.0
+    elif kind == "exact":
+        other = first
+    elif kind == "edge":
+        other = first + TIE_RTOL * abs(first)
+    else:
+        other = first * (1 + draw(st.floats(-2.0, 2.0)) * TIE_RTOL)
+    return draw(st.permutations([first, other]))
+
+
+def hexes(values) -> list:
+    """Each float's hex, so that the sign of a zero counts."""
+    return [float(v).hex() for v in values]
+
+
+class TestFillShortcuts:
+    """The one- and two-bin fills that fluid_solve runs are _fill, bit for bit."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(level=LEVELS, width=WIDTHS, mass=MASSES)
+    def test_one_bin_equals_fill_bitwise(self, level, width, mass):
+        assert hexes([_fill_one(level, width, mass)]) == hexes(_fill([level], [width], mass))
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(levels=two_levels(), widths=st.lists(WIDTHS, min_size=2, max_size=2),
+           mass=MASSES)
+    def test_two_bins_equal_fill_bitwise(self, levels, widths, mass):
+        assert hexes(_fill_two(*levels, *widths, mass)) == hexes(_fill(levels, widths, mass))
 
 
 class TestRouteStep:
@@ -145,6 +192,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="positive and finite"):
             fluid_solve(mm1, [0.0], a, b, T, h)
 
+    def test_step_count_must_be_finite(self, mm1_stable):
+        # T/h overflows to inf; int() of its ceiling used to raise a bare
+        # OverflowError
+        a = PiecewisePath.cumulative_linear(mm1_stable.lam, 1e300)
+        b = PiecewisePath.cumulative_linear(mm1_stable.mu, 1e300)
+        with pytest.raises(ValueError, match=re.escape("T=1e+300 and step h=1e-10")):
+            fluid_solve(mm1_stable, [0.0], a, b, 1e300, 1e-10)
+
     @pytest.mark.parametrize("a_dim,b_dim", [(2, 2), (1, 1), (2, 1)])
     def test_input_widths_must_fit_the_net(self, two_queue, a_dim, b_dim):
         # on the pair net (M=1, K=2) a wrong width used to be ignored or broadcast
@@ -208,7 +263,24 @@ def fluid_case(draw, topo):
 
 
 FLUID_NETS = {"single": "mm1", "drain": "mm1_stable", "pair": "two_queue",
-              "readme": "weighted_net", "three": "three_queue"}
+              "readme": "weighted_net", "three": "three_queue",
+              "shared": "shared_queues"}
+
+
+def reference_step(q: list, da: list, db: list, routes, M: int) -> tuple[list, list, list]:
+    """One step with ``_fill`` on every stream, whatever its width, so that
+    fluid_solve's one- and two-queue fills are checked against it and not
+    against themselves."""
+    e = [0.0] * (len(q) * M)
+    work = list(q)
+    for m, (ks, ws) in enumerate(routes):
+        if da[m] == 0:
+            continue
+        for k, v in zip(ks, _fill([work[k] / w for k, w in zip(ks, ws)], ws, da[m])):
+            e[k * M + m] = v
+            work[k] += v
+    d = [b if b < w else w for b, w in zip(db, work)]
+    return e, d, [w - x if w - x > 0.0 else 0.0 for w, x in zip(work, d)]
 
 
 class TestSolveMatchesSteps:
@@ -228,8 +300,8 @@ class TestSolveMatchesSteps:
         d_cum = np.zeros(topo.K)
         rows = [(q, e_cum.ravel(), d_cum)]
         for j in range(len(ts) - 1):
-            e, d, q = map(np.array, _step(q.tolist(), da[j].tolist(), db[j].tolist(),
-                                          topo.routes, topo.M))
+            e, d, q = map(np.array, reference_step(q.tolist(), da[j].tolist(),
+                                                   db[j].tolist(), topo.routes, topo.M))
             e = e.reshape(topo.K, topo.M)
             e_cum = e_cum + e
             d_cum = d_cum + d
